@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "core/serialization.h"
+#include "distill/precompute.h"
 #include "util/fault.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
@@ -71,11 +72,15 @@ ExpertPool ExpertPool::Preprocess(const LogitFn& oracle,
                data.hierarchy.num_classes())
       << "library student must cover at least the hierarchy's classes";
 
+  // The oracle is fixed: its logits over the training set serve both
+  // library KD and the CKD tables, so it runs over the set once.
+  Stopwatch sw;
+  Tensor oracle_logits = BatchedApply(oracle, data.train.images);
+
   // Phase 1: library extraction by standard KD (Eq. 1). The student is a
   // small generic model; its conv1..conv3 become the shared library.
-  Stopwatch sw;
   Wrn library_student(config.library_config, rng);
-  TrainStandardKd(oracle, library_student, data.train,
+  TrainStandardKd(oracle_logits, library_student, data.train,
                   config.library_options);
   const double library_seconds = sw.ElapsedSeconds();
   if (config.verbose) {
@@ -89,7 +94,8 @@ ExpertPool ExpertPool::Preprocess(const LogitFn& oracle,
   // Phase 2: expert extraction by CKD, one expert per primitive task.
   // The oracle and the frozen library are shared teachers: compute their
   // tables once for all experts.
-  CkdTables tables = PrecomputeCkdTables(oracle, *library, data.train);
+  CkdTables tables =
+      PrecomputeCkdTables(std::move(oracle_logits), *library, data.train);
   std::vector<std::shared_ptr<Sequential>> experts;
   std::vector<double> per_expert;
   sw.Reset();

@@ -1,5 +1,7 @@
 #include "distill/specialize.h"
 
+#include <utility>
+
 #include "distill/precompute.h"
 #include "nn/losses.h"
 #include "tensor/ops.h"
@@ -27,8 +29,16 @@ TrainResult TrainStandardKd(const LogitFn& teacher, Module& student,
                             const TrainOptions& options,
                             const EvalFn& evaluator) {
   // The teacher is fixed: compute its logits for every sample once.
-  Tensor teacher_logits = BatchedApply(teacher, full_train.images);
+  return TrainStandardKd(BatchedApply(teacher, full_train.images), student,
+                         full_train, options, evaluator);
+}
+
+TrainResult TrainStandardKd(const Tensor& teacher_logits, Module& student,
+                            const Dataset& full_train,
+                            const TrainOptions& options,
+                            const EvalFn& evaluator) {
   POE_CHECK_EQ(teacher_logits.ndim(), 2);
+  POE_CHECK_EQ(teacher_logits.dim(0), full_train.size());
 
   Sgd sgd(student.Parameters(), options.sgd());
   auto step = [&](const Batch& batch) {
@@ -68,8 +78,15 @@ TrainResult TrainTransfer(Sequential& library, Sequential& head,
 
 CkdTables PrecomputeCkdTables(const LogitFn& oracle, Sequential& library,
                               const Dataset& full_train) {
+  return PrecomputeCkdTables(BatchedApply(oracle, full_train.images), library,
+                             full_train);
+}
+
+CkdTables PrecomputeCkdTables(Tensor oracle_logits, Sequential& library,
+                              const Dataset& full_train) {
+  POE_CHECK_EQ(oracle_logits.dim(0), full_train.size());
   CkdTables tables;
-  tables.oracle_logits = BatchedApply(oracle, full_train.images);
+  tables.oracle_logits = std::move(oracle_logits);
   tables.library_features = BatchedApply(
       [&](const Tensor& x) { return library.Forward(x, false); },
       full_train.images);

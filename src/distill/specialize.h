@@ -37,6 +37,13 @@ TrainResult TrainStandardKd(const LogitFn& teacher, Module& student,
                             const TrainOptions& options,
                             const EvalFn& evaluator = nullptr);
 
+/// Standard KD against precomputed teacher logits [N, |C|], rows aligned
+/// with `full_train` (what the LogitFn overload computes first).
+TrainResult TrainStandardKd(const Tensor& teacher_logits, Module& student,
+                            const Dataset& full_train,
+                            const TrainOptions& options,
+                            const EvalFn& evaluator = nullptr);
+
 /// Transfer baseline: freezes `library` (conv1..conv3) and trains only the
 /// expert head with cross-entropy on the task-specific dataset. Library
 /// features are precomputed once in eval mode.
@@ -66,6 +73,11 @@ struct CkdTables {
 
 /// Builds the shared tables for `full_train`.
 CkdTables PrecomputeCkdTables(const LogitFn& oracle, Sequential& library,
+                              const Dataset& full_train);
+
+/// Same, adopting oracle logits already computed over `full_train` (the
+/// ones library KD used), so the oracle runs over the set only once.
+CkdTables PrecomputeCkdTables(Tensor oracle_logits, Sequential& library,
                               const Dataset& full_train);
 
 /// CKD against precomputed tables (rows aligned with `full_train`).

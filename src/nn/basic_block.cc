@@ -19,14 +19,12 @@ BasicBlock::BasicBlock(int64_t in_channels, int64_t out_channels,
 }
 
 Tensor BasicBlock::Forward(const Tensor& input, bool training) {
-  // Inference uses the fused BN+ReLU epilogue (one pass instead of two);
-  // training keeps the separate modules so their backward caches fill.
-  Tensor a = training
-                 ? relu1_.Forward(bn1_.Forward(input, true), true)
-                 : bn1_.ForwardFusedRelu(input);
+  // Both BN+ReLU pairs run as one pass: the inference epilogue, or the
+  // training forward whose fused backward gates by the cached output.
+  Tensor a = training ? bn1_.ForwardTrainingFusedRelu(input)
+                      : bn1_.ForwardFusedRelu(input);
   Tensor h = conv1_.Forward(a, training);
-  h = training ? relu2_.Forward(bn2_.Forward(h, true), true)
-               : bn2_.ForwardFusedRelu(h);
+  h = training ? bn2_.ForwardTrainingFusedRelu(h) : bn2_.ForwardFusedRelu(h);
   h = conv2_.Forward(h, training);
   Tensor shortcut =
       projection_ ? projection_->Forward(a, training) : input;
@@ -36,15 +34,15 @@ Tensor BasicBlock::Forward(const Tensor& input, bool training) {
 Tensor BasicBlock::Backward(const Tensor& grad_output) {
   // Residual path.
   Tensor g = conv2_.Backward(grad_output);
-  g = bn2_.Backward(relu2_.Backward(g));
+  g = bn2_.BackwardFusedRelu(g);
   Tensor grad_a = conv1_.Backward(g);
   if (projection_) {
     // Shortcut consumed `a` too: accumulate its contribution.
     AddInPlace(grad_a, projection_->Backward(grad_output));
-    return bn1_.Backward(relu1_.Backward(grad_a));
+    return bn1_.BackwardFusedRelu(grad_a);
   }
   // Identity shortcut consumed `input` directly.
-  Tensor grad_input = bn1_.Backward(relu1_.Backward(grad_a));
+  Tensor grad_input = bn1_.BackwardFusedRelu(grad_a);
   AddInPlace(grad_input, grad_output);
   return grad_input;
 }

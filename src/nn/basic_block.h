@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "nn/activations.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/module.h"
@@ -39,10 +38,8 @@ class BasicBlock : public Module {
 
  private:
   BatchNorm2d bn1_;
-  ReLU relu1_;
   Conv2d conv1_;
   BatchNorm2d bn2_;
-  ReLU relu2_;
   Conv2d conv2_;
   std::unique_ptr<Conv2d> projection_;  // nullptr => identity shortcut
 };

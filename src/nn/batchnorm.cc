@@ -3,7 +3,27 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/parallel_for.h"
+
 namespace poe {
+
+namespace {
+
+// Runs body(c_begin, c_end) over the channels on the worker pool. Every
+// channel's reductions stay inside one chunk, in their sequential order,
+// so the result does not depend on the thread count. Chunks hold at least
+// ~32K elements: a batch-1 serving forward stays inline.
+template <typename Body>
+void ForEachChannel(int64_t channels, int64_t elems_per_channel,
+                    const Body& body) {
+  constexpr int64_t kMinChunkElems = 1 << 15;
+  const int64_t min_chunk =
+      std::max<int64_t>(1, kMinChunkElems / std::max<int64_t>(
+                                                 1, elems_per_channel));
+  ParallelFor(channels, body, min_chunk);
+}
+
+}  // namespace
 
 BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
     : channels_(channels),
@@ -15,6 +35,17 @@ BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
       running_var_(Tensor::Ones({channels})) {}
 
 Tensor BatchNorm2d::Forward(const Tensor& input, bool training) {
+  if (training) return TrainingForward(input, /*relu=*/false);
+  Tensor output(input.shape());
+  InferenceNormalize(input, &output, /*relu=*/false);
+  return output;
+}
+
+Tensor BatchNorm2d::ForwardTrainingFusedRelu(const Tensor& input) {
+  return TrainingForward(input, /*relu=*/true);
+}
+
+Tensor BatchNorm2d::TrainingForward(const Tensor& input, bool relu) {
   POE_CHECK_EQ(input.ndim(), 4);
   POE_CHECK_EQ(input.dim(1), channels_);
   const int64_t batch = input.dim(0);
@@ -28,15 +59,18 @@ Tensor BatchNorm2d::Forward(const Tensor& input, bool training) {
   const float* g = gamma_.value.data();
   const float* b = beta_.value.data();
 
-  if (training) {
-    cached_xhat_ = Tensor(input.shape());
-    cached_inv_std_.assign(channels_, 0.0f);
-    cached_batch_ = batch;
-    cached_hw_ = hw;
-    float* xh = cached_xhat_.data();
-    float* rm = running_mean_.data();
-    float* rv = running_var_.data();
-    for (int64_t c = 0; c < channels_; ++c) {
+  cached_xhat_ = Tensor(input.shape());
+  cached_inv_std_.assign(channels_, 0.0f);
+  cached_batch_ = batch;
+  cached_hw_ = hw;
+  // The fused backward gates by this output's sign (> 0 exactly where the
+  // pre-ReLU value was); it shares storage, so caching it is free.
+  cached_relu_out_ = relu ? output : Tensor();
+  float* xh = cached_xhat_.data();
+  float* rm = running_mean_.data();
+  float* rv = running_var_.data();
+  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
+    for (int64_t c = c_begin; c < c_end; ++c) {
       double sum = 0.0, sq = 0.0;
       for (int64_t bi = 0; bi < batch; ++bi) {
         const float* p = in + (bi * channels_ + c) * hw;
@@ -52,9 +86,10 @@ Tensor BatchNorm2d::Forward(const Tensor& input, bool training) {
       cached_inv_std_[c] = inv_std;
       // Update running stats with the unbiased variance (PyTorch semantics).
       const double unbiased = n > 1 ? var * n / (n - 1) : var;
-      rm[c] = (1.0f - momentum_) * rm[c] + momentum_ * static_cast<float>(mean);
-      rv[c] =
-          (1.0f - momentum_) * rv[c] + momentum_ * static_cast<float>(unbiased);
+      rm[c] =
+          (1.0f - momentum_) * rm[c] + momentum_ * static_cast<float>(mean);
+      rv[c] = (1.0f - momentum_) * rv[c] +
+              momentum_ * static_cast<float>(unbiased);
       for (int64_t bi = 0; bi < batch; ++bi) {
         const float* p = in + (bi * channels_ + c) * hw;
         float* xhp = xh + (bi * channels_ + c) * hw;
@@ -62,13 +97,12 @@ Tensor BatchNorm2d::Forward(const Tensor& input, bool training) {
         for (int64_t i = 0; i < hw; ++i) {
           const float xhat = (p[i] - static_cast<float>(mean)) * inv_std;
           xhp[i] = xhat;
-          op[i] = g[c] * xhat + b[c];
+          const float y = g[c] * xhat + b[c];
+          op[i] = relu && !(y > 0.0f) ? 0.0f : y;
         }
       }
     }
-  } else {
-    InferenceNormalize(input, &output, /*relu=*/false);
-  }
+  });
   return output;
 }
 
@@ -91,25 +125,37 @@ void BatchNorm2d::InferenceNormalize(const Tensor& input, Tensor* output,
   const float* b = beta_.value.data();
   const float* rm = running_mean_.data();
   const float* rv = running_var_.data();
-  for (int64_t c = 0; c < channels_; ++c) {
-    const float inv_std = 1.0f / std::sqrt(rv[c] + eps_);
-    const float scale = g[c] * inv_std;
-    const float shift = b[c] - scale * rm[c];
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      const float* p = in + (bi * channels_ + c) * hw;
-      float* op = out + (bi * channels_ + c) * hw;
-      if (relu) {
-        for (int64_t i = 0; i < hw; ++i)
-          op[i] = std::max(0.0f, scale * p[i] + shift);
-      } else {
-        for (int64_t i = 0; i < hw; ++i) op[i] = scale * p[i] + shift;
+  ForEachChannel(channels_, batch * hw, [&](int64_t c_begin, int64_t c_end) {
+    for (int64_t c = c_begin; c < c_end; ++c) {
+      const float inv_std = 1.0f / std::sqrt(rv[c] + eps_);
+      const float scale = g[c] * inv_std;
+      const float shift = b[c] - scale * rm[c];
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const float* p = in + (bi * channels_ + c) * hw;
+        float* op = out + (bi * channels_ + c) * hw;
+        if (relu) {
+          for (int64_t i = 0; i < hw; ++i)
+            op[i] = std::max(0.0f, scale * p[i] + shift);
+        } else {
+          for (int64_t i = 0; i < hw; ++i) op[i] = scale * p[i] + shift;
+        }
       }
     }
-  }
+  });
 }
 
 Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
+  return BackwardImpl(grad_output, /*relu=*/false);
+}
+
+Tensor BatchNorm2d::BackwardFusedRelu(const Tensor& grad_output) {
+  return BackwardImpl(grad_output, /*relu=*/true);
+}
+
+Tensor BatchNorm2d::BackwardImpl(const Tensor& grad_output, bool relu) {
   POE_CHECK(cached_xhat_.defined()) << "Backward before training Forward";
+  POE_CHECK_EQ(relu, cached_relu_out_.defined())
+      << "BatchNorm2d backward must match the forward's ReLU fusion";
   const int64_t batch = cached_batch_;
   const int64_t hw = cached_hw_;
   const int64_t n = batch * hw;
@@ -119,38 +165,61 @@ Tensor BatchNorm2d::Backward(const Tensor& grad_output) {
   Tensor grad_input(grad_output.shape());
   const float* gout = grad_output.data();
   const float* xh = cached_xhat_.data();
+  const float* act = relu ? cached_relu_out_.data() : nullptr;
   const float* g = gamma_.value.data();
   float* dgamma = gamma_.grad.data();
   float* dbeta = beta_.grad.data();
   float* gin = grad_input.data();
 
-  for (int64_t c = 0; c < channels_; ++c) {
-    // Accumulate sum(dy) and sum(dy * xhat) over the batch and space.
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      const float* dyp = gout + (bi * channels_ + c) * hw;
-      const float* xhp = xh + (bi * channels_ + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) {
-        sum_dy += dyp[i];
-        sum_dy_xhat += static_cast<double>(dyp[i]) * xhp[i];
+  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
+    for (int64_t c = c_begin; c < c_end; ++c) {
+      // Accumulate sum(dy) and sum(dy * xhat) over the batch and space;
+      // under fusion dy is the ReLU-gated gradient, recomputed per pass.
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const int64_t off = (bi * channels_ + c) * hw;
+        const float* dyp = gout + off;
+        const float* xhp = xh + off;
+        if (relu) {
+          const float* ap = act + off;
+          for (int64_t i = 0; i < hw; ++i) {
+            const float dy = ap[i] > 0.0f ? dyp[i] : 0.0f;
+            sum_dy += dy;
+            sum_dy_xhat += static_cast<double>(dy) * xhp[i];
+          }
+        } else {
+          for (int64_t i = 0; i < hw; ++i) {
+            sum_dy += dyp[i];
+            sum_dy_xhat += static_cast<double>(dyp[i]) * xhp[i];
+          }
+        }
+      }
+      dgamma[c] += static_cast<float>(sum_dy_xhat);
+      dbeta[c] += static_cast<float>(sum_dy);
+      // dx = gamma * inv_std / n * (n*dy - sum(dy) - xhat * sum(dy*xhat)).
+      const float k = g[c] * cached_inv_std_[c] / static_cast<float>(n);
+      const float s_dy = static_cast<float>(sum_dy);
+      const float s_dy_xh = static_cast<float>(sum_dy_xhat);
+      for (int64_t bi = 0; bi < batch; ++bi) {
+        const int64_t off = (bi * channels_ + c) * hw;
+        const float* dyp = gout + off;
+        const float* xhp = xh + off;
+        float* gp = gin + off;
+        if (relu) {
+          const float* ap = act + off;
+          for (int64_t i = 0; i < hw; ++i) {
+            const float dy = ap[i] > 0.0f ? dyp[i] : 0.0f;
+            gp[i] = k * (static_cast<float>(n) * dy - s_dy - xhp[i] * s_dy_xh);
+          }
+        } else {
+          for (int64_t i = 0; i < hw; ++i) {
+            gp[i] = k * (static_cast<float>(n) * dyp[i] - s_dy -
+                         xhp[i] * s_dy_xh);
+          }
+        }
       }
     }
-    dgamma[c] += static_cast<float>(sum_dy_xhat);
-    dbeta[c] += static_cast<float>(sum_dy);
-    // dx = gamma * inv_std / n * (n*dy - sum(dy) - xhat * sum(dy*xhat)).
-    const float k = g[c] * cached_inv_std_[c] / static_cast<float>(n);
-    const float s_dy = static_cast<float>(sum_dy);
-    const float s_dy_xh = static_cast<float>(sum_dy_xhat);
-    for (int64_t bi = 0; bi < batch; ++bi) {
-      const float* dyp = gout + (bi * channels_ + c) * hw;
-      const float* xhp = xh + (bi * channels_ + c) * hw;
-      float* gp = gin + (bi * channels_ + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) {
-        gp[i] = k * (static_cast<float>(n) * dyp[i] - s_dy -
-                     xhp[i] * s_dy_xh);
-      }
-    }
-  }
+  });
   return grad_input;
 }
 

@@ -12,6 +12,10 @@ namespace poe {
 /// BatchNorm2d: per-channel normalization with affine transform and running
 /// statistics for inference (PyTorch semantics: biased variance for the
 /// batch statistic, running stats updated with `momentum`).
+///
+/// Every pass runs per channel on the worker pool. A channel's reductions
+/// keep their sequential order inside one chunk, so outputs, running stats
+/// and gradients are bitwise identical at any thread count.
 class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(int64_t channels, float eps = 1e-5f,
@@ -24,6 +28,13 @@ class BatchNorm2d : public Module {
   bool CanFuseRelu() const override { return true; }
   /// Inference normalize with max(0, scale*x + shift) in one pass.
   Tensor ForwardFusedRelu(const Tensor& input) override;
+  /// Training forward with the following ReLU folded in: returns
+  /// ReLU(BN(x)), bitwise equal to the two modules run in turn. Pair it
+  /// with BackwardFusedRelu.
+  Tensor ForwardTrainingFusedRelu(const Tensor& input);
+  /// Backward of ForwardTrainingFusedRelu: gates grad_output by the
+  /// cached output's sign and runs the BN backward in the same pass.
+  Tensor BackwardFusedRelu(const Tensor& grad_output);
   std::string Name() const override { return "BatchNorm2d"; }
 
   int64_t channels() const { return channels_; }
@@ -37,6 +48,8 @@ class BatchNorm2d : public Module {
   // Shared inference path: out = scale*x + shift from running stats, with
   // optional fused ReLU.
   void InferenceNormalize(const Tensor& input, Tensor* output, bool relu);
+  Tensor TrainingForward(const Tensor& input, bool relu);
+  Tensor BackwardImpl(const Tensor& grad_output, bool relu);
 
   int64_t channels_;
   float eps_, momentum_;
@@ -48,6 +61,7 @@ class BatchNorm2d : public Module {
   // Backward caches.
   Tensor cached_xhat_;
   std::vector<float> cached_inv_std_;
+  Tensor cached_relu_out_;  // defined only after a fused training forward
   int64_t cached_batch_ = 0, cached_hw_ = 0;
 };
 

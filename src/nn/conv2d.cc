@@ -71,14 +71,14 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   // matrix would be the image itself, so skip the unfold entirely.
   const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
 
-  // Im2col-free direct path (inference, stride 1): the GEMM packs its B
-  // panels straight from a zero-padded image copy — or the input itself
-  // when pad == 0 — instead of a materialized im2col matrix. Bitwise
-  // identical output (see conv_direct.h); im2col remains the fallback for
-  // strided geometries, training (backward recomputes the unfold, so the
-  // forward keeps the same lowering), and POE_CONV_PATH=im2col.
-  const bool direct =
-      !pointwise && !training && UseDirectConv(kernel_, stride_);
+  // Im2col-free direct path (stride 1, inference and training): the GEMM
+  // packs its B panels straight from a zero-padded image copy — or the
+  // input itself when pad == 0 — instead of a materialized im2col matrix.
+  // Bitwise identical output (see conv_direct.h), so Backward, which
+  // re-unfolds from the cached input, sees the same forward either way.
+  // im2col remains the fallback for strided geometries and
+  // POE_CONV_PATH=im2col.
+  const bool direct = !pointwise && UseDirectConv(kernel_, stride_);
 
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
   // identical to the per-call PackA output, so the product is too.

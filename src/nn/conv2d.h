@@ -1,8 +1,8 @@
-// 2-D convolution layer lowered to GEMM, batch-parallel. Inference with
-// stride 1 runs im2col-free: the GEMM packs its B panels straight from a
-// zero-padded image view (tensor/conv_direct.h), bitwise identical to the
-// im2col lowering, which remains the fallback for strided geometries and
-// training.
+// 2-D convolution layer lowered to GEMM, batch-parallel. Forwards with
+// stride 1 (inference and training) run im2col-free: the GEMM packs its B
+// panels straight from a zero-padded image view (tensor/conv_direct.h),
+// bitwise identical to the im2col lowering, which remains the fallback
+// for strided geometries and backs the backward pass.
 #ifndef POE_NN_CONV2D_H_
 #define POE_NN_CONV2D_H_
 

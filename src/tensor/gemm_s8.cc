@@ -608,6 +608,26 @@ PackBs8Vnni16x4(const int8_t* b, int64_t k, int64_t n, int64_t j0,
   }
 }
 
+// Interleaves four 16-byte k rows into one 64-byte kr = 4 group (column
+// c's four k bytes contiguous), stores it at `dst` and returns `sums` plus
+// the group's column sums. A static helper rather than a lambda so the
+// intrinsics inherit this target attribute on every compiler (GCC 12
+// does not pass the enclosing function's target to a lambda body).
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) inline __m512i
+TransposeStoreVnni16x4(__m128i r0, __m128i r1, __m128i r2, __m128i r3,
+                       __m512i ones, int8_t* dst, __m512i sums) {
+  const __m128i t0 = _mm_unpacklo_epi8(r0, r1);  // c0..c7 (r0,r1)
+  const __m128i t1 = _mm_unpackhi_epi8(r0, r1);  // c8..c15
+  const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
+  const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
+  __m512i block = _mm512_castsi128_si512(_mm_unpacklo_epi16(t0, t2));
+  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t0, t2), 1);
+  block = _mm512_inserti32x4(block, _mm_unpacklo_epi16(t1, t3), 2);
+  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t1, t3), 3);
+  _mm512_storeu_si512(dst, block);
+  return _mm512_dpbusd_epi32(sums, ones, block);
+}
+
 // Direct-conv variant of PackBs8Vnni16x4 (kr = 4): rows of the k-group
 // come from shifted padded-image windows; the tail group substitutes zero
 // vectors for the missing k rows, which the transpose turns into exactly
@@ -635,19 +655,6 @@ PackBs8ConvVnni16x4(const ConvImageViewS8& img, int64_t j0, int64_t nc,
       __m512i sums = _mm512_setzero_si512();
       int8_t* dst = panel;
       ConvRowCursor cur(img);
-      const auto transpose_store = [&](__m128i r0, __m128i r1, __m128i r2,
-                                       __m128i r3) {
-        const __m128i t0 = _mm_unpacklo_epi8(r0, r1);  // c0..c7 (r0,r1)
-        const __m128i t1 = _mm_unpackhi_epi8(r0, r1);  // c8..c15
-        const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-        const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-        __m512i block = _mm512_castsi128_si512(_mm_unpacklo_epi16(t0, t2));
-        block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t0, t2), 1);
-        block = _mm512_inserti32x4(block, _mm_unpacklo_epi16(t1, t3), 2);
-        block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t1, t3), 3);
-        _mm512_storeu_si512(dst, block);
-        sums = _mm512_dpbusd_epi32(sums, ones, block);
-      };
       for (int64_t p = 0; p < kfull; p += 4, dst += 64) {
         const __m128i r0 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
         cur.Advance();
@@ -657,7 +664,7 @@ PackBs8ConvVnni16x4(const ConvImageViewS8& img, int64_t j0, int64_t nc,
         cur.Advance();
         const __m128i r3 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
         cur.Advance();
-        transpose_store(r0, r1, r2, r3);
+        sums = TransposeStoreVnni16x4(r0, r1, r2, r3, ones, dst, sums);
       }
       if (kfull < k) {  // zero rows for k past the end == zero-padded tail
         const __m128i zero = _mm_setzero_si128();
@@ -666,7 +673,8 @@ PackBs8ConvVnni16x4(const ConvImageViewS8& img, int64_t j0, int64_t nc,
           r[q] = LoadConvBlock16(cur.row, contig_off, segs, nseg);
           cur.Advance();
         }
-        transpose_store(r[0], r[1], r[2], r[3]);
+        sums =
+            TransposeStoreVnni16x4(r[0], r[1], r[2], r[3], ones, dst, sums);
       }
       _mm512_storeu_si512(colsum + jp, sums);
     } else {

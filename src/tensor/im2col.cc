@@ -1,8 +1,30 @@
 #include "tensor/im2col.h"
 
+#include <algorithm>
+#include <cstring>
+
 namespace poe {
 
 namespace {
+
+// The output columns [lo, hi) whose input column ow*stride - pad + kw
+// lands inside [0, width). Depends only on kw, never on the row.
+struct ValidSpan {
+  int64_t lo, hi;
+};
+
+ValidSpan ValidOutputColumns(int64_t width, int64_t out_w, int64_t kw,
+                             int64_t pad, int64_t stride) {
+  // First ow with ow*stride >= pad - kw.
+  const int64_t first = pad - kw;
+  int64_t lo = first <= 0 ? 0 : (first + stride - 1) / stride;
+  // Last ow with ow*stride <= width - 1 + pad - kw.
+  const int64_t last = width - 1 + pad - kw;
+  int64_t hi = last < 0 ? 0 : last / stride + 1;
+  hi = std::min(hi, out_w);
+  lo = std::min(lo, hi);
+  return {lo, hi};
+}
 
 // Shared unfold over the element type: f32 for training/inference, int8
 // for the quantized serving path (zero padding is exact in both domains).
@@ -18,20 +40,28 @@ void Im2ColT(const T* image, int64_t channels, int64_t height, int64_t width,
     const T* img_c = image + c * height * width;
     for (int64_t kh = 0; kh < kernel_h; ++kh) {
       for (int64_t kw = 0; kw < kernel_w; ++kw, ++row) {
+        const ValidSpan span = ValidOutputColumns(width, out_w, kw, pad,
+                                                  stride);
         T* col_row = columns + row * out_hw;
         for (int64_t oh = 0; oh < out_h; ++oh) {
+          T* dst = col_row + oh * out_w;
           const int64_t ih = oh * stride - pad + kh;
           if (ih < 0 || ih >= height) {
-            for (int64_t ow = 0; ow < out_w; ++ow)
-              col_row[oh * out_w + ow] = T(0);
+            std::fill(dst, dst + out_w, T(0));
             continue;
           }
-          const T* img_row = img_c + ih * width;
-          for (int64_t ow = 0; ow < out_w; ++ow) {
-            const int64_t iw = ow * stride - pad + kw;
-            col_row[oh * out_w + ow] =
-                (iw >= 0 && iw < width) ? img_row[iw] : T(0);
+          std::fill(dst, dst + span.lo, T(0));
+          // Output column ow reads input column ow * stride + shift.
+          const T* src = img_c + ih * width;
+          const int64_t shift = kw - pad;
+          if (stride == 1) {
+            std::memcpy(dst + span.lo, src + span.lo + shift,
+                        static_cast<size_t>(span.hi - span.lo) * sizeof(T));
+          } else {
+            for (int64_t ow = span.lo; ow < span.hi; ++ow)
+              dst[ow] = src[ow * stride + shift];
           }
+          std::fill(dst + span.hi, dst + out_w, T(0));
         }
       }
     }
@@ -65,14 +95,24 @@ void Col2Im(const float* columns, int64_t channels, int64_t height,
     float* img_c = image_grad + c * height * width;
     for (int64_t kh = 0; kh < kernel_h; ++kh) {
       for (int64_t kw = 0; kw < kernel_w; ++kw, ++row) {
+        const ValidSpan span = ValidOutputColumns(width, out_w, kw, pad,
+                                                  stride);
         const float* col_row = columns + row * out_hw;
         for (int64_t oh = 0; oh < out_h; ++oh) {
           const int64_t ih = oh * stride - pad + kh;
           if (ih < 0 || ih >= height) continue;
-          float* img_row = img_c + ih * width;
-          for (int64_t ow = 0; ow < out_w; ++ow) {
-            const int64_t iw = ow * stride - pad + kw;
-            if (iw >= 0 && iw < width) img_row[iw] += col_row[oh * out_w + ow];
+          // Distinct ow hit distinct image elements, so each element still
+          // receives its adds in (c, kh, kw, oh) order.
+          float* dst = img_c + ih * width;
+          const float* src = col_row + oh * out_w;
+          const int64_t shift = kw - pad;
+          if (stride == 1) {
+            float* d = dst + span.lo + shift;
+            const float* s = src + span.lo;
+            for (int64_t i = 0; i < span.hi - span.lo; ++i) d[i] += s[i];
+          } else {
+            for (int64_t ow = span.lo; ow < span.hi; ++ow)
+              dst[ow * stride + shift] += src[ow];
           }
         }
       }

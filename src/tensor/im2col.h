@@ -4,7 +4,14 @@
 // path (tensor/conv_direct.h) feeds the GEMM's B pack straight from a
 // zero-padded image view, bitwise identical to im2col + GEMM. What stays
 // on the im2col route is everything direct does not cover — strided
-// forwards, and training (Col2Im backs the backward pass).
+// forwards, and the backward pass (Im2Col re-unfolds the cached input for
+// dW, Col2Im folds dX back).
+//
+// Both transforms work a column-matrix row at a time: for each kernel
+// column kw the in-range output columns form one span [ow_lo, ow_hi), so a
+// row is a zero fill, a copy (a memcpy at stride 1) and a zero fill, with
+// no per-element bounds test. Col2Im adds into each image element in the
+// same order as the plain element loop.
 #ifndef POE_TENSOR_IM2COL_H_
 #define POE_TENSOR_IM2COL_H_
 

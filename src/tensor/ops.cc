@@ -5,8 +5,17 @@
 #include <cstring>
 
 #include "util/logging.h"
+#include "util/parallel_for.h"
 
 namespace poe {
+
+namespace {
+
+// Elementwise passes split over the worker pool once a chunk holds at
+// least this many elements (a batch-1 serving tensor stays inline).
+constexpr int64_t kElementwiseMinChunk = 1 << 15;
+
+}  // namespace
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   POE_CHECK(SameShape(a, b)) << a.ShapeString() << " vs " << b.ShapeString();
@@ -14,7 +23,12 @@ Tensor Add(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
-  for (int64_t i = 0; i < a.numel(); ++i) po[i] = pa[i] + pb[i];
+  ParallelFor(
+      a.numel(),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) po[i] = pa[i] + pb[i];
+      },
+      kElementwiseMinChunk);
   return out;
 }
 
@@ -22,7 +36,12 @@ void AddInPlace(Tensor& a, const Tensor& b) {
   POE_CHECK_EQ(a.numel(), b.numel());
   float* pa = a.data();
   const float* pb = b.data();
-  for (int64_t i = 0; i < a.numel(); ++i) pa[i] += pb[i];
+  ParallelFor(
+      a.numel(),
+      [&](int64_t begin, int64_t end) {
+        for (int64_t i = begin; i < end; ++i) pa[i] += pb[i];
+      },
+      kElementwiseMinChunk);
 }
 
 void Axpy(float alpha, const Tensor& b, Tensor& a) {

@@ -68,14 +68,14 @@ inline void PackB(bool trans_b, const float* b, int64_t k, int64_t n,
         for (int64_t c = cols; c < nr; ++c) dst[c] = 0.0f;
       }
     } else {
-      // B(p, j) = b[j*k + p]: each source column is contiguous in p.
-      for (int64_t c = 0; c < cols; ++c) {
-        const float* src = b + (j0 + jp + c) * k + p0;
-        for (int64_t p = 0; p < kc; ++p) panel[p * nr + c] = src[p];
-      }
-      if (cols < nr) {
-        for (int64_t p = 0; p < kc; ++p)
-          for (int64_t c = cols; c < nr; ++c) panel[p * nr + c] = 0.0f;
+      // B(p, j) = b[j*k + p]: each source column is contiguous in p. The
+      // panel is written a row at a time (p outer), so stores stay
+      // sequential while the `cols` source streams each advance by one.
+      const float* src = b + (j0 + jp) * k + p0;
+      for (int64_t p = 0; p < kc; ++p) {
+        float* dst = panel + p * nr;
+        for (int64_t c = 0; c < cols; ++c) dst[c] = src[c * k + p];
+        for (int64_t c = cols; c < nr; ++c) dst[c] = 0.0f;
       }
     }
   }

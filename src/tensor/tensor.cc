@@ -26,9 +26,7 @@ Tensor::Tensor(std::vector<int64_t> shape)
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape) {
-  Tensor t(std::move(shape));
-  t.Fill(0.0f);
-  return t;
+  return Tensor(std::move(shape));
 }
 
 Tensor Tensor::Ones(std::vector<int64_t> shape) {

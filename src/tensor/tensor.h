@@ -23,10 +23,12 @@ class Tensor {
   /// An empty 0-dim tensor with no storage.
   Tensor() = default;
 
-  /// Allocates an uninitialized tensor of the given shape.
+  /// Allocates a zero-filled tensor of the given shape. The zero fill is
+  /// part of the contract (the storage vector is value-initialized), so
+  /// callers may accumulate into a fresh tensor without clearing it.
   explicit Tensor(std::vector<int64_t> shape);
 
-  /// Factory: zero-filled tensor.
+  /// Factory: zero-filled tensor (the constructor already zero-fills).
   static Tensor Zeros(std::vector<int64_t> shape);
   /// Factory: one-filled tensor.
   static Tensor Ones(std::vector<int64_t> shape);

@@ -152,18 +152,17 @@ WorkerPool* GetPool() {
 
 }  // namespace
 
-void ParallelFor(int64_t n,
-                 const std::function<void(int64_t, int64_t)>& body,
-                 int64_t min_chunk) {
-  if (n <= 0) return;
+namespace internal {
+
+void ParallelForOnPool(int64_t n,
+                       const std::function<void(int64_t, int64_t)>& body,
+                       int64_t min_chunk) {
   const int workers = NumThreads();
-  if (workers <= 1 || n <= min_chunk) {
-    body(0, n);
-    return;
-  }
   int64_t chunk = std::max<int64_t>(min_chunk, (n + workers - 1) / workers);
   if (!GetPool()->TryRun(n, chunk, body)) body(0, n);
 }
+
+}  // namespace internal
 
 void ParallelFor2D(int64_t rows, int64_t cols,
                    const std::function<void(int64_t row, int64_t col)>& body) {

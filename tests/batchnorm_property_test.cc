@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "nn/batchnorm.h"
 #include "tensor/ops.h"
@@ -88,6 +89,206 @@ TEST(BatchNormPropertyTest, EvalWithoutTrainingUsesInitStats) {
   Tensor y = bn.Forward(x, false);
   EXPECT_LT(MaxAbsDiff(x, y), 1e-4f);
 }
+
+// The single-threaded training forward and backward the per-channel
+// parallel passes replaced, kept as the bitwise reference.
+struct RefBn {
+  std::vector<float> gamma, beta, running_mean, running_var, dgamma, dbeta;
+  std::vector<float> xhat, inv_std;
+  float eps = 1e-5f, momentum = 0.1f;
+};
+
+void RefBnForward(RefBn& bn, const Tensor& input, float* out) {
+  const int64_t batch = input.dim(0), channels = input.dim(1);
+  const int64_t hw = input.dim(2) * input.dim(3);
+  const int64_t n = batch * hw;
+  const float* in = input.data();
+  const float* g = bn.gamma.data();
+  const float* b = bn.beta.data();
+  bn.xhat.assign(input.numel(), 0.0f);
+  bn.inv_std.assign(channels, 0.0f);
+  float* xh = bn.xhat.data();
+  float* rm = bn.running_mean.data();
+  float* rv = bn.running_var.data();
+  for (int64_t c = 0; c < channels; ++c) {
+    double sum = 0.0, sq = 0.0;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const float* p = in + (bi * channels + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        sum += p[i];
+        sq += static_cast<double>(p[i]) * p[i];
+      }
+    }
+    const double mean = sum / n;
+    double var = sq / n - mean * mean;
+    if (var < 0.0) var = 0.0;
+    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + bn.eps);
+    bn.inv_std[c] = inv_std;
+    const double unbiased = n > 1 ? var * n / (n - 1) : var;
+    rm[c] = (1.0f - bn.momentum) * rm[c] +
+            bn.momentum * static_cast<float>(mean);
+    rv[c] = (1.0f - bn.momentum) * rv[c] +
+            bn.momentum * static_cast<float>(unbiased);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const float* p = in + (bi * channels + c) * hw;
+      float* xhp = xh + (bi * channels + c) * hw;
+      float* op = out + (bi * channels + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        const float xhat = (p[i] - static_cast<float>(mean)) * inv_std;
+        xhp[i] = xhat;
+        op[i] = g[c] * xhat + b[c];
+      }
+    }
+  }
+}
+
+void RefBnBackward(RefBn& bn, const Tensor& grad_output, float* gin) {
+  const int64_t batch = grad_output.dim(0), channels = grad_output.dim(1);
+  const int64_t hw = grad_output.dim(2) * grad_output.dim(3);
+  const int64_t n = batch * hw;
+  const float* gout = grad_output.data();
+  const float* xh = bn.xhat.data();
+  const float* g = bn.gamma.data();
+  for (int64_t c = 0; c < channels; ++c) {
+    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const float* dyp = gout + (bi * channels + c) * hw;
+      const float* xhp = xh + (bi * channels + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        sum_dy += dyp[i];
+        sum_dy_xhat += static_cast<double>(dyp[i]) * xhp[i];
+      }
+    }
+    bn.dgamma[c] += static_cast<float>(sum_dy_xhat);
+    bn.dbeta[c] += static_cast<float>(sum_dy);
+    const float k = g[c] * bn.inv_std[c] / static_cast<float>(n);
+    const float s_dy = static_cast<float>(sum_dy);
+    const float s_dy_xh = static_cast<float>(sum_dy_xhat);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const float* dyp = gout + (bi * channels + c) * hw;
+      const float* xhp = xh + (bi * channels + c) * hw;
+      float* gp = gin + (bi * channels + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        gp[i] = k * (static_cast<float>(n) * dyp[i] - s_dy -
+                     xhp[i] * s_dy_xh);
+      }
+    }
+  }
+}
+
+std::vector<float> ToVector(const Tensor& t) {
+  return std::vector<float>(t.data(), t.data() + t.numel());
+}
+
+bool BytesEqual(const std::vector<float>& a, const float* b) {
+  return std::memcmp(a.data(), b, a.size() * sizeof(float)) == 0;
+}
+
+// Seeds a module and its reference with the same non-trivial parameters,
+// running statistics and accumulated gradients.
+RefBn MatchedBn(BatchNorm2d& bn, Rng& rng) {
+  for (Tensor* t : {&bn.gamma().value, &bn.beta().value, &bn.running_mean(),
+                    &bn.gamma().grad, &bn.beta().grad}) {
+    for (int64_t i = 0; i < t->numel(); ++i) t->at(i) = rng.Uniform(-1, 1);
+  }
+  for (int64_t i = 0; i < bn.channels(); ++i) {
+    bn.running_var().at(i) = rng.Uniform(0.5f, 2.0f);
+  }
+  RefBn ref;
+  ref.gamma = ToVector(bn.gamma().value);
+  ref.beta = ToVector(bn.beta().value);
+  ref.running_mean = ToVector(bn.running_mean());
+  ref.running_var = ToVector(bn.running_var());
+  ref.dgamma = ToVector(bn.gamma().grad);
+  ref.dbeta = ToVector(bn.beta().grad);
+  return ref;
+}
+
+// (channels, batch, hw_side): the large cases split over several chunks
+// of a multi-worker pool.
+class BatchNormBitwise : public ::testing::TestWithParam<BnCase> {};
+
+TEST_P(BatchNormBitwise, TrainingForwardAndBackwardMatchReference) {
+  const auto [channels, batch, side] = GetParam();
+  Rng rng(channels * 31 + batch * 7 + side);
+  BatchNorm2d bn(channels);
+  RefBn ref = MatchedBn(bn, rng);
+  Tensor x = Tensor::Randn({batch, channels, side, side}, rng, 1.7f);
+  Tensor dy = Tensor::Randn(x.shape(), rng);
+
+  Tensor y = bn.Forward(x, /*training=*/true);
+  std::vector<float> want_y(x.numel());
+  RefBnForward(ref, x, want_y.data());
+  EXPECT_TRUE(BytesEqual(want_y, y.data())) << "output";
+  EXPECT_TRUE(BytesEqual(ref.running_mean, bn.running_mean().data()));
+  EXPECT_TRUE(BytesEqual(ref.running_var, bn.running_var().data()));
+
+  Tensor dx = bn.Backward(dy);
+  std::vector<float> want_dx(x.numel());
+  RefBnBackward(ref, dy, want_dx.data());
+  EXPECT_TRUE(BytesEqual(want_dx, dx.data())) << "dx";
+  EXPECT_TRUE(BytesEqual(ref.dgamma, bn.gamma().grad.data())) << "dgamma";
+  EXPECT_TRUE(BytesEqual(ref.dbeta, bn.beta().grad.data())) << "dbeta";
+}
+
+TEST_P(BatchNormBitwise, NormalizedValuesMatchReference) {
+  // xhat is internal; with gamma = 1 and beta = 0 the output is xhat.
+  const auto [channels, batch, side] = GetParam();
+  Rng rng(channels + batch + side);
+  BatchNorm2d bn(channels);
+  Tensor x = Tensor::Randn({batch, channels, side, side}, rng, 0.9f);
+  RefBn ref;
+  ref.gamma.assign(channels, 1.0f);
+  ref.beta.assign(channels, 0.0f);
+  ref.running_mean.assign(channels, 0.0f);
+  ref.running_var.assign(channels, 1.0f);
+  std::vector<float> unused(x.numel());
+  RefBnForward(ref, x, unused.data());
+  Tensor y = bn.Forward(x, /*training=*/true);
+  EXPECT_TRUE(BytesEqual(ref.xhat, y.data()));
+}
+
+TEST_P(BatchNormBitwise, FusedReluMatchesBnThenRelu) {
+  const auto [channels, batch, side] = GetParam();
+  Rng rng(channels * 5 + batch + side * 3);
+  BatchNorm2d bn(channels);
+  RefBn ref = MatchedBn(bn, rng);
+  Tensor x = Tensor::Randn({batch, channels, side, side}, rng, 1.3f);
+  Tensor dy = Tensor::Randn(x.shape(), rng);
+
+  Tensor a = bn.ForwardTrainingFusedRelu(x);
+  std::vector<float> pre(x.numel()), want_a(x.numel());
+  RefBnForward(ref, x, pre.data());
+  for (size_t i = 0; i < pre.size(); ++i)
+    want_a[i] = pre[i] > 0.0f ? pre[i] : 0.0f;
+  EXPECT_TRUE(BytesEqual(want_a, a.data())) << "output";
+  EXPECT_TRUE(BytesEqual(ref.running_mean, bn.running_mean().data()));
+  EXPECT_TRUE(BytesEqual(ref.running_var, bn.running_var().data()));
+
+  Tensor dx = bn.BackwardFusedRelu(dy);
+  Tensor gated(dy.shape());
+  for (int64_t i = 0; i < dy.numel(); ++i)
+    gated.at(i) = pre[i] > 0.0f ? dy.at(i) : 0.0f;
+  std::vector<float> want_dx(x.numel());
+  RefBnBackward(ref, gated, want_dx.data());
+  EXPECT_TRUE(BytesEqual(want_dx, dx.data())) << "dx";
+  EXPECT_TRUE(BytesEqual(ref.dgamma, bn.gamma().grad.data())) << "dgamma";
+  EXPECT_TRUE(BytesEqual(ref.dbeta, bn.beta().grad.data())) << "dbeta";
+}
+
+TEST(BatchNormPropertyTest, BackwardMustMatchForwardFusion) {
+  BatchNorm2d bn(2);
+  Rng rng(8);
+  Tensor x = Tensor::Randn({2, 2, 3, 3}, rng);
+  bn.ForwardTrainingFusedRelu(x);
+  EXPECT_DEATH(bn.Backward(x), "ReLU fusion");
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, BatchNormBitwise,
+                         ::testing::Values(BnCase{1, 3, 5}, BnCase{3, 2, 7},
+                                           BnCase{8, 16, 32},
+                                           BnCase{16, 64, 16},
+                                           BnCase{64, 8, 8}));
 
 }  // namespace
 }  // namespace poe

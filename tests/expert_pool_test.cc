@@ -1,6 +1,12 @@
 #include "core/expert_pool.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "core/volume.h"
 #include "distill/specialize.h"
@@ -202,6 +208,78 @@ TEST_F(ExpertPoolTest, AddExpertRejectsOverlap) {
                             data_->hierarchy.task_classes(0),
                             FastTrainOptions(1), CkdOptions{}, rng);
   EXPECT_FALSE(s.ok());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Preprocess at a size where every training pass has work for several
+// workers: 300 images of 16x16 (more than one 256-row oracle batch) in
+// batches of 64, so BN channels, conv backward parts and elementwise adds
+// split across the pool when POE_NUM_THREADS > 1.
+class ExtractionTest : public ::testing::Test {
+ protected:
+  static SyntheticDataConfig DataConfig() {
+    SyntheticDataConfig cfg = TinyDataConfig();
+    cfg.height = 16;
+    cfg.width = 16;
+    cfg.train_per_class = 50;
+    return cfg;
+  }
+
+  ExtractionTest()
+      : data_(GenerateSyntheticDataset(DataConfig())), oracle_rng_(61) {
+    oracle_ = std::make_unique<Wrn>(TinyOracleConfig(), oracle_rng_);
+    cfg_.library_config = TinyLibraryConfig();
+    cfg_.expert_ks = 0.5;
+    cfg_.library_options = FastTrainOptions(1);
+    cfg_.library_options.batch_size = 64;
+    cfg_.expert_options = cfg_.library_options;
+  }
+
+  ExpertPool Extract(int* oracle_calls) {
+    const LogitFn logits = ModelLogits(*oracle_);
+    const LogitFn counted = [&](const Tensor& x) {
+      ++*oracle_calls;
+      return logits(x);
+    };
+    Rng rng(62);
+    return ExpertPool::Preprocess(counted, data_, cfg_, rng);
+  }
+
+  SyntheticDataset data_;
+  Rng oracle_rng_;
+  std::unique_ptr<Wrn> oracle_;
+  PoeBuildConfig cfg_;
+};
+
+TEST_F(ExtractionTest, RepeatedPreprocessSavesByteIdenticalPools) {
+  int calls = 0;
+  // Per-process names: the _mt4 ctest entry runs this binary concurrently.
+  const std::string stem =
+      ::testing::TempDir() + "/extract_" + std::to_string(::getpid());
+  const std::string a = stem + "_a.poe";
+  const std::string b = stem + "_b.poe";
+  ASSERT_TRUE(Extract(&calls).Save(a).ok());
+  ASSERT_TRUE(Extract(&calls).Save(b).ok());
+  const std::string bytes_a = ReadFileBytes(a);
+  EXPECT_FALSE(bytes_a.empty());
+  EXPECT_TRUE(bytes_a == ReadFileBytes(b))
+      << "two seeded extractions saved different pools";
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
+TEST_F(ExtractionTest, OracleRunsOverTrainingSetOnce) {
+  // Library KD and the CKD tables share one pass of 256-row batches.
+  int calls = 0;
+  Extract(&calls);
+  const int64_t n = data_.train.size();
+  ASSERT_GT(n, 256);
+  EXPECT_EQ(calls, (n + 255) / 256);
 }
 
 }  // namespace

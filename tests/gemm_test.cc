@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "tensor/pack.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -202,6 +203,49 @@ TEST(GemmEpilogueTest, MultiKBlockAppliesEpilogueOnce) {
     for (int j = 0; j < n; ++j)
       c_ref[i * n + j] = std::max(0.0f, c_ref[i * n + j] + bias[i]);
   for (int i = 0; i < m * n; ++i) ASSERT_NEAR(c[i], c_ref[i], Tol(k));
+}
+
+// The column-scatter PackB(trans_b) the row-at-a-time packer replaced,
+// kept as the bitwise reference.
+void RefPackBTransposed(const float* b, int64_t k, int64_t p0, int64_t kc,
+                        int64_t j0, int64_t nc, int64_t nr, float* out) {
+  for (int64_t jp = 0; jp < nc; jp += nr) {
+    const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
+    float* panel = out + (jp / nr) * kc * nr;
+    for (int64_t c = 0; c < cols; ++c) {
+      const float* src = b + (j0 + jp + c) * k + p0;
+      for (int64_t p = 0; p < kc; ++p) panel[p * nr + c] = src[p];
+    }
+    if (cols < nr) {
+      for (int64_t p = 0; p < kc; ++p)
+        for (int64_t c = cols; c < nr; ++c) panel[p * nr + c] = 0.0f;
+    }
+  }
+}
+
+TEST(PackTest, TransposedPackBMatchesColumnScatterBytes) {
+  // B is stored n x k (op(B) = its transpose); blocks start off the
+  // origin and leave ragged last panels and odd k-depths.
+  const int64_t n = 53, k = 37;
+  Rng rng(29);
+  std::vector<float> b(static_cast<size_t>(n * k));
+  FillUniform(&b, rng);
+  for (int64_t nr : {8, 16}) {
+    for (int64_t nc : {1, 7, 16, 17, 45}) {
+      for (int64_t kc : {1, 5, 16, 31}) {
+        const int64_t j0 = n - nc - 1, p0 = k - kc - 2;
+        const size_t len =
+            static_cast<size_t>((nc + nr - 1) / nr * kc * nr);
+        std::vector<float> got(len, -9.0f), want(len, 9.0f);
+        PackB(/*trans_b=*/true, b.data(), k, n, p0, kc, j0, nc, nr,
+              got.data());
+        RefPackBTransposed(b.data(), k, p0, kc, j0, nc, nr, want.data());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), len * sizeof(float)),
+                  0)
+            << "nr=" << nr << " nc=" << nc << " kc=" << kc;
+      }
+    }
+  }
 }
 
 TEST(GemmTest, KernelNameIsKnown) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <tuple>
 #include <vector>
 
 #include "util/rng.h"
@@ -77,6 +79,129 @@ TEST(Im2ColTest, Col2ImIsAdjointOfIm2Col) {
 
   EXPECT_NEAR(lhs, rhs, 1e-3);
 }
+
+// The element-at-a-time unfold and fold the span-based transforms
+// replaced, kept as the bitwise reference.
+template <typename T>
+void RefIm2Col(const T* image, int64_t channels, int64_t height,
+               int64_t width, int64_t kernel, int64_t pad, int64_t stride,
+               T* columns) {
+  const int64_t out_h = ConvOutSize(height, kernel, pad, stride);
+  const int64_t out_w = ConvOutSize(width, kernel, pad, stride);
+  const int64_t out_hw = out_h * out_w;
+  int64_t row = 0;
+  for (int64_t c = 0; c < channels; ++c) {
+    const T* img_c = image + c * height * width;
+    for (int64_t kh = 0; kh < kernel; ++kh) {
+      for (int64_t kw = 0; kw < kernel; ++kw, ++row) {
+        T* col_row = columns + row * out_hw;
+        for (int64_t oh = 0; oh < out_h; ++oh) {
+          const int64_t ih = oh * stride - pad + kh;
+          if (ih < 0 || ih >= height) {
+            for (int64_t ow = 0; ow < out_w; ++ow)
+              col_row[oh * out_w + ow] = T(0);
+            continue;
+          }
+          const T* img_row = img_c + ih * width;
+          for (int64_t ow = 0; ow < out_w; ++ow) {
+            const int64_t iw = ow * stride - pad + kw;
+            col_row[oh * out_w + ow] =
+                (iw >= 0 && iw < width) ? img_row[iw] : T(0);
+          }
+        }
+      }
+    }
+  }
+}
+
+void RefCol2Im(const float* columns, int64_t channels, int64_t height,
+               int64_t width, int64_t kernel, int64_t pad, int64_t stride,
+               float* image_grad) {
+  const int64_t out_h = ConvOutSize(height, kernel, pad, stride);
+  const int64_t out_w = ConvOutSize(width, kernel, pad, stride);
+  const int64_t out_hw = out_h * out_w;
+  int64_t row = 0;
+  for (int64_t c = 0; c < channels; ++c) {
+    float* img_c = image_grad + c * height * width;
+    for (int64_t kh = 0; kh < kernel; ++kh) {
+      for (int64_t kw = 0; kw < kernel; ++kw, ++row) {
+        const float* col_row = columns + row * out_hw;
+        for (int64_t oh = 0; oh < out_h; ++oh) {
+          const int64_t ih = oh * stride - pad + kh;
+          if (ih < 0 || ih >= height) continue;
+          float* img_row = img_c + ih * width;
+          for (int64_t ow = 0; ow < out_w; ++ow) {
+            const int64_t iw = ow * stride - pad + kw;
+            if (iw >= 0 && iw < width) img_row[iw] += col_row[oh * out_w + ow];
+          }
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+bool BytesEqual(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+// (kernel, stride, pad)
+using UnfoldCase = std::tuple<int, int, int>;
+
+class UnfoldSweep : public ::testing::TestWithParam<UnfoldCase> {};
+
+// Odd heights and widths, including images narrower (and shorter) than
+// the kernel; geometries with no output pixel are skipped.
+constexpr int kSides[][2] = {{7, 5}, {5, 9}, {3, 1}, {2, 4}, {11, 3}, {1, 1}};
+
+TEST_P(UnfoldSweep, MatchesScalarReferenceBitwise) {
+  const auto [k, stride, pad] = GetParam();
+  const int c = 3;
+  int covered = 0;
+  for (const auto& side : kSides) {
+    const int h = side[0], w = side[1];
+    if (h + 2 * pad < k || w + 2 * pad < k) continue;
+    ++covered;
+    SCOPED_TRACE(::testing::Message() << "h=" << h << " w=" << w);
+    const int64_t out_hw =
+        ConvOutSize(h, k, pad, stride) * ConvOutSize(w, k, pad, stride);
+    const size_t n_cols = static_cast<size_t>(c * k * k * out_hw);
+    Rng rng(static_cast<uint64_t>(k * 100 + stride * 10 + pad + h * w));
+
+    std::vector<float> img(c * h * w);
+    for (auto& v : img) v = rng.Uniform(-2.0f, 2.0f);
+    // Poison the outputs so an unwritten element shows up.
+    std::vector<float> got(n_cols, -7.0f), want(n_cols, 7.0f);
+    Im2Col(img.data(), c, h, w, k, k, pad, stride, got.data());
+    RefIm2Col(img.data(), c, h, w, k, pad, stride, want.data());
+    EXPECT_TRUE(BytesEqual(got, want)) << "f32 Im2Col";
+
+    std::vector<int8_t> qimg(c * h * w);
+    for (auto& v : qimg) v = static_cast<int8_t>(rng.Uniform(-127.0f, 127.0f));
+    std::vector<int8_t> qgot(n_cols, 55), qwant(n_cols, -55);
+    Im2Col(qimg.data(), c, h, w, k, k, pad, stride, qgot.data());
+    RefIm2Col(qimg.data(), c, h, w, k, pad, stride, qwant.data());
+    EXPECT_TRUE(BytesEqual(qgot, qwant)) << "int8 Im2Col";
+
+    // Col2Im accumulates into a non-zero image; odd-valued columns make
+    // the float sums order-sensitive.
+    std::vector<float> cols(n_cols);
+    for (auto& v : cols) v = rng.Uniform(-1.0f, 1.0f) * 1.37f;
+    std::vector<float> base(c * h * w);
+    for (auto& v : base) v = rng.Uniform(-3.0f, 3.0f);
+    std::vector<float> fold = base, fold_ref = base;
+    Col2Im(cols.data(), c, h, w, k, k, pad, stride, fold.data());
+    RefCol2Im(cols.data(), c, h, w, k, pad, stride, fold_ref.data());
+    EXPECT_TRUE(BytesEqual(fold, fold_ref)) << "Col2Im";
+  }
+  EXPECT_GT(covered, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelStridePad, UnfoldSweep,
+    ::testing::Combine(::testing::Values(1, 3, 5), ::testing::Values(1, 2, 3),
+                       ::testing::Values(0, 1, 2)));
 
 }  // namespace
 }  // namespace poe

@@ -4,10 +4,13 @@
 #include "core/versioned_pool.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,8 +30,11 @@ using testutil::TinyDataConfig;
 using testutil::TinyLibraryConfig;
 using testutil::TinyOracleConfig;
 
+// Per-process names: the _mt4 ctest entry runs this binary concurrently,
+// and at another thread count it saves different pool bytes.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" +
+         name;
 }
 
 // Builds a small pool once for all generation tests (training is the slow
@@ -59,6 +65,7 @@ ExpertPool DeepCopy(const std::string& tag) {
   EXPECT_TRUE(pool.Save(path).ok());
   auto loaded = ExpertPool::Load(path);
   EXPECT_TRUE(loaded.ok());
+  std::remove(path.c_str());
   return std::move(loaded).ValueOrDie();
 }
 
@@ -231,6 +238,7 @@ TEST(QueryServiceUpgradeTest, NoopUpgradeIsBitwiseIdenticalInt8) {
   Tensor logits_before = service.Query({0, 1}).ValueOrDie()->Logits(probe);
 
   auto second = ExpertPool::Load(path);
+  std::remove(path.c_str());
   ASSERT_TRUE(second.ok());
   auto diff = service.UpgradePool(std::move(second).ValueOrDie());
   ASSERT_TRUE(diff.ok());
