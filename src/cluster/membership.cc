@@ -58,8 +58,7 @@ uint64_t MembershipView::Fingerprint() const {
   uint64_t h = Mix64(epoch);
   for (const NodeInfo& n : nodes) {
     h = Mix64(h ^ Mix64(static_cast<uint64_t>(n.node_id)));
-    h = Mix64(h ^ Mix64(static_cast<uint64_t>(n.peer_port) << 32 |
-                        static_cast<uint64_t>(n.serve_port)));
+    h = Mix64(h ^ Mix64(static_cast<uint64_t>(n.port)));
     h = Mix64(h ^ Mix64(static_cast<uint64_t>(n.state)));
     for (char c : n.host) h = Mix64(h ^ static_cast<uint8_t>(c));
   }
@@ -72,7 +71,7 @@ std::string MembershipView::ToString() const {
     const NodeInfo& n = nodes[i];
     if (i > 0) s += ", ";
     s += "node " + std::to_string(n.node_id) + " " + n.host + ":" +
-         std::to_string(n.peer_port) + " " + NodeStateName(n.state);
+         std::to_string(n.port) + " " + NodeStateName(n.state);
   }
   return s + "}";
 }

@@ -66,9 +66,8 @@ inline bool CanServeFetches(NodeState state) {
 
 struct NodeInfo {
   int node_id = -1;
-  std::string host;   ///< peer-RPC address (the demo uses 127.0.0.1)
-  int peer_port = 0;  ///< fetch-expert / membership-ping listener
-  int serve_port = 0; ///< client data-plane (NetServer) port, informational
+  std::string host;  ///< the node's address (the demo uses 127.0.0.1)
+  int port = 0;      ///< its NetServer: client queries and peer frames
   NodeState state = NodeState::kOnline;
 };
 

@@ -1,16 +1,8 @@
 #include "cluster/peer_rpc.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cstring>
 
 #include "net/net_client.h"
-#include "util/crc32c.h"
-#include "util/logging.h"
 
 namespace poe {
 
@@ -122,8 +114,7 @@ std::vector<uint8_t> EncodeViewFrame(uint64_t request_id, uint8_t type,
   for (const NodeInfo& n : view.nodes) {
     Put<int32_t>(frame, static_cast<int32_t>(n.node_id));
     Put<uint8_t>(frame, static_cast<uint8_t>(n.state));
-    Put<int32_t>(frame, static_cast<int32_t>(n.peer_port));
-    Put<int32_t>(frame, static_cast<int32_t>(n.serve_port));
+    Put<int32_t>(frame, static_cast<int32_t>(n.port));
     Put<uint16_t>(frame, static_cast<uint16_t>(n.host.size()));
     frame.insert(frame.end(), n.host.begin(), n.host.end());
   }
@@ -137,16 +128,25 @@ Status DecodeViewBody(const uint8_t* data, size_t len, MembershipView* view) {
   if (!cur.Read(&view->epoch) || !cur.Read(&num_nodes)) {
     return Truncated("membership-view");
   }
+  // Every node record holds at least id, state, port and host_len: a
+  // count the remaining bytes cannot hold is rejected before it sizes
+  // an allocation.
+  constexpr size_t kMinNodeRecordBytes = 4 + 1 + 4 + 2;
+  if (num_nodes > (len - cur.pos) / kMinNodeRecordBytes) {
+    return Status::InvalidArgument("membership view claims " +
+                                   std::to_string(num_nodes) +
+                                   " nodes in a " + std::to_string(len) +
+                                   "-byte body");
+  }
   view->nodes.clear();
   view->nodes.reserve(num_nodes);
   for (uint32_t i = 0; i < num_nodes; ++i) {
     NodeInfo node;
-    int32_t id = 0, peer_port = 0, serve_port = 0;
+    int32_t id = 0, port = 0;
     uint8_t state = 0;
     uint16_t host_len = 0;
-    if (!cur.Read(&id) || !cur.Read(&state) || !cur.Read(&peer_port) ||
-        !cur.Read(&serve_port) || !cur.Read(&host_len) ||
-        !cur.ReadBytes(&node.host, host_len)) {
+    if (!cur.Read(&id) || !cur.Read(&state) || !cur.Read(&port) ||
+        !cur.Read(&host_len) || !cur.ReadBytes(&node.host, host_len)) {
       return Truncated("membership-view");
     }
     if (state > static_cast<uint8_t>(NodeState::kReintegrating)) {
@@ -154,8 +154,7 @@ Status DecodeViewBody(const uint8_t* data, size_t len, MembershipView* view) {
                                      std::to_string(state));
     }
     node.node_id = id;
-    node.peer_port = peer_port;
-    node.serve_port = serve_port;
+    node.port = port;
     node.state = static_cast<NodeState>(state);
     view->nodes.push_back(std::move(node));
   }
@@ -165,145 +164,31 @@ Status DecodeViewBody(const uint8_t* data, size_t len, MembershipView* view) {
 
 // ------------------------------------------------------------ server
 
-PeerServer::PeerServer(PeerEndpoint* endpoint, Options options)
-    : endpoint_(endpoint), options_(std::move(options)) {}
-
-PeerServer::~PeerServer() { Stop(); }
-
-Status PeerServer::Start() {
-  if (listen_fd_ >= 0) return Status::FailedPrecondition("already started");
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("bad address: " + options_.host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    const Status s =
-        Status::IoError(std::string("bind/listen: ") + std::strerror(errno));
-    ::close(fd);
-    return s;
-  }
-  socklen_t addr_len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &addr_len);
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
-  stopping_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void PeerServer::Stop() {
-  if (listen_fd_ < 0) return;
-  stopping_.store(true, std::memory_order_release);
-  // shutdown() unblocks the accept(); the fd is closed after the thread
-  // exits so a racing accept never sees a recycled fd number.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-}
-
-void PeerServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listener shut down
+Result<std::vector<uint8_t>> AnswerPeerFrame(PeerEndpoint& endpoint,
+                                             const WireHeader& header,
+                                             const uint8_t* body,
+                                             size_t len) {
+  if (header.type == kWireTypeFetchExpert) {
+    int expert_id = -1;
+    POE_RETURN_NOT_OK(DecodeFetchExpertBody(body, len, &expert_id));
+    auto result = endpoint.ServeFetchExpert(expert_id,
+                                            /*want_payload=*/true);
+    if (!result.ok()) {
+      return EncodeFetchExpertReplyFrame(header.request_id, result.status(),
+                                         "");
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.emplace_back([this, fd] { ServeConnection(fd); });
+    return EncodeFetchExpertReplyFrame(header.request_id, Status::OK(),
+                                       std::move(result).ValueOrDie().payload);
   }
-}
-
-void PeerServer::ServeConnection(int fd) {
-  // One request/reply exchange per loop; any framing violation closes the
-  // connection (the data plane's rule: never re-sync mid-stream).
-  auto read_full = [fd](void* buf, size_t len) -> bool {
-    uint8_t* p = static_cast<uint8_t*>(buf);
-    size_t got = 0;
-    while (got < len) {
-      const ssize_t n = ::recv(fd, p + got, len - got, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      got += static_cast<size_t>(n);
-    }
-    return true;
-  };
-  auto write_full = [fd](const std::vector<uint8_t>& buf) -> bool {
-    size_t sent = 0;
-    while (sent < buf.size()) {
-      const ssize_t n =
-          ::send(fd, buf.data() + sent, buf.size() - sent, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      sent += static_cast<size_t>(n);
-    }
-    return true;
-  };
-
-  while (!stopping_.load(std::memory_order_acquire)) {
-    uint8_t hbuf[kWireHeaderBytes];
-    if (!read_full(hbuf, sizeof(hbuf))) break;
-    const uint8_t type = hbuf[5];
-    if (type != kWireTypeFetchExpert && type != kWireTypePing) break;
-    WireHeader header;
-    if (!DecodeHeader(hbuf, sizeof(hbuf), type, options_.max_body_bytes,
-                      &header)
-             .ok()) {
-      break;
-    }
-    std::vector<uint8_t> body(header.body_len);
-    if (!read_full(body.data(), body.size())) break;
-    if (Crc32c(body.data(), body.size()) != header.body_crc) break;
-
-    PeerEndpoint* endpoint = endpoint_.load(std::memory_order_acquire);
-    if (endpoint == nullptr) break;  // not wired in yet: refuse
-
-    std::vector<uint8_t> reply;
-    if (type == kWireTypeFetchExpert) {
-      int expert_id = -1;
-      const Status decoded =
-          DecodeFetchExpertBody(body.data(), body.size(), &expert_id);
-      if (!decoded.ok()) break;
-      auto result = endpoint->ServeFetchExpert(expert_id,
-                                                /*want_payload=*/true);
-      if (result.ok()) {
-        reply = EncodeFetchExpertReplyFrame(
-            header.request_id, Status::OK(),
-            std::move(result).ValueOrDie().payload);
-      } else {
-        reply = EncodeFetchExpertReplyFrame(header.request_id,
-                                            result.status(), "");
-      }
-    } else {
-      MembershipView view;
-      if (!DecodeViewBody(body.data(), body.size(), &view).ok()) break;
-      auto result = endpoint->ServePing(view);
-      if (!result.ok()) break;
-      reply = EncodeViewFrame(header.request_id, kWireTypePingReply,
-                              std::move(result).ValueOrDie());
-    }
-    if (!write_full(reply)) break;
+  if (header.type == kWireTypePing) {
+    MembershipView view;
+    POE_RETURN_NOT_OK(DecodeViewBody(body, len, &view));
+    MembershipView reply;
+    POE_ASSIGN_OR_RETURN(reply, endpoint.ServePing(view));
+    return EncodeViewFrame(header.request_id, kWireTypePingReply, reply);
   }
-  ::close(fd);
+  return Status::InvalidArgument("not a peer request frame type: " +
+                                 std::to_string(header.type));
 }
 
 // ------------------------------------------------------------ client
@@ -327,7 +212,7 @@ Result<FetchExpertResult> WireTransport::FetchExpert(int node_id,
   NodeInfo node;
   POE_ASSIGN_OR_RETURN(node, Resolve(node_id));
   NetClient client;
-  POE_RETURN_NOT_OK(client.Connect(node.host, node.peer_port));
+  POE_RETURN_NOT_OK(client.Connect(node.host, node.port));
   POE_RETURN_NOT_OK(client.SetIoTimeout(timeout_ms_));
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   WireHeader header;
@@ -348,7 +233,7 @@ Result<MembershipView> WireTransport::Ping(int node_id,
   NodeInfo node;
   POE_ASSIGN_OR_RETURN(node, Resolve(node_id));
   NetClient client;
-  POE_RETURN_NOT_OK(client.Connect(node.host, node.peer_port));
+  POE_RETURN_NOT_OK(client.Connect(node.host, node.port));
   POE_RETURN_NOT_OK(client.SetIoTimeout(timeout_ms_));
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   WireHeader header;

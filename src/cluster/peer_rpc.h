@@ -1,12 +1,13 @@
 // Peer RPC: the wire half of the cluster layer.
 //
-// Rides the data plane's 24-byte header + CRC32C framing (SealWireFrame)
-// with its own frame types — 3/4 fetch-expert, 5/6 membership-ping — so
-// one framing discipline covers both planes while a NetServer that sees a
-// peer frame (or a PeerServer that sees a client frame) rejects it as an
-// unexpected type: the planes cannot be confused for each other.
+// Rides the client protocol's 24-byte header + CRC32C framing (SealWireFrame)
+// with its own frame types — 3/4 fetch-expert, 5/6 membership-ping — on
+// the node's one NetServer port: a NetServer wired to a PeerEndpoint
+// (NetServer::SetPeerEndpoint) answers types 3 and 5 with
+// AnswerPeerFrame, inline on its event loop; one without an endpoint
+// closes the connection on them as an unexpected type.
 //
-// Body layouts (little-endian, like the data plane):
+// Body layouts (little-endian, like the client frames):
 //
 //   fetch-expert (3):        [0] i32 expert_id
 //   fetch-expert-reply (4):  [0] i32 status_code | [4] u32 msg_len |
@@ -15,17 +16,11 @@
 //                            a non-OK status)
 //   membership-ping (5) and ping-reply (6): one MembershipView —
 //                            u64 epoch | u32 num_nodes | per node:
-//                            i32 node_id | u8 state | i32 peer_port |
-//                            i32 serve_port | u16 host_len | host bytes
+//                            i32 node_id | u8 state | i32 port |
+//                            u16 host_len | host bytes
 //                            (epoch 0 on a ping = status probe: the
 //                            receiver answers with its view but adopts
 //                            nothing)
-//
-// PeerServer is the control plane's listener: blocking accept loop, one
-// thread per connection. Peer traffic is tiny and rare (a handful of
-// fetches at warmup, sub-Hz gossip), so thread-per-connection is the
-// simple correct shape — the epoll NetServer stays dedicated to the query
-// data plane.
 #ifndef POE_CLUSTER_PEER_RPC_H_
 #define POE_CLUSTER_PEER_RPC_H_
 
@@ -33,7 +28,6 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/membership.h"
@@ -64,55 +58,29 @@ Status DecodeViewBody(const uint8_t* data, size_t len, MembershipView* view);
 
 // ------------------------------------------------------------ server
 
-/// Listens for peer frames and dispatches them to a PeerEndpoint.
-class PeerServer {
- public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    int port = 0;  ///< 0 = ephemeral; read the bound port from port()
-    uint32_t max_body_bytes = kDefaultMaxBodyBytes;
-  };
-
-  /// `endpoint` may be nullptr at construction (connections are refused
-  /// until SetEndpoint) — lets a caller bind the port FIRST, put the real
-  /// port into the membership view, build the node from that view, and
-  /// only then wire the node in. No port guessing, no bind race.
-  PeerServer(PeerEndpoint* endpoint, Options options);
-  ~PeerServer();
-
-  void SetEndpoint(PeerEndpoint* endpoint) {
-    endpoint_.store(endpoint, std::memory_order_release);
-  }
-
-  Status Start();
-  void Stop();
-  int port() const { return port_; }
-
- private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
-
-  std::atomic<PeerEndpoint*> endpoint_;
-  Options options_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stopping_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> conn_threads_;
-  std::mutex conn_mu_;
-};
+/// Answers one peer request frame (type 3 or 5) whose body CRC the
+/// caller has verified: dispatches the body to `endpoint` and returns the
+/// sealed reply frame (type 4 or 6). A malformed body, or a ping the
+/// endpoint refuses, is an error — the caller closes the connection
+/// without a reply, since framing is never re-synced mid-stream.
+Result<std::vector<uint8_t>> AnswerPeerFrame(PeerEndpoint& endpoint,
+                                             const WireHeader& header,
+                                             const uint8_t* body,
+                                             size_t len);
 
 // ------------------------------------------------------------ client
 
 /// TCP transport: one fresh connection per exchange. Peer RPCs are rare
-/// (one fetch per expert ever, sub-Hz gossip), so connection reuse would
-/// buy nothing and per-call connections make the transport trivially
-/// thread-safe — concurrent Acquires can fetch from different peers at
-/// once with no shared client state.
+/// (one fetch per expert ever, one ping per peer per gossip round — 4 Hz
+/// at the default 250 ms), so connection reuse would buy little and
+/// per-call connections make the transport trivially thread-safe —
+/// concurrent Acquires can fetch from different peers at once with no
+/// shared client state.
 class WireTransport : public PeerTransport {
  public:
-  /// `resolve` maps a node id to its current NodeInfo (host + peer_port);
-  /// ClusterNode passes a closure over its membership view. `timeout_ms`
+  /// `view_provider` returns the current view, where a node id resolves
+  /// to its host + port; ClusterNode passes a closure over its membership
+  /// view. `timeout_ms`
   /// caps each exchange (connect + I/O) so a hung peer surfaces as a
   /// transient kUnavailable, not a stuck thread.
   WireTransport(std::function<MembershipView()> view_provider,

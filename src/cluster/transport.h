@@ -6,8 +6,9 @@
 //     serialization, zero copies — so single-process multi-node tests and
 //     the in-process demo pay nothing for the abstraction.
 //   - WireTransport (peer_rpc.h): TCP via the wire protocol's framing
-//     (frame types 3-6). The fetched expert arrives as its v3 section
-//     payload and is rebuilt into a fresh master.
+//     (frame types 3-6) to the peer's NetServer port. The fetched expert
+//     arrives as its v3 section payload and is rebuilt into a fresh
+//     master.
 //
 // Error contract shared by both: a dead/refusing/crashed peer is
 // kUnavailable (transient — the fetch path tries the next owner and the
@@ -38,8 +39,9 @@ struct FetchExpertResult {
 };
 
 /// The server half a node exposes to transports. ClusterNode implements
-/// this; LoopbackTransport dispatches to it directly and PeerServer
-/// dispatches decoded wire frames to it.
+/// this; LoopbackTransport dispatches to it directly, and a NetServer
+/// wired in with SetPeerEndpoint dispatches decoded peer frames to it
+/// (AnswerPeerFrame, peer_rpc.h).
 class PeerEndpoint {
  public:
   virtual ~PeerEndpoint() = default;

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "cluster/peer_rpc.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
 
@@ -50,6 +51,7 @@ void NetStats::Merge(const NetStats& other) {
   conns_open += other.conns_open;
   responses_sent += other.responses_sent;
   precision_rejects += other.precision_rejects;
+  peer_frames += other.peer_frames;
 }
 
 /// One TCP connection, owned by exactly one worker thread (every field
@@ -58,15 +60,17 @@ struct NetServer::Conn {
   int fd = -1;
   uint64_t id = 0;
 
-  // Read-side state machine: header -> meta -> tasks -> payload, each
-  // stage accumulating exactly its byte count before decoding.
-  enum class Stage { kHeader, kMeta, kTasks, kPayload };
+  // Read-side state machine: header -> meta -> tasks -> payload for a
+  // request, header -> peer body for a peer frame, each stage
+  // accumulating exactly its byte count before decoding.
+  enum class Stage { kHeader, kMeta, kTasks, kPayload, kPeerBody };
   Stage stage = Stage::kHeader;
   size_t got = 0;  ///< bytes accumulated in the current stage
   uint8_t hbuf[kWireHeaderBytes];
   uint8_t mbuf[kWireRequestMetaBytes];
-  std::vector<uint8_t> tbuf;
+  std::vector<uint8_t> tbuf;  ///< task ids, or a whole peer-frame body
   WireHeader header;
+  PeerEndpoint* peer = nullptr;  ///< endpoint answering the peer frame
   WireRequestMeta meta;
   /// The request input, recv()'d into directly (zero-copy decode).
   Tensor payload;
@@ -110,6 +114,7 @@ struct NetServer::Worker {
   std::atomic<int64_t> conns_open{0};
   std::atomic<int64_t> responses_sent{0};
   std::atomic<int64_t> precision_rejects{0};
+  std::atomic<int64_t> peer_frames{0};
 };
 
 NetServer::NetServer(InferenceServer* server, Options options)
@@ -271,6 +276,7 @@ std::vector<NetStats> NetServer::worker_stats() const {
     s.responses_sent = w->responses_sent.load(std::memory_order_relaxed);
     s.precision_rejects =
         w->precision_rejects.load(std::memory_order_relaxed);
+    s.peer_frames = w->peer_frames.load(std::memory_order_relaxed);
     out.push_back(s);
   }
   return out;
@@ -516,6 +522,7 @@ void NetServer::HandleRead(Worker* w, Conn* c) {
         stage_size = kWireRequestMetaBytes;
         break;
       case Conn::Stage::kTasks:
+      case Conn::Stage::kPeerBody:
         dst = c->tbuf.data();
         stage_size = c->tbuf.size();
         break;
@@ -551,16 +558,34 @@ void NetServer::HandleRead(Worker* w, Conn* c) {
 
     switch (c->stage) {
       case Conn::Stage::kHeader: {
-        const Status s =
-            DecodeHeader(c->hbuf, kWireHeaderBytes, kWireTypeRequest,
-                         options_.max_body_bytes, &c->header);
+        // A peer frame is expected only once an endpoint is wired in;
+        // otherwise its type fails the request-type check like any other.
+        const uint8_t type = c->hbuf[5];
+        c->peer = type == kWireTypeFetchExpert || type == kWireTypePing
+                      ? peer_endpoint_.load(std::memory_order_acquire)
+                      : nullptr;
+        const Status s = DecodeHeader(
+            c->hbuf, kWireHeaderBytes,
+            c->peer != nullptr ? type : kWireTypeRequest,
+            options_.max_body_bytes, &c->header);
         if (!s.ok()) {
           uint64_t rid = 0;
           std::memcpy(&rid, c->hbuf + 16, sizeof(rid));
           ProtocolError(w, c, HeaderPrefixValid(c->hbuf), rid, s);
           return;
         }
-        c->stage = Conn::Stage::kMeta;
+        if (c->peer == nullptr) {
+          c->stage = Conn::Stage::kMeta;
+        } else if (c->header.body_len == 0) {
+          // Every peer body has fields. An empty one would make a
+          // zero-byte stage that recv() never completes.
+          ProtocolError(w, c, false, 0,
+                        Status::InvalidArgument("empty peer frame body"));
+          return;
+        } else {
+          c->tbuf.resize(c->header.body_len);
+          c->stage = Conn::Stage::kPeerBody;
+        }
         c->got = 0;
         break;
       }
@@ -598,6 +623,25 @@ void NetServer::HandleRead(Worker* w, Conn* c) {
         c->crc = 0;
         c->payload = Tensor();
         if (c->paused) return;  // window filled; EPOLLIN is off now
+        break;
+      }
+      case Conn::Stage::kPeerBody: {
+        if (Crc32c(c->tbuf.data(), c->tbuf.size()) != c->header.body_crc) {
+          ProtocolError(w, c, false, 0,
+                        Status::Corruption("peer frame body CRC mismatch"));
+          return;
+        }
+        w->peer_frames.fetch_add(1, std::memory_order_relaxed);
+        Result<std::vector<uint8_t>> reply = AnswerPeerFrame(
+            *c->peer, c->header, c->tbuf.data(), c->tbuf.size());
+        if (!reply.ok()) {
+          ProtocolError(w, c, false, 0, reply.status());
+          return;
+        }
+        SendFrame(w, c, std::move(reply).ValueOrDie());
+        if (c->dead) return;
+        c->stage = Conn::Stage::kHeader;
+        c->got = 0;
         break;
       }
     }

@@ -31,6 +31,14 @@
 // error response, then flushes and closes; a malformed header closes
 // immediately. The connection's already-submitted requests still get
 // their responses before the close.
+//
+// Peer frames: a cluster node serves its peers on this same port. Once
+// SetPeerEndpoint wires a PeerEndpoint in, fetch-expert (3) and
+// membership-ping (5) frames are read whole, CRC-checked, and answered
+// inline on the net worker by AnswerPeerFrame (cluster/peer_rpc.h) -
+// neither waits on inference. Without an endpoint they are unexpected
+// frame types and close the connection like any other. A malformed peer
+// frame closes the connection without a reply.
 #ifndef POE_NET_NET_SERVER_H_
 #define POE_NET_NET_SERVER_H_
 
@@ -49,6 +57,8 @@
 
 namespace poe {
 
+class PeerEndpoint;
+
 /// Per-worker (and aggregate) transport counters. Identities, enforced
 /// by tests on a stopped server:
 ///   conns_accepted == conns_open + conns_dropped   (always)
@@ -61,10 +71,14 @@ struct NetStats {
   int64_t conns_accepted = 0;
   int64_t conns_dropped = 0;  ///< every departure: EOF, error, shutdown
   int64_t conns_open = 0;
-  int64_t responses_sent = 0;  ///< response frames fully flushed
+  /// Frames fully flushed: responses and peer replies alike.
+  int64_t responses_sent = 0;
   /// Frames decoded but answered kFailedPrecondition because the wire
   /// precision demand did not match the pool (never submitted).
   int64_t precision_rejects = 0;
+  /// Well-formed peer frames (CRC passed) handed to the peer endpoint;
+  /// never counted in frames_decoded.
+  int64_t peer_frames = 0;
 
   void Merge(const NetStats& other);
 };
@@ -103,6 +117,14 @@ class NetServer {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
+  /// Serves peer frames on this port through `endpoint` (not owned; must
+  /// outlive the server). Until it is called, peer frames are protocol
+  /// errors - bind first, put the real port in the membership view, then
+  /// wire the node in. Safe to call while running.
+  void SetPeerEndpoint(PeerEndpoint* endpoint) {
+    peer_endpoint_.store(endpoint, std::memory_order_release);
+  }
+
   /// The bound port (resolves port 0); 0 before Start().
   int port() const { return port_; }
 
@@ -134,6 +156,7 @@ class NetServer {
 
   InferenceServer* server_;
   Options options_;
+  std::atomic<PeerEndpoint*> peer_endpoint_{nullptr};
   ServingPrecision pool_precision_ = ServingPrecision::kFloat32;
 
   int listen_fd_ = -1;

@@ -10,7 +10,8 @@
 //     [ 0] u32  magic        'P' 'O' 'E' '1'
 //     [ 4] u8   version      kWireVersion (2; v1 lacked the response
 //                            generation field and is rejected)
-//     [ 5] u8   type         1 = request, 2 = response
+//     [ 5] u8   type         1 = request, 2 = response (3-6: the
+//                            cluster's peer frames, below)
 //     [ 6] u16  reserved     must be 0
 //     [ 8] u32  body_len     bytes following the header (bounded)
 //     [12] u32  body_crc     CRC32C over the body bytes
@@ -69,10 +70,11 @@ inline constexpr uint8_t kWireVersion = 2;
 inline constexpr uint8_t kWireTypeRequest = 1;
 inline constexpr uint8_t kWireTypeResponse = 2;
 // Peer-RPC frame types of the cluster layer (src/cluster/peer_rpc.h).
-// They ride the same 24-byte header + CRC32C framing; a NetServer that
-// receives one closes the connection (unexpected type), so the data plane
-// and the control plane cannot be confused for each other. Body layouts
-// are owned by the cluster layer: the net layer only frames them.
+// They ride the same 24-byte header + CRC32C framing on the node's one
+// NetServer port: a NetServer wired to a PeerEndpoint answers 3 and 5;
+// one without an endpoint closes the connection on them (unexpected
+// type). Body layouts are owned by the cluster layer: the net layer only
+// frames them.
 //   3 = fetch-expert        (request: expert id)
 //   4 = fetch-expert-reply  (status + classes + serialized module section)
 //   5 = membership-ping     (sender's membership view — epoch gossip)

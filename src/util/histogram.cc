@@ -81,27 +81,29 @@ int LatencyHistogram::BucketIndex(double ms) const {
 
 void LatencyHistogram::Record(double ms) {
   if (ms < 0.0) ms = 0.0;
-  buckets_[BucketIndex(ms)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  // sum and max first, then the bucket with release: a snapshot that
+  // acquires the bucket count also sees the max covering that sample.
   const int64_t ns = static_cast<int64_t>(ms * 1e6);
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   int64_t prev = max_ns_.load(std::memory_order_relaxed);
   while (prev < ns && !max_ns_.compare_exchange_weak(
                           prev, ns, std::memory_order_relaxed)) {
   }
+  buckets_[BucketIndex(ms)].fetch_add(1, std::memory_order_release);
+  count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 HistogramSnapshot LatencyHistogram::snapshot() const {
   HistogramSnapshot snap;
   for (int i = 0; i < kNumBuckets; ++i) {
-    snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
+    snap.buckets[i] = buckets_[i].load(std::memory_order_acquire);
     snap.count += snap.buckets[i];
   }
   // count is the bucket sum, NOT count_: a concurrent Record() bumps the
   // bucket before the global counter, and a percentile walk whose rank
-  // exceeds its own bucket mass would fall off the end. sum/max may lag
-  // the buckets by the samples landing right now - gauges, not
-  // accounting counters.
+  // exceeds its own bucket mass would fall off the end. sum and max are
+  // loaded after the acquiring bucket loads, so they cover every sample
+  // counted above (they may also include samples landing right now).
   snap.sum_ns = sum_ns_.load(std::memory_order_relaxed);
   snap.max_ns = max_ns_.load(std::memory_order_relaxed);
   return snap;

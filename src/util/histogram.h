@@ -43,8 +43,8 @@ struct HistogramSnapshot {
 /// Fixed-bucket latency histogram. Buckets are geometric from 1us to ~160s
 /// (factor 1.35 between bounds), so any latency this system can produce
 /// lands in a bucket with <= 35% relative width; percentile queries
-/// interpolate linearly inside the bucket. Record() is two relaxed atomic
-/// adds plus a CAS-maxed maximum - no locks, no allocation.
+/// interpolate linearly inside the bucket. Record() is three atomic adds
+/// plus a CAS-maxed maximum - no locks, no allocation.
 class LatencyHistogram {
  public:
   static constexpr int kNumBuckets = kLatencyHistogramBuckets;

@@ -1,18 +1,23 @@
 // The cluster layer over real sockets: peer-RPC codec round trips, 2-node
-// serving with wire fetches (serialized expert sections, rebuilt masters),
-// and abrupt peer death mid-load — connection-refused maps to transient
-// kUnavailable, every future resolves inside the whitelist, the dead node
-// is detected, and a restarted peer reintegrates with a clean epoch
-// handoff.
+// serving with wire fetches (serialized expert sections, rebuilt masters)
+// through each node's one NetServer port, and abrupt peer death mid-load
+// — connection-refused maps to transient kUnavailable, every future
+// resolves inside the whitelist, the dead node is detected, and a
+// restarted peer reintegrates with a clean epoch handoff.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster_node.h"
 #include "cluster/peer_rpc.h"
 #include "eval/metrics.h"
+#include "net/net_client.h"
+#include "net/net_server.h"
 #include "test_util.h"
 
 namespace poe {
@@ -53,8 +58,8 @@ Tensor MakeInput(int rows, int seed) {
 TEST(PeerRpcCodecTest, ViewFramesRoundTrip) {
   MembershipView view;
   view.epoch = 42;
-  view.nodes.push_back({0, "127.0.0.1", 9100, 9200, NodeState::kDraining});
-  view.nodes.push_back({5, "10.0.0.7", 9105, 9205, NodeState::kOffline});
+  view.nodes.push_back({0, "127.0.0.1", 9100, NodeState::kDraining});
+  view.nodes.push_back({5, "10.0.0.7", 9105, NodeState::kOffline});
 
   const std::vector<uint8_t> frame = EncodeViewFrame(7, kWireTypePing, view);
   WireHeader header;
@@ -69,6 +74,7 @@ TEST(PeerRpcCodecTest, ViewFramesRoundTrip) {
   EXPECT_EQ(decoded.epoch, 42u);
   ASSERT_EQ(decoded.nodes.size(), 2u);
   EXPECT_EQ(decoded.nodes[1].host, "10.0.0.7");
+  EXPECT_EQ(decoded.nodes[1].port, 9105);
   EXPECT_EQ(decoded.nodes[1].state, NodeState::kOffline);
   EXPECT_EQ(decoded.Fingerprint(), view.Fingerprint());
 
@@ -76,6 +82,19 @@ TEST(PeerRpcCodecTest, ViewFramesRoundTrip) {
   EXPECT_FALSE(DecodeViewBody(frame.data() + kWireHeaderBytes,
                               frame.size() - kWireHeaderBytes - 1, &decoded)
                    .ok());
+}
+
+TEST(PeerRpcCodecTest, NodeCountBeyondTheBodyIsInvalidArgument) {
+  // 12 bytes: epoch, then a node count no body could hold. Decoding must
+  // refuse it before sizing anything by it.
+  std::vector<uint8_t> body(12);
+  const uint64_t epoch = 1;
+  const uint32_t num_nodes = 0xFFFFFFFFu;
+  std::memcpy(body.data(), &epoch, sizeof(epoch));
+  std::memcpy(body.data() + 8, &num_nodes, sizeof(num_nodes));
+  MembershipView view;
+  EXPECT_EQ(DecodeViewBody(body.data(), body.size(), &view).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(PeerRpcCodecTest, FetchReplyCarriesStatusAndPayload) {
@@ -102,52 +121,78 @@ TEST(PeerRpcCodecTest, FetchReplyCarriesStatusAndPayload) {
   EXPECT_TRUE(payload.empty());
 }
 
-/// One wire-connected node: peer server bound FIRST (so the view carries
-/// real ports), then the node, then the endpoint wired in.
+/// One wire-connected node, served as `poectl cluster serve` serves it:
+/// one NetServer answers clients and peers on one port. The port is
+/// ephemeral, so the node is built from a view of ids with port 0, its
+/// NetServer binds, and Wire() merges the real-port view at a higher
+/// epoch before Start().
 struct WireNode {
-  std::unique_ptr<PeerServer> peer_server;
   std::unique_ptr<WireTransport> transport;
   std::unique_ptr<ClusterNode> node;
+  std::unique_ptr<NetServer> net;
 
-  static std::unique_ptr<WireNode> Bind() {
-    auto wn = std::make_unique<WireNode>();
-    wn->peer_server = std::make_unique<PeerServer>(nullptr,
-                                                   PeerServer::Options{});
-    EXPECT_TRUE(wn->peer_server->Start().ok());
-    return wn;
-  }
-
-  void Wire(int id, const MembershipView& view) {
+  static std::unique_ptr<WireNode> Bind(int id, int num_nodes) {
+    MembershipView ids;
+    for (int i = 0; i < num_nodes; ++i) {
+      ids.nodes.push_back({i, "127.0.0.1", 0, NodeState::kOnline});
+    }
     ClusterNodeOptions options;
     options.node_id = id;
     options.placement.replication = 1;
     options.serve.num_workers = 2;
-    node = std::make_unique<ClusterNode>(BuildPool(), view,
-                                         std::move(options));
-    transport = std::make_unique<WireTransport>(
-        [this] { return node->view(); }, /*timeout_ms=*/2000.0);
-    node->SetTransport(transport.get());
-    peer_server->SetEndpoint(node.get());
+    auto wn = std::make_unique<WireNode>();
+    wn->node = std::make_unique<ClusterNode>(BuildPool(), std::move(ids),
+                                             std::move(options));
+    ClusterNode* node = wn->node.get();
+    wn->transport = std::make_unique<WireTransport>(
+        [node] { return node->view(); }, /*timeout_ms=*/2000.0);
+    node->SetTransport(wn->transport.get());
+    wn->net = std::make_unique<NetServer>(&node->server(),
+                                          NetServer::Options{});
+    EXPECT_TRUE(wn->net->Start().ok());
+    return wn;
+  }
+
+  void Wire(const MembershipView& view) {
+    ASSERT_TRUE(node->membership().MergeView(view));
+    net->SetPeerEndpoint(node.get());
     ASSERT_TRUE(node->Start().ok());
   }
 };
 
 MembershipView ViewFor(const std::vector<WireNode*>& nodes) {
   MembershipView view;
+  view.epoch = 2;  // newer than the port-0 views the nodes were built from
   for (size_t id = 0; id < nodes.size(); ++id) {
     view.nodes.push_back({static_cast<int>(id), "127.0.0.1",
-                          nodes[id]->peer_server->port(), 0,
-                          NodeState::kOnline});
+                          nodes[id]->net->port(), NodeState::kOnline});
   }
   return view;
 }
 
+/// Lines of /proc/self/maps: every thread stack left mapped shows here.
+int64_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  int64_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+/// The Threads: field of /proc/self/status.
+int LiveThreads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
 TEST(ClusterWireTest, FetchesTravelSerializedAndRebuildIdenticalMasters) {
-  auto wn0 = WireNode::Bind();
-  auto wn1 = WireNode::Bind();
+  auto wn0 = WireNode::Bind(0, 2);
+  auto wn1 = WireNode::Bind(1, 2);
   const MembershipView view = ViewFor({wn0.get(), wn1.get()});
-  wn0->Wire(0, view);
-  wn1->Wire(1, view);
+  wn0->Wire(view);
+  wn1->Wire(view);
 
   // Both nodes serve the full composite through wire fetches.
   for (WireNode* wn : {wn0.get(), wn1.get()}) {
@@ -166,6 +211,12 @@ TEST(ClusterWireTest, FetchesTravelSerializedAndRebuildIdenticalMasters) {
   EXPECT_EQ(s0.peer_fetches_served + s1.peer_fetches_served, kNumTasks);
   EXPECT_EQ(s0.remote_fetch_requests, s0.remote_fetch_ok);
   EXPECT_EQ(s1.remote_fetch_requests, s1.remote_fetch_ok);
+  // Each fetch was one peer frame on the owner's port, and none counted
+  // as a request frame (the queries above were submitted in-process).
+  const NetStats n0 = wn0->net->stats();
+  const NetStats n1 = wn1->net->stats();
+  EXPECT_EQ(n0.peer_frames + n1.peer_frames, kNumTasks);
+  EXPECT_EQ(n0.frames_decoded + n1.frames_decoded, 0);
 
   // Wire fetches REBUILD masters from serialized sections — same weights,
   // distinct objects (unlike the loopback path, which aliases).
@@ -189,17 +240,17 @@ TEST(ClusterWireTest, FetchesTravelSerializedAndRebuildIdenticalMasters) {
 }
 
 TEST(ClusterWireTest, AbruptPeerDeathIsDetectedAndSurvivedThenHealed) {
-  auto wn0 = WireNode::Bind();
-  auto wn1 = WireNode::Bind();
+  auto wn0 = WireNode::Bind(0, 2);
+  auto wn1 = WireNode::Bind(1, 2);
   const MembershipView view = ViewFor({wn0.get(), wn1.get()});
-  const int node1_port = wn1->peer_server->port();
-  wn0->Wire(0, view);
-  wn1->Wire(1, view);
+  const int node1_port = wn1->net->port();
+  wn0->Wire(view);
+  wn1->Wire(view);
 
-  // Kill node 1's control plane abruptly: in-flight and future fetches
-  // see connection-refused / reset, which the client maps to transient
+  // Close node 1's port abruptly: in-flight and future fetches see
+  // connection-refused / reset, which the client maps to transient
   // kUnavailable (the reconnect-uniformity contract).
-  wn1->peer_server->Stop();
+  wn1->net->Stop();
 
   std::vector<std::future<InferenceResponse>> futures;
   for (int i = 0; i < 12; ++i) {
@@ -227,13 +278,14 @@ TEST(ClusterWireTest, AbruptPeerDeathIsDetectedAndSurvivedThenHealed) {
   wn0->node->GossipOnce();
   EXPECT_EQ(wn0->node->view().Find(1)->state, NodeState::kOffline);
 
-  // "Restart" node 1's control plane on the SAME port and let gossip
+  // "Restart" node 1's NetServer on the SAME port and let gossip
   // reintegrate it: self-defense promotes it back to ONLINE at fresh
   // epochs, node 0 adopts, and the failed composites now assemble.
-  PeerServer::Options options;
+  NetServer::Options options;
   options.port = node1_port;
-  wn1->peer_server = std::make_unique<PeerServer>(wn1->node.get(), options);
-  ASSERT_TRUE(wn1->peer_server->Start().ok());
+  wn1->net = std::make_unique<NetServer>(&wn1->node->server(), options);
+  ASSERT_TRUE(wn1->net->Start().ok());
+  wn1->net->SetPeerEndpoint(wn1->node.get());
   wn1->node->GossipOnce();
   EXPECT_EQ(wn1->node->SelfState(), NodeState::kOnline);
   wn0->node->GossipOnce();
@@ -249,6 +301,57 @@ TEST(ClusterWireTest, AbruptPeerDeathIsDetectedAndSurvivedThenHealed) {
   EXPECT_EQ(s.submitted, s.completed + s.rejected + s.deadline_expired);
   EXPECT_EQ(s.remote_fetch_requests,
             s.remote_fetch_ok + s.remote_fetch_failed);
+}
+
+TEST(ClusterWireTest, MalformedPeerFramesCloseWithoutAReply) {
+  auto wn = WireNode::Bind(0, 1);
+  wn->Wire(ViewFor({wn.get()}));
+
+  const std::vector<uint8_t> ping =
+      EncodeViewFrame(5, kWireTypePing, wn->node->view());
+  std::vector<uint8_t> empty(ping.begin(), ping.begin() + kWireHeaderBytes);
+  const uint32_t zero = 0;
+  std::memcpy(empty.data() + 8, &zero, sizeof(zero));  // body_len 0
+  std::vector<uint8_t> flipped = ping;
+  flipped.back() ^= 0x01;  // body no longer matches its CRC
+  std::vector<uint8_t> huge_count = ping;
+  const uint32_t num_nodes = 0xFFFFFFFFu;
+  std::memcpy(huge_count.data() + kWireHeaderBytes + 8, &num_nodes,
+              sizeof(num_nodes));
+  SealWireFrame(huge_count, kWireTypePing, 6);  // CRC passes, body lies
+
+  int64_t expected_errors = 0;
+  for (const std::vector<uint8_t>& frame : {empty, flipped, huge_count}) {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", wn->net->port()).ok());
+    ASSERT_TRUE(client.SetIoTimeout(2000.0).ok());
+    ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
+    // The server closed the connection as a protocol error (counted
+    // before the close), not the client's timeout.
+    EXPECT_FALSE(client.Receive().ok());
+    EXPECT_EQ(wn->net->stats().protocol_errors, ++expected_errors);
+  }
+  // The node still answers a well-formed ping on the same port.
+  EXPECT_TRUE(wn->transport->Ping(0, wn->node->view()).ok());
+  EXPECT_EQ(wn->net->stats().peer_frames, 2);  // huge_count, then the ping
+}
+
+TEST(ClusterWireTest, RepeatedPingsLeakNeitherThreadsNorMappings) {
+  // Every wire ping is a fresh connection. Answered on the NetServer's
+  // event loop, 2000 of them leave no thread and no mapped stack behind.
+  auto wn = WireNode::Bind(0, 1);
+  wn->Wire(ViewFor({wn.get()}));
+  ASSERT_TRUE(wn->transport->Ping(0, wn->node->view()).ok());
+  const int64_t regions_before = MappedRegions();
+  const int threads_before = LiveThreads();
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(wn->transport->Ping(0, wn->node->view()).ok()) << i;
+  }
+  EXPECT_LT(MappedRegions() - regions_before, 100);
+  EXPECT_EQ(LiveThreads(), threads_before);
+  const NetStats n = wn->net->stats();
+  EXPECT_EQ(n.peer_frames, 2001);
+  EXPECT_EQ(n.frames_decoded, 0);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@ namespace {
 
 MembershipView TwoNodeView() {
   MembershipView view;
-  view.nodes.push_back({0, "127.0.0.1", 9100, 9200, NodeState::kOnline});
-  view.nodes.push_back({1, "127.0.0.1", 9101, 9201, NodeState::kOnline});
+  view.nodes.push_back({0, "127.0.0.1", 9100, NodeState::kOnline});
+  view.nodes.push_back({1, "127.0.0.1", 9101, NodeState::kOnline});
   return view;
 }
 
@@ -54,9 +54,9 @@ TEST(PoolMembershipTest, IllegalTransitionsAreRejectedWithoutAnEpochBurn) {
 TEST(PoolMembershipTest, AddNodeRejectsDuplicatesAndKeepsIdsSorted) {
   PoolMembership membership(TwoNodeView());
   ASSERT_TRUE(
-      membership.AddNode({2, "127.0.0.1", 9102, 9202, NodeState::kOffline})
+      membership.AddNode({2, "127.0.0.1", 9102, NodeState::kOffline})
           .ok());
-  EXPECT_EQ(membership.AddNode({2, "x", 1, 2, NodeState::kOnline}).code(),
+  EXPECT_EQ(membership.AddNode({2, "x", 1, NodeState::kOnline}).code(),
             StatusCode::kAlreadyExists);
   EXPECT_EQ(membership.View().NodeIds(), (std::vector<int>{0, 1, 2}));
 }

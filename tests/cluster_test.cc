@@ -54,8 +54,7 @@ Tensor MakeInput(int rows, int seed) {
 MembershipView ViewOf(int num_nodes) {
   MembershipView view;
   for (int id = 0; id < num_nodes; ++id) {
-    view.nodes.push_back(
-        {id, "127.0.0.1", 9100 + id, 9200 + id, NodeState::kOnline});
+    view.nodes.push_back({id, "127.0.0.1", 9100 + id, NodeState::kOnline});
   }
   return view;
 }

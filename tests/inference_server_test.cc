@@ -10,6 +10,7 @@
 #include "distill/specialize.h"
 #include "eval/metrics.h"
 #include "test_util.h"
+#include "util/fault.h"
 
 namespace poe {
 namespace {
@@ -88,6 +89,9 @@ TEST(InferenceServerTest, BatchesSameModelRequestsIntoOneForward) {
   ModelQueryService service(BuildPool(), 8);
   // One worker: submissions during the first forward pile up and must be
   // coalesced into a fused pass ({1,0} spells the same model as {0,1}).
+  // The first batch is held for 300 ms, so the pile-up does not depend on
+  // the forward being slower than the submissions.
+  ScopedFaultInjection hold_first_batch("server.forward=delay:300:once:1");
   InferenceServer::Options opts;
   opts.num_workers = 1;
   opts.max_batch_rows = 64;

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "cluster/peer_rpc.h"
 #include "eval/metrics.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
@@ -202,14 +203,24 @@ TEST_F(NetProtocolTest, MalformedMagicClosesWithoutReply) {
 }
 
 TEST_F(NetProtocolTest, ResponseTypeFrameToServerCloses) {
-  std::vector<uint8_t> frame = ValidFrame();
-  frame[5] = kWireTypeResponse;  // wrong direction
+  std::vector<uint8_t> response = ValidFrame();
+  response[5] = kWireTypeResponse;  // wrong direction
+  // A well-formed membership ping, to a server no peer endpoint was
+  // wired into: just as unexpected.
+  MembershipView view;
+  view.epoch = 3;
+  view.nodes.push_back({0, "127.0.0.1", 9100, NodeState::kOnline});
+  const std::vector<uint8_t> ping = EncodeViewFrame(2, kWireTypePing, view);
 
-  NetClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", net_->port()).ok());
-  ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
-  EXPECT_FALSE(client.Receive().ok());
-  WaitForProtocolErrors(*net_, 1);
+  int64_t expected_errors = 0;
+  for (const std::vector<uint8_t>& frame : {response, ping}) {
+    NetClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", net_->port()).ok());
+    ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()).ok());
+    EXPECT_FALSE(client.Receive().ok());
+    WaitForProtocolErrors(*net_, ++expected_errors);
+  }
+  EXPECT_EQ(0, net_->stats().peer_frames);
   ExpectStillHealthy(*net_);
 }
 

@@ -3,7 +3,8 @@
 #
 # Two real `poectl cluster serve` processes share one pool at
 # replication=1, so every composite query needs a cross-process expert
-# fetch. The script then walks the whole lifecycle:
+# fetch. Each node has one port: clients, peers and the admin commands
+# all reach it there. The script then walks the whole lifecycle:
 #
 #   1. SIGKILL node 1 before node 0 ever fetched from it, and drive load
 #      at node 0: every request must RESOLVE inside the status whitelist
@@ -32,8 +33,8 @@ trap cleanup EXIT
 POOL="$WORK/pool.poe"
 ALLOW='unavailable,deadline_exceeded,resource_exhausted'
 BASE=$((20000 + RANDOM % 20000))
-PEER0=$BASE; PEER1=$((BASE + 1)); SERVE0=$((BASE + 2)); SERVE1=$((BASE + 3))
-NODES="0:$PEER0:$SERVE0,1:$PEER1:$SERVE1"
+P0=$BASE; P1=$((BASE + 1))
+NODES="0:$P0,1:$P1"
 
 "$BIN/poectl" build "$POOL" 3 2 2 > /dev/null
 
@@ -56,7 +57,7 @@ wait_for() { # pattern file
 
 wait_for_state() { # node_id state
   for _ in $(seq 1 100); do
-    "$BIN/poectl" cluster status "$PEER0" > "$WORK/status.log" 2>&1 || true
+    "$BIN/poectl" cluster status "$P0" > "$WORK/status.log" 2>&1 || true
     grep -Eq "node $1 [^,}]+ $2" "$WORK/status.log" && return 0
     sleep 0.1
   done
@@ -70,14 +71,14 @@ serve_node 0 "$WORK/node0.log"; N0=$SERVE_PID
 serve_node 1 "$WORK/node1.log"; N1=$SERVE_PID
 wait_for 'cluster node 0' "$WORK/node0.log"
 wait_for 'cluster node 1' "$WORK/node1.log"
-"$BIN/poectl" cluster status "$PEER0"
+"$BIN/poectl" cluster status "$P0"
 
 echo "== SIGKILL node 1 before node 0 ever fetched from it"
 "$BIN/poectl" cluster kill "$N1"
 wait "$N1" 2> /dev/null || true
 
 echo "== load at node 0: every future must resolve inside the whitelist"
-"$BIN/net_throughput" --target "127.0.0.1:$SERVE0" --seconds 1.0 \
+"$BIN/net_throughput" --target "127.0.0.1:$P0" --seconds 1.0 \
   --conns 2 --max-task 2 --hw 8 --allow "$ALLOW" | tee "$WORK/killload.log"
 grep -q '\[bench\] ok:' "$WORK/killload.log"
 
@@ -92,14 +93,14 @@ wait_for_state 1 ONLINE
 cat "$WORK/status.log"
 
 echo "== clean load across the healed pool: zero failures tolerated"
-"$BIN/net_throughput" --target "127.0.0.1:$SERVE0" --seconds 1.0 \
+"$BIN/net_throughput" --target "127.0.0.1:$P0" --seconds 1.0 \
   --conns 2 --max-task 2 --hw 8 | tee "$WORK/cleanload.log"
 grep -q '\[bench\] ok:' "$WORK/cleanload.log"
 
 echo "== admin transitions: drain, then join back"
-"$BIN/poectl" cluster drain "$PEER0" 1
+"$BIN/poectl" cluster drain "$P0" 1
 wait_for_state 1 DRAINING
-"$BIN/poectl" cluster join "$PEER0" 1
+"$BIN/poectl" cluster join "$P0" 1
 wait_for_state 1 ONLINE
 
 echo "== SIGTERM both: shutdown counters must reconcile"

@@ -602,9 +602,10 @@ bool ParseHostPort(const std::string& target, std::string* host, int* port) {
   return *port > 0;
 }
 
-/// Parses `--nodes=id:peer_port:serve_port[,...]` (3 fields, host
-/// 127.0.0.1) or `id:host:peer_port:serve_port` (4 fields). Every node
-/// starts ONLINE; the state machine takes over from there.
+/// Parses `--nodes=id:port[,...]` (host 127.0.0.1) or `id:host:port`.
+/// Every node starts ONLINE; the state machine takes over from there.
+/// Port 0 is refused: peers in other processes could never learn an
+/// ephemeral port.
 bool ParseClusterNodes(const std::string& spec,
                        std::vector<NodeInfo>* nodes) {
   std::string entry;
@@ -624,20 +625,12 @@ bool ParseClusterNodes(const std::string& spec,
         field += f;
       }
     }
+    if (fields.size() != 2 && fields.size() != 3) return false;
     NodeInfo node;
-    if (fields.size() == 3) {
-      node.host = "127.0.0.1";
-      node.node_id = std::atoi(fields[0].c_str());
-      node.peer_port = std::atoi(fields[1].c_str());
-      node.serve_port = std::atoi(fields[2].c_str());
-    } else if (fields.size() == 4) {
-      node.node_id = std::atoi(fields[0].c_str());
-      node.host = fields[1];
-      node.peer_port = std::atoi(fields[2].c_str());
-      node.serve_port = std::atoi(fields[3].c_str());
-    } else {
-      return false;
-    }
+    node.node_id = std::atoi(fields[0].c_str());
+    node.host = fields.size() == 3 ? fields[1] : "127.0.0.1";
+    node.port = std::atoi(fields.back().c_str());
+    if (node.port <= 0) return false;
     node.state = NodeState::kOnline;
     nodes->push_back(node);
     entry.clear();
@@ -672,7 +665,9 @@ int CmdClusterServe(const ParsedArgs& a) {
   const int self_id = a.IntFlag("id", 0);
   std::vector<NodeInfo> members;
   if (!ParseClusterNodes(a.flags.at("nodes"), &members)) {
-    std::fprintf(stderr, "cluster serve: bad --nodes spec '%s'\n",
+    std::fprintf(stderr,
+                 "cluster serve: bad --nodes spec '%s' (want "
+                 "id:port or id:host:port, port > 0)\n",
                  a.flags.at("nodes").c_str());
     return 2;
   }
@@ -689,20 +684,6 @@ int CmdClusterServe(const ParsedArgs& a) {
   auto loaded = LoadPoolOrComplain(path);
   if (!loaded.ok()) return 1;
 
-  // Bind the peer listener FIRST so the membership view always carries
-  // the real port (an ephemeral self.peer_port=0 is resolved here).
-  PeerServer::Options popts;
-  popts.host = self->host;
-  popts.port = self->peer_port;
-  PeerServer peer_server(nullptr, popts);
-  Status started = peer_server.Start();
-  if (!started.ok()) {
-    std::fprintf(stderr, "cluster serve: peer listener: %s\n",
-                 started.ToString().c_str());
-    return 1;
-  }
-  self->peer_port = peer_server.port();
-
   MembershipView view;
   view.nodes = members;
   ClusterNodeOptions options;
@@ -715,21 +696,23 @@ int CmdClusterServe(const ParsedArgs& a) {
   WireTransport transport([&node] { return node.view(); },
                           options.fetch_timeout_ms);
   node.SetTransport(&transport);
-  peer_server.SetEndpoint(&node);
-  started = node.Start();
+
+  // One port per node: clients and peers share this NetServer. Peer
+  // frames are refused until the endpoint is wired in below.
+  NetServer::Options nopts;
+  nopts.host = self->host;
+  nopts.port = self->port;
+  nopts.num_workers = a.IntFlag("workers", 2);
+  NetServer net(&node.server(), nopts);
+  Status started = net.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cluster serve: %s\n", started.ToString().c_str());
     return 1;
   }
-
-  NetServer::Options nopts;
-  nopts.port = self->serve_port;
-  nopts.num_workers = a.IntFlag("workers", 2);
-  NetServer net(&node.server(), nopts);
-  started = net.Start();
+  net.SetPeerEndpoint(&node);
+  started = node.Start();
   if (!started.ok()) {
-    std::fprintf(stderr, "cluster serve: data plane: %s\n",
-                 started.ToString().c_str());
+    std::fprintf(stderr, "cluster serve: %s\n", started.ToString().c_str());
     return 1;
   }
 
@@ -737,8 +720,7 @@ int CmdClusterServe(const ParsedArgs& a) {
   for (int t : node.OwnedExperts()) {
     owned += (owned.empty() ? "" : ",") + std::to_string(t);
   }
-  std::printf("cluster node %d: peer %s:%d, serving on %s:%d, owns [%s]\n",
-              self_id, self->host.c_str(), peer_server.port(),
+  std::printf("cluster node %d: serving on %s:%d, owns [%s]\n", self_id,
               self->host.c_str(), net.port(), owned.c_str());
   std::fflush(stdout);
 
@@ -748,11 +730,10 @@ int CmdClusterServe(const ParsedArgs& a) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  // Data plane first (no new submissions), then the node drains its
-  // inference server, then the control plane stops answering peers.
+  // The port first (no new submissions, no more peer frames), then the
+  // node stops gossip and drains its inference server.
   net.Stop();
   node.Stop();
-  peer_server.Stop();
 
   const ServeStats s = node.stats();
   std::printf("cluster shutdown node %d: %lld submitted = %lld completed + "
@@ -859,7 +840,8 @@ int CmdClusterJoin(const ParsedArgs& a) {
       "join", a.pos[0], node_id, NodeState::kOnline,
       [node_id](PoolMembership& m) -> Status {
         for (int step = 0; step < 4; ++step) {
-          const NodeInfo* info = m.View().Find(node_id);
+          const MembershipView view = m.View();  // `info` points into it
+          const NodeInfo* info = view.Find(node_id);
           if (info == nullptr) {
             return Status::InvalidArgument("unknown node " +
                                            std::to_string(node_id));
@@ -935,10 +917,11 @@ const std::vector<CommandSpec>& Commands() {
        "diff two pools as generations; --apply renames new over old "
        "atomically, --pid=N SIGHUPs a running net-serve to hot-swap", 2, 2,
        {"apply", "pid"}, CmdPoolUpgrade},
-      // Cluster family: one process per node; peer fetches + gossip ride
-      // the wire protocol's control-plane frame types (docs/CLUSTER.md).
+      // Cluster family: one process per node and one port per node;
+      // peer fetches + gossip ride the wire protocol's peer frame types
+      // on that port (docs/CLUSTER.md).
       {"cluster serve",
-       "<pool.poe> --id=N --nodes=id:peer:serve[,...] [--replication=N] "
+       "<pool.poe> --id=N --nodes=id:[host:]port[,...] [--replication=N] "
        "[--gossip-ms=N] [--workers=N]",
        "serve as one member of a distributed expert pool: shed non-owned "
        "experts, fetch them from peers on demand, gossip membership", 1, 1,
