@@ -89,7 +89,7 @@ int main() {
 
   // ---- 4. Persistence round-trip.
   const std::string path = "/tmp/quickstart_pool.poe";
-  Status s = service.pool().Save(path);
+  Status s = service.PinGeneration()->pool.Save(path);
   if (!s.ok()) {
     std::printf("save failed: %s\n", s.ToString().c_str());
     return 1;

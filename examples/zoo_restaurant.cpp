@@ -65,7 +65,7 @@ int main() {
       ExpertPool::Preprocess(ModelLogits(oracle), data, build, rng),
       /*cache_capacity=*/4);
   std::printf("[server] ready: %d experts in the pool\n\n",
-              service.pool().num_experts());
+              service.PinGeneration()->pool.num_experts());
 
   // Client side: a day at the theme park.
   const std::vector<Context> day = {

@@ -38,12 +38,12 @@ Status ClusterNode::Start() {
     return Status::InvalidArgument("node " + std::to_string(options_.node_id) +
                                    " is not in its own membership view");
   }
-  const std::shared_ptr<ExpertStore>& store =
-      service_.pool().expert_store();
+  const PoolGenerationHandle gen = service_.PinGeneration();
+  const std::shared_ptr<ExpertStore>& store = gen->pool.expert_store();
   store->SetRemoteMaterializer(
       [this](int task_id) { return FetchExpertModule(task_id); });
   if (options_.shed_non_owned) {
-    const int num_experts = service_.pool().num_experts();
+    const int num_experts = gen->pool.num_experts();
     for (int t = 0; t < num_experts; ++t) {
       if (!OwnsExpert(t)) POE_RETURN_NOT_OK(store->ReleaseMaster(t));
     }
@@ -75,7 +75,7 @@ bool ClusterNode::OwnsExpert(int expert_id) const {
 
 std::vector<int> ClusterNode::OwnedExperts() const {
   std::vector<int> owned;
-  const int num_experts = service_.pool().num_experts();
+  const int num_experts = service_.PinGeneration()->pool.num_experts();
   for (int t = 0; t < num_experts; ++t) {
     if (OwnsExpert(t)) owned.push_back(t);
   }
@@ -99,7 +99,8 @@ Result<FetchExpertResult> ClusterNode::ServeFetchExpert(int expert_id,
         "node " + std::to_string(options_.node_id) +
         " cannot serve fetches in state " + NodeStateName(SelfState()));
   }
-  const ExpertPool& pool = service_.pool();
+  const PoolGenerationHandle gen = service_.PinGeneration();
+  const ExpertPool& pool = gen->pool;
   if (expert_id < 0 || expert_id >= pool.num_experts()) {
     return Status::InvalidArgument("no such expert: " +
                                    std::to_string(expert_id));
@@ -170,7 +171,8 @@ Result<std::shared_ptr<Sequential>> ClusterNode::FetchExpertModule(
       // The skeleton's init weights are fully overwritten; the rng only
       // satisfies the builder's signature.
       Rng rng(0x9e3779b9u ^ static_cast<uint64_t>(task_id));
-      const ExpertPool& pool = service_.pool();
+      const PoolGenerationHandle gen = service_.PinGeneration();
+      const ExpertPool& pool = gen->pool;
       module = BuildExpertPart(pool.ExpertConfig(task_id),
                                pool.library_config().conv3_channels(), rng);
       const Status restored =

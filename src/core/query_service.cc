@@ -53,20 +53,6 @@ ModelQueryService::ModelQueryService(ExpertPool pool, size_t cache_capacity,
           }}) {}
 
 Result<std::shared_ptr<TaskModel>> ModelQueryService::Query(
-    const PoolRequest& request) {
-  POE_RETURN_NOT_OK(ValidatePoolRequest(request));
-  const Deadline deadline = request.deadline_ms > 0
-                                ? Deadline::AfterMillis(request.deadline_ms)
-                                : Deadline();
-  auto result = Query(request.task_ids, deadline);
-  if (result.ok() && request.generation != 0 &&
-      result.ValueOrDie()->generation() != request.generation) {
-    NoteStaleGeneration();
-  }
-  return result;
-}
-
-Result<std::shared_ptr<TaskModel>> ModelQueryService::Query(
     const std::vector<int>& task_ids, const Deadline& deadline) {
   Stopwatch clock;
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/expert_pool.h"
-#include "core/request.h"
 #include "core/versioned_pool.h"
 #include "serve/metrics.h"
 #include "serve/model_cache.h"
@@ -68,12 +67,6 @@ class ModelQueryService {
   Result<std::shared_ptr<TaskModel>> Query(
       const std::vector<int>& task_ids, const Deadline& deadline = Deadline());
 
-  /// Canonical-request form: validates through ValidatePoolRequest (the
-  /// one shared admission check), derives the deadline from deadline_ms,
-  /// and accounts a stale generation pin (request.generation set but not
-  /// the generation that answers) into stale_generation_queries.
-  Result<std::shared_ptr<TaskModel>> Query(const PoolRequest& request);
-
   /// Atomically publishes `next` as the new serving generation. In-flight
   /// queries complete on the generation they pinned; new queries (and
   /// assemblies) see `next` immediately. Only cache keys whose expert set
@@ -94,7 +87,7 @@ class ModelQueryService {
 
   /// Accounts requests answered by a different generation than the one
   /// they pinned. The InferenceServer calls this at delivery (it knows
-  /// the answering model); direct Query(PoolRequest) calls it internally.
+  /// the answering model).
   void NoteStaleGeneration(int64_t n = 1) {
     stale_generation_queries_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -104,9 +97,10 @@ class ModelQueryService {
   /// cache_keys_invalidated, stale_generation_queries).
   ServeStats serve_stats() const;
 
-  /// The CURRENT generation's pool (compat shim for pre-generation call
-  /// sites). The reference stays valid until the next UpgradePool; callers
-  /// that may race an upgrade should PinGeneration() instead.
+  /// The CURRENT generation's pool. The reference stays valid only until
+  /// the next UpgradePool, so callers hold PinGeneration() instead; the
+  /// last caller is perfbench's model_query workload, and this goes with
+  /// the next change to perfbench.
   const ExpertPool& pool() const { return versioned_.Current()->pool; }
 
   size_t cache_size() const { return cache_.size(); }

@@ -4,10 +4,11 @@
 // the in-process InferenceRequest, the wire protocol's decoded RequestMeta,
 // and ModelQueryService's bare (task_ids, deadline) arguments — each with
 // its own validation. A new per-request field (generation pinning today,
-// tenant id tomorrow) had to be threaded through all three. Now every layer
-// speaks PoolRequest: InferenceRequest is an alias, the net front-end
-// decodes straight into one, and the query service accepts one directly.
-// Validation lives in exactly one function (ValidatePoolRequest).
+// tenant id tomorrow) had to be threaded through all three. Now the layers
+// that carry requests speak PoolRequest: InferenceRequest is an alias and
+// the net front-end decodes straight into one. The query service below
+// them takes only the composite task and a deadline. Validation lives in
+// exactly one function (ValidatePoolRequest).
 #ifndef POE_CORE_REQUEST_H_
 #define POE_CORE_REQUEST_H_
 
@@ -72,9 +73,9 @@ class PoolRequestBuilder {
 /// task id and a non-empty [n,c,h,w] input batch. Task-id RANGE errors are
 /// left to assembly (the pool knows its expert count; the admission layer
 /// does not), and deadline expiry is a scheduling concern, not a validity
-/// one. Every front door — InferenceServer::Submit, the wire decode path,
-/// ModelQueryService::Query(PoolRequest) — admits through this one
-/// function, so the layers cannot drift apart on what "malformed" means.
+/// one. Both front doors — InferenceServer submission and the wire decode
+/// path — admit through this one function, so they cannot drift apart on
+/// what "malformed" means.
 inline Status ValidatePoolRequest(const PoolRequest& request) {
   if (request.task_ids.empty()) {
     return Status::InvalidArgument("request carries no task ids");

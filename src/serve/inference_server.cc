@@ -33,37 +33,32 @@ InferenceServer::InferenceServer(ModelQueryService* service, Options options)
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
-std::future<InferenceResponse> InferenceServer::Submit(
-    InferenceRequest request) {
-  Pending pending;
-  std::future<InferenceResponse> future = pending.promise.get_future();
-  Enqueue(std::move(request), std::move(pending));
-  return future;
-}
-
 void InferenceServer::SubmitAsync(
     InferenceRequest request, std::function<void(InferenceResponse)> done) {
   Pending pending;
-  pending.callback = std::move(done);
+  pending.done = std::move(done);
   Enqueue(std::move(request), std::move(pending));
 }
 
+std::future<InferenceResponse> InferenceServer::Submit(
+    InferenceRequest request) {
+  // std::function needs a copyable target, hence the shared promise.
+  auto promise = std::make_shared<std::promise<InferenceResponse>>();
+  std::future<InferenceResponse> future = promise->get_future();
+  SubmitAsync(std::move(request), [promise](InferenceResponse response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
+}
+
 bool InferenceServer::Resolve(Pending& pending, InferenceResponse response) {
-  if (pending.callback) {
-    // Exactly-once by construction: the callback is consumed here, so a
-    // second Resolve on the same pending is a no-op.
-    std::function<void(InferenceResponse)> done = std::move(pending.callback);
-    pending.callback = nullptr;
-    done(std::move(response));
-    return true;
-  }
-  try {
-    pending.promise.set_value(std::move(response));
-    return true;
-  } catch (const std::future_error&) {
-    // Already satisfied — the "second resolve" signal, not an error.
-    return false;
-  }
+  if (!pending.done) return false;
+  // Exactly-once by construction: the callback is consumed here, so a
+  // second Resolve on the same pending is a no-op.
+  std::function<void(InferenceResponse)> done = std::move(pending.done);
+  pending.done = nullptr;
+  done(std::move(response));
+  return true;
 }
 
 void InferenceServer::Enqueue(InferenceRequest request, Pending pending) {
@@ -108,7 +103,7 @@ void InferenceServer::Enqueue(InferenceRequest request, Pending pending) {
     }
   }
   if (!reject.ok()) {
-    // Resolved OUTSIDE mu_: an async callback may re-enter stats() or
+    // Resolved OUTSIDE mu_: the callback may re-enter stats() or
     // queue_depth().
     rejected_.fetch_add(1, std::memory_order_release);
     InferenceResponse response;
@@ -130,14 +125,12 @@ void InferenceServer::WorkerLoop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
       // Greedy coalescing: absorb pending requests with the same image
-      // geometry until the row budget is hit. With trunk fusion on, the
-      // task set may differ - different models still share one trunk
-      // pass; off, only same-model requests ride along (legacy batching).
+      // geometry until the row budget is hit. The task set may differ:
+      // different models still share one trunk pass.
       const int64_t max_rows = options_.max_batch_rows;
       int64_t rows = batch.front().request.input.dim(0);
       for (auto it = queue_.begin(); it != queue_.end() && rows < max_rows;) {
-        if ((options_.fuse_trunk || it->key == batch.front().key) &&
-            SameGeometry(it->request.input, batch.front().request.input) &&
+        if (SameGeometry(it->request.input, batch.front().request.input) &&
             rows + it->request.input.dim(0) <= max_rows) {
           rows += it->request.input.dim(0);
           batch.push_back(std::move(*it));
@@ -155,10 +148,10 @@ void InferenceServer::ServeBatch(std::vector<Pending> batch) {
   try {
     ServeBatchImpl(batch);
   } catch (const std::exception& e) {
-    // No hung futures, ever: if the batch body threw (allocation failure
-    // mid-forward, ...), resolve whatever it left unresolved. set_value
-    // on an already-satisfied promise throws future_error — that is the
-    // "already resolved" signal, not an error.
+    // No hung requests, ever: if the batch body threw (allocation failure
+    // mid-forward, ...), resolve whatever it left unresolved. A member it
+    // already finished or expired has no callback left, so Resolve
+    // returns false and the member is not counted twice.
     const Status status = Status::Internal(
         std::string("batch worker exception: ") + e.what());
     for (Pending& pending : batch) {
@@ -271,7 +264,7 @@ void InferenceServer::ServeBatchImpl(std::vector<Pending>& batch) {
   };
 
   // Assemble each group's model; a failed assembly fails only that
-  // group's futures (a bad key must not poison co-batched requests).
+  // group's requests (a bad key must not poison co-batched requests).
   std::vector<Group*> valid;
   for (Group& g : groups) {
     auto model_result =
@@ -319,10 +312,10 @@ void InferenceServer::ServeBatchImpl(std::vector<Pending>& batch) {
     return fused;
   };
 
-  // Completes a group's futures from its model-local logits.
+  // Completes a group's requests from its model-local logits.
   // `served_rows` is the row count of the fused pass that produced them.
   auto deliver = [&](Group& g, Tensor logits, int64_t served_rows) {
-    // Counters move BEFORE the promises resolve: a client that joins its
+    // Counters move BEFORE the requests resolve: a client that joins its
     // future and immediately reads stats() must see itself accounted.
     batched_requests_.fetch_add(static_cast<int64_t>(g.members.size()),
                                 std::memory_order_relaxed);

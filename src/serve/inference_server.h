@@ -45,7 +45,7 @@ namespace poe {
 /// ServeStats::stale_generation_queries.
 using InferenceRequest = PoolRequest;
 
-/// The response delivered through the future. `status` gates every other
+/// The response a submission resolves with. `status` gates every other
 /// field.
 struct InferenceResponse {
   Status status;
@@ -82,25 +82,20 @@ struct InferenceResponse {
 /// spend queued behind the current forward (zero added latency, bigger
 /// batches exactly when the system is loaded, which is when they pay).
 ///
-/// Backpressure: Submit() on a full queue fails fast with
-/// ResourceExhausted (delivered through the returned future) instead of
-/// letting latency grow without bound.
+/// Backpressure: a submission into a full queue fails fast with
+/// ResourceExhausted instead of letting latency grow without bound.
 class InferenceServer {
  public:
   struct Options {
     int num_workers = 2;
     size_t queue_capacity = 128;  ///< pending requests before rejection
-    int64_t max_batch_rows = 64;  ///< rows fused into one forward pass
-    /// Fuse the shared-trunk forward across requests for different
-    /// models (same geometry). Off = pre-trunk-reuse behavior: only
-    /// same-model requests coalesce into a batch. Note on int8 serving:
-    /// activation scales are per-tensor dynamic, so ANY fused batch
-    /// (same-model included, since PR 3) quantizes against the batch's
-    /// max-abs — co-batched traffic can shift logits within quant
-    /// tolerance; cross-model fusion widens which requests can share a
-    /// batch, not the effect. Turn this off (and max_batch_rows = 1)
+    /// Rows fused into one forward pass. Requests of the same geometry
+    /// share a batch across models (one trunk pass, per-model heads).
+    /// Note on int8 serving: activation scales are per-tensor dynamic, so
+    /// any fused batch quantizes against the batch's max-abs, and
+    /// co-batched traffic can shift logits within quant tolerance. Set 1
     /// where bit-stable int8 logits matter more than throughput.
-    bool fuse_trunk = true;
+    int64_t max_batch_rows = 64;
   };
 
   /// `service` must outlive the server (the server adds batching and
@@ -111,20 +106,19 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Enqueues a request. The future is always valid; rejection (queue
-  /// full, bad input shape, server shut down) is a ready future whose
-  /// response carries the error status.
-  std::future<InferenceResponse> Submit(InferenceRequest request);
-
-  /// Callback form of Submit for embedders that must not block a thread
-  /// per request (event-loop transports). `done` is invoked EXACTLY once
-  /// for every call — inline (on the caller's thread) for requests
-  /// rejected at submission, otherwise on whichever worker thread
-  /// resolves the request. The callback must not block for long and must
-  /// not call Shutdown() (a worker cannot join itself); Submit/stats/
-  /// queue_depth from inside it are fine.
+  /// Enqueues a request and invokes `done` EXACTLY once with its
+  /// response: inline (on the caller's thread) for requests rejected at
+  /// submission, otherwise on whichever worker thread resolves the
+  /// request. The callback must not block for long and must not call
+  /// Shutdown() (a worker cannot join itself); Submit/stats/queue_depth
+  /// from inside it are fine. This is the form event-loop transports use.
   void SubmitAsync(InferenceRequest request,
                    std::function<void(InferenceResponse)> done);
+
+  /// Blocking-client form of SubmitAsync: the future is always valid;
+  /// rejection (queue full, bad input shape, server shut down) is a ready
+  /// future whose response carries the error status.
+  std::future<InferenceResponse> Submit(InferenceRequest request);
 
   /// Stops accepting new requests, drains everything already queued, and
   /// joins the workers. Idempotent; also run by the destructor.
@@ -141,25 +135,23 @@ class InferenceServer {
   struct Pending {
     std::vector<int> key;  ///< canonical (sorted, deduped) task ids
     InferenceRequest request;
-    std::promise<InferenceResponse> promise;
-    /// Set only for SubmitAsync requests; then the promise is inert.
-    std::function<void(InferenceResponse)> callback;
+    /// Consumed by the first Resolve; empty afterwards.
+    std::function<void(InferenceResponse)> done;
     Stopwatch submitted;
     Deadline deadline;  ///< unlimited when the request set no budget
   };
 
-  /// Shared tail of Submit/SubmitAsync: validate, stamp the deadline,
-  /// admit or reject. Counters move before the pending resolves.
+  /// Validates, stamps the deadline, and admits or rejects. Counters
+  /// move before the pending resolves.
   void Enqueue(InferenceRequest request, Pending pending);
 
-  /// Resolves a pending exactly once (callback or promise). Returns
-  /// false when the promise was already satisfied (the double-resolve
-  /// guard of the exception path).
+  /// Resolves a pending exactly once. Returns false when it was already
+  /// resolved (the double-resolve guard of the exception path).
   static bool Resolve(Pending& pending, InferenceResponse response);
 
   void WorkerLoop();
-  /// Exception-guarded: every member promise is resolved even if the
-  /// batch body throws (no hung futures, ever).
+  /// Exception-guarded: every member is resolved even if the batch body
+  /// throws (no hung requests, ever).
   void ServeBatch(std::vector<Pending> batch);
   void ServeBatchImpl(std::vector<Pending>& batch);
 

@@ -221,8 +221,8 @@ TEST(ClusterWireTest, FetchesTravelSerializedAndRebuildIdenticalMasters) {
   // Wire fetches REBUILD masters from serialized sections — same weights,
   // distinct objects (unlike the loopback path, which aliases).
   for (int t = 0; t < kNumTasks; ++t) {
-    EXPECT_NE(wn0->node->service().pool().expert(t).get(),
-              wn1->node->service().pool().expert(t).get());
+    EXPECT_NE(wn0->node->service().PinGeneration()->pool.expert(t).get(),
+              wn1->node->service().PinGeneration()->pool.expert(t).get());
   }
 
   // ...and identical weights really means identical serving: the same

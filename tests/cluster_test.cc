@@ -115,8 +115,8 @@ TEST(ClusterTest, QueriesFetchMissingExpertsFromPeersAndCacheThem) {
 
   // Loopback fetches alias the owner's master: no duplicate weights.
   for (int t = 0; t < kNumTasks; ++t) {
-    EXPECT_EQ(node0->service().pool().expert(t).get(),
-              node1->service().pool().expert(t).get());
+    EXPECT_EQ(node0->service().PinGeneration()->pool.expert(t).get(),
+              node1->service().PinGeneration()->pool.expert(t).get());
   }
 
   // Re-querying hits the flight cache: no new fetch traffic.
@@ -180,11 +180,8 @@ TEST(ClusterTest, KilledNodeIsDetectedAndReintegratesCleanly) {
   int failed = 0;
   for (int t = 0; t < kNumTasks; ++t) {
     if (node0->OwnsExpert(t)) continue;
-    PoolRequest request;
-    request.task_ids = {t};
-    request.input = MakeInput(1, 700 + t);
-    request.deadline_ms = 500;
-    auto result = node0->service().Query(request);
+    auto result =
+        node0->service().Query({t}, Deadline::AfterMillis(500));
     EXPECT_FALSE(result.ok());
     EXPECT_TRUE(Whitelisted(result.status()))
         << result.status().ToString();

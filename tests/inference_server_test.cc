@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <future>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,29 @@
 #include "eval/metrics.h"
 #include "test_util.h"
 #include "util/fault.h"
+
+// A one-shot allocation failure for the exception-guard test: setting
+// t_fail_next_alloc makes the NEXT operator new on that thread throw
+// std::bad_alloc. Each tests/*_test.cc links into its own executable, so
+// the override is local to this test.
+namespace {
+thread_local bool t_fail_next_alloc = false;
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (t_fail_next_alloc) {
+    t_fail_next_alloc = false;
+    throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace poe {
 namespace {
@@ -206,23 +231,55 @@ TEST(InferenceServerTest, TrunkFusedCrossModelLogitsAreBitwiseF32) {
   EXPECT_GT(stats.trunk_fused_rows, 0);
 }
 
-TEST(InferenceServerTest, FuseTrunkOffKeepsSameModelBatchingOnly) {
+TEST(InferenceServerTest, BatchThatThrowsCountsEachRequestOnce) {
   ModelQueryService service(BuildPool(), 8);
   InferenceServer::Options opts;
   opts.num_workers = 1;
-  opts.fuse_trunk = false;
   InferenceServer server(&service, opts);
 
-  std::vector<std::future<InferenceResponse>> futures;
-  for (int i = 0; i < 10; ++i) {
-    futures.push_back(server.Submit(MakeRequest({i % 3}, 1, 600 + i)));
-  }
-  for (auto& f : futures) {
-    ASSERT_TRUE(f.get().status.ok());
-  }
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.trunk_fused_batches, 0);
-  EXPECT_EQ(stats.trunk_fused_rows, 0);
+  // Hold the only worker inside the first request's callback, so the next
+  // two requests queue up behind it and are dequeued as one batch.
+  std::promise<void> holding;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  server.SubmitAsync(MakeRequest({0}, 1, 1), [&](InferenceResponse) {
+    holding.set_value();
+    released.wait();
+  });
+  holding.get_future().wait();
+
+  // The first member's budget lapses in the queue, so the worker sheds it
+  // at dequeue. Its callback then arms the one-shot failure: the batch
+  // body throws at its next allocation, before the second member is
+  // served, and the exception guard resolves the batch.
+  std::promise<InferenceResponse> expired;
+  int expired_calls = 0;
+  InferenceRequest short_budget = MakeRequest({0}, 1, 2);
+  short_budget.deadline_ms = 20;
+  server.SubmitAsync(std::move(short_budget), [&](InferenceResponse res) {
+    ++expired_calls;
+    expired.set_value(std::move(res));
+    t_fail_next_alloc = true;
+  });
+  std::future<InferenceResponse> live = server.Submit(MakeRequest({1}, 1, 3));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  release.set_value();
+
+  EXPECT_EQ(expired.get_future().get().status.code(),
+            StatusCode::kDeadlineExceeded);
+  const InferenceResponse res = live.get();
+  EXPECT_EQ(res.status.code(), StatusCode::kInternal)
+      << res.status.ToString();
+  server.Shutdown();
+  EXPECT_EQ(expired_calls, 1);
+  // The shed member was already resolved when the batch threw: the guard
+  // must not count it again as completed.
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 3);
+  EXPECT_EQ(stats.deadline_expired, 1);
+  EXPECT_EQ(stats.completed, 2);
+  EXPECT_EQ(stats.submitted,
+            stats.completed + stats.rejected + stats.deadline_expired);
 }
 
 TEST(InferenceServerTest, BadKeyInABatchFailsOnlyItsOwnRequests) {

@@ -99,7 +99,7 @@ TEST(QueryServiceTest, CacheHitLogitsMatchFreshAssemblyBitwise) {
 
   // Fresh assembly straight off the pool: same aliased weights, so the
   // forward must be bitwise identical to the cached model's.
-  TaskModel fresh = service.pool().Query({0, 2}).ValueOrDie();
+  TaskModel fresh = service.PinGeneration()->pool.Query({0, 2}).ValueOrDie();
   Tensor fresh_logits = fresh.Logits(probe);
   ASSERT_EQ(hit_logits.numel(), fresh_logits.numel());
   EXPECT_EQ(std::memcmp(hit_logits.data(), fresh_logits.data(),

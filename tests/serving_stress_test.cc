@@ -83,7 +83,8 @@ TEST(ServingStressTest, ConcurrentMixedWorkloadKeepsEveryInvariant) {
 
   ModelQueryService service(BuildPool(), kCapacity,
                             ServingPrecision::kFloat32, /*cache_shards=*/4);
-  const ClassHierarchy& hierarchy = service.pool().hierarchy();
+  const PoolGenerationHandle gen = service.PinGeneration();
+  const ClassHierarchy& hierarchy = gen->pool.hierarchy();
   std::atomic<int> failures{0};
 
   std::vector<std::thread> threads;
@@ -148,7 +149,7 @@ TEST(ServingStressTest, ConcurrentMixedWorkloadKeepsEveryInvariant) {
   for (const auto& tasks : {std::vector<int>{0, 1, 2}, std::vector<int>{1}}) {
     auto cached = service.Query(tasks).ValueOrDie();
     Tensor hit_logits = cached->Logits(probe);
-    TaskModel fresh = service.pool().Query(tasks).ValueOrDie();
+    TaskModel fresh = service.PinGeneration()->pool.Query(tasks).ValueOrDie();
     Tensor fresh_logits = fresh.Logits(probe);
     ASSERT_EQ(hit_logits.numel(), fresh_logits.numel());
     EXPECT_EQ(std::memcmp(hit_logits.data(), fresh_logits.data(),

@@ -322,34 +322,6 @@ TEST(QueryServiceUpgradeTest, UpgradeUnderConcurrentLoadNeverFailsAQuery) {
   EXPECT_EQ(stats.cache_keys_invalidated, shard_invalidated);
 }
 
-TEST(QueryServiceUpgradeTest, StaleGenerationPinsAreCountedNotFailed) {
-  ModelQueryService service(DeepCopy("stale_a"), 8);
-  Rng rng(9);
-  Tensor probe = Tensor::Randn({1, 3, 6, 6}, rng);
-  ASSERT_TRUE(service.UpgradePool(DeepCopy("stale_b")).ok());
-  ASSERT_EQ(service.generation(), 2u);
-
-  // Pin the superseded generation: still answered (by gen 2), counted.
-  PoolRequest stale = PoolRequestBuilder()
-                          .Tasks({0, 1})
-                          .Input(probe)
-                          .Generation(1)
-                          .Build();
-  auto answered = service.Query(stale);
-  ASSERT_TRUE(answered.ok());
-  EXPECT_EQ(answered.ValueOrDie()->generation(), 2u);
-  EXPECT_EQ(service.serve_stats().stale_generation_queries, 1);
-
-  // Current pin and no pin both do not count.
-  auto current = service.Query(
-      PoolRequestBuilder().Tasks({0, 1}).Input(probe).Generation(2).Build());
-  ASSERT_TRUE(current.ok());
-  auto unpinned = service.Query(
-      PoolRequestBuilder().Tasks({0, 1}).Input(probe).Build());
-  ASSERT_TRUE(unpinned.ok());
-  EXPECT_EQ(service.serve_stats().stale_generation_queries, 1);
-}
-
 TEST(PoolRequestTest, ValidationIsTheSingleAdmissionCheck) {
   Rng rng(3);
   PoolRequest ok = PoolRequestBuilder()

@@ -12,14 +12,8 @@
 # PoE assembly vs training-based consolidation) and records its console
 # output next to the JSON as BENCH_figure7_query_time.txt.
 #
-# --with-serving additionally runs the serving-throughput driver (sharded
-# single-flight cache + batching server vs the global-mutex baseline,
-# hit/miss/mixed workloads x thread count x precision) and records
-# BENCH_serving_throughput.json.
-#
-# --with-net additionally runs the net_throughput loopback load generator
-# (closed/open-loop traffic over real TCP frames) and merges its JSON
-# under the "net_loopback" key of BENCH_serving_throughput.json.
+# Serving is measured end to end by perfbench (`python3 perfbench/run.py`,
+# see perfbench/README.md), not here.
 #
 # Requires a build configured with -DPOE_BUILD_BENCH=ON. Compare runs only
 # on the same machine; the JSON includes the host context for provenance.
@@ -35,16 +29,10 @@ OUT="${2:-BENCH_micro_ops.json}"
 shift $(( $# > 2 ? 2 : $# )) || true
 
 WITH_FIGURE7=0
-WITH_SERVING=0
-WITH_NET=0
 ARGS=()
 for arg in "$@"; do
   if [[ "$arg" == "--with-figure7" ]]; then
     WITH_FIGURE7=1
-  elif [[ "$arg" == "--with-serving" ]]; then
-    WITH_SERVING=1
-  elif [[ "$arg" == "--with-net" ]]; then
-    WITH_NET=1
   else
     ARGS+=("$arg")
   fi
@@ -68,52 +56,6 @@ trap 'rm -f "$TMP_OUT"' EXIT
        --benchmark_format=console "${ARGS[@]+"${ARGS[@]}"}"
 mv "$TMP_OUT" "$OUT"
 echo "wrote $OUT"
-
-if [[ "$WITH_SERVING" == 1 ]]; then
-  SRV_BIN="$BUILD_DIR/serving_throughput"
-  SRV_OUT="BENCH_serving_throughput.json"
-  if [[ ! -x "$SRV_BIN" ]]; then
-    echo "error: $SRV_BIN not found — configure with -DPOE_BUILD_BENCH=ON" >&2
-    exit 1
-  fi
-  TMP_OUT="$SRV_OUT.tmp.$$"
-  "$SRV_BIN" --json "$TMP_OUT"
-  mv "$TMP_OUT" "$SRV_OUT"
-  echo "wrote $SRV_OUT"
-fi
-
-if [[ "$WITH_NET" == 1 ]]; then
-  NET_BIN="$BUILD_DIR/net_throughput"
-  SRV_OUT="BENCH_serving_throughput.json"
-  if [[ ! -x "$NET_BIN" ]]; then
-    echo "error: $NET_BIN not found — configure with -DPOE_BUILD_BENCH=ON" >&2
-    exit 1
-  fi
-  if [[ ! -f "$SRV_OUT" ]]; then
-    echo "error: $SRV_OUT not found — run with --with-serving first" >&2
-    exit 1
-  fi
-  NET_OUT="BENCH_net_throughput.json.tmp.$$"
-  TMP_OUT="$SRV_OUT.tmp.$$"
-  trap 'rm -f "$TMP_OUT" "$NET_OUT"' EXIT
-  "$NET_BIN" --json "$NET_OUT"
-  # Merge the net run under "net_loopback" so the serving JSON stays the
-  # one perf-trajectory file for the whole serving stack.
-  python3 - "$SRV_OUT" "$NET_OUT" "$TMP_OUT" <<'EOF'
-import json, sys
-srv_path, net_path, out_path = sys.argv[1:4]
-with open(srv_path) as f:
-    srv = json.load(f)
-with open(net_path) as f:
-    srv["net_loopback"] = json.load(f)
-with open(out_path, "w") as f:
-    json.dump(srv, f, indent=2)
-    f.write("\n")
-EOF
-  rm -f "$NET_OUT"
-  mv "$TMP_OUT" "$SRV_OUT"
-  echo "merged net_loopback into $SRV_OUT"
-fi
 
 if [[ "$WITH_FIGURE7" == 1 ]]; then
   FIG_BIN="$BUILD_DIR/figure7_query_time"

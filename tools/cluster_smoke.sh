@@ -9,7 +9,7 @@
 #   1. SIGKILL node 1 before node 0 ever fetched from it, and drive load
 #      at node 0: every request must RESOLVE inside the status whitelist
 #      {OK, Unavailable, DeadlineExceeded, ResourceExhausted} — a hang or
-#      a foreign status fails the bench.
+#      a foreign status fails `poectl net-load`.
 #   2. Gossip failure detection marks the dead node OFFLINE (epoch bump).
 #   3. A restarted node 1 reintegrates through self-defense gossip
 #      (OFFLINE -> REINTEGRATING -> ONLINE) with no operator help.
@@ -78,9 +78,9 @@ echo "== SIGKILL node 1 before node 0 ever fetched from it"
 wait "$N1" 2> /dev/null || true
 
 echo "== load at node 0: every future must resolve inside the whitelist"
-"$BIN/net_throughput" --target "127.0.0.1:$P0" --seconds 1.0 \
-  --conns 2 --max-task 2 --hw 8 --allow "$ALLOW" | tee "$WORK/killload.log"
-grep -q '\[bench\] ok:' "$WORK/killload.log"
+"$BIN/poectl" net-load "127.0.0.1:$P0" --seconds=1.0 --allow="$ALLOW" \
+  | tee "$WORK/killload.log"
+grep -q 'net-load ok:' "$WORK/killload.log"
 
 echo "== gossip failure detection marks the dead node OFFLINE"
 wait_for_state 1 OFFLINE
@@ -93,9 +93,8 @@ wait_for_state 1 ONLINE
 cat "$WORK/status.log"
 
 echo "== clean load across the healed pool: zero failures tolerated"
-"$BIN/net_throughput" --target "127.0.0.1:$P0" --seconds 1.0 \
-  --conns 2 --max-task 2 --hw 8 | tee "$WORK/cleanload.log"
-grep -q '\[bench\] ok:' "$WORK/cleanload.log"
+"$BIN/poectl" net-load "127.0.0.1:$P0" --seconds=1.0 | tee "$WORK/cleanload.log"
+grep -q 'net-load ok:' "$WORK/cleanload.log"
 
 echo "== admin transitions: drain, then join back"
 "$BIN/poectl" cluster drain "$P0" 1

@@ -18,6 +18,8 @@
 // registry-level names of build/info/fsck (both spellings work), and
 // `pool upgrade` is the zero-downtime generation swap described in
 // docs/POOL_LIFECYCLE.md.
+#include <algorithm>
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 #include <cerrno>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +67,10 @@ struct ParsedArgs {
   int IntFlag(const std::string& name, int fallback) const {
     auto it = flags.find(name);
     return it != flags.end() ? std::atoi(it->second.c_str()) : fallback;
+  }
+  double DoubleFlag(const std::string& name, double fallback) const {
+    auto it = flags.find(name);
+    return it != flags.end() ? std::atof(it->second.c_str()) : fallback;
   }
   /// Positional `i` as int, or `fallback` when absent.
   int IntPos(size_t i, int fallback) const {
@@ -254,7 +261,7 @@ int CmdBench(const ParsedArgs& a) {
   const int num_queries = a.IntPos(1, 100);
   ModelQueryService service(std::move(loaded).ValueOrDie(),
                             /*cache_capacity=*/32);
-  const int n = service.pool().num_experts();
+  const int n = service.PinGeneration()->pool.num_experts();
   Rng rng(99);
   for (int q = 0; q < num_queries; ++q) {
     const int nq = 1 + static_cast<int>(rng.NextInt(std::min(4, n)));
@@ -282,7 +289,7 @@ int CmdServeBench(const ParsedArgs& a) {
   opts.num_workers = 2;
   opts.queue_capacity = 256;
   InferenceServer server(&service, opts);
-  const int n = service.pool().num_experts();
+  const int n = service.PinGeneration()->pool.num_experts();
 
   std::printf("serving %d clients x %d queries (%d experts, 8 shards, 2 "
               "workers)...\n",
@@ -533,21 +540,26 @@ int CmdNetServe(const ParsedArgs& a) {
   return 0;
 }
 
-int CmdNetQuery(const ParsedArgs& a) {
-  const std::string target = a.pos[0];
-  const std::string task_arg = a.pos[1];
-  const int hw = a.IntPos(2, 8);
-  std::string host = "127.0.0.1";
-  int port = 0;
+/// Parses "host:port" (or a bare port, host defaulting to 127.0.0.1).
+bool ParseHostPort(const std::string& target, std::string* host, int* port) {
+  *host = "127.0.0.1";
   const size_t colon = target.rfind(':');
   if (colon == std::string::npos) {
-    port = std::atoi(target.c_str());
+    *port = std::atoi(target.c_str());
   } else {
-    host = target.substr(0, colon);
-    port = std::atoi(target.c_str() + colon + 1);
+    *host = target.substr(0, colon);
+    *port = std::atoi(target.c_str() + colon + 1);
   }
-  if (port <= 0) {
-    std::fprintf(stderr, "net-query: bad target '%s'\n", target.c_str());
+  return *port > 0;
+}
+
+int CmdNetQuery(const ParsedArgs& a) {
+  const std::string task_arg = a.pos[1];
+  const int hw = a.IntPos(2, 8);
+  std::string host;
+  int port = 0;
+  if (!ParseHostPort(a.pos[0], &host, &port)) {
+    std::fprintf(stderr, "net-query: bad target '%s'\n", a.pos[0].c_str());
     return 2;
   }
 
@@ -587,20 +599,144 @@ int CmdNetQuery(const ParsedArgs& a) {
   return 0;
 }
 
-// ------------------------------------------------------- cluster family
+/// Longest a `net-load` client waits on one send or receive.
+constexpr double kLoadIoTimeoutMs = 10000.0;
+/// Connections `net-load` drives; connection t queries tasks {t, t+1},
+/// so the pool needs at least kLoadConns + 1 tasks.
+constexpr int kLoadConns = 2;
+/// Side of the square probe image every `net-load` request sends.
+constexpr int kLoadHw = 8;
 
-/// Parses "host:port" (or a bare port, host defaulting to 127.0.0.1).
-bool ParseHostPort(const std::string& target, std::string* host, int* port) {
-  *host = "127.0.0.1";
-  const size_t colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    *port = std::atoi(target.c_str());
-  } else {
-    *host = target.substr(0, colon);
-    *port = std::atoi(target.c_str() + colon + 1);
+/// Outcome counters of a `net-load` run, shared by its client threads.
+struct LoadTally {
+  std::atomic<int64_t> ok{0};       ///< answered with an OK status
+  std::atomic<int64_t> allowed{0};  ///< failed with an --allow'ed status
+  std::atomic<int64_t> errors{0};   ///< any other failure, transport included
+};
+
+/// Drives kLoadConns connections at the target for `seconds`, each
+/// keeping `window` requests in flight (window 1 is a closed loop: one
+/// round trip at a time). Responses are matched by request_id, since the
+/// server answers in completion order. The two connections' task pairs
+/// overlap in task 1, so the load exercises the model cache and expert
+/// sharing.
+void RunLoad(const std::string& host, int port, int window, double seconds,
+             const std::vector<StatusCode>& allow, LoadTally* tally) {
+  std::atomic<bool> stop{false};
+  auto allowed = [&allow](StatusCode code) {
+    return std::find(allow.begin(), allow.end(), code) != allow.end();
+  };
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kLoadConns; ++t) {
+    clients.emplace_back([&, t] {
+      NetClient client;
+      // A server that stops answering fails the run instead of hanging it.
+      if (!client.Connect(host, port).ok() ||
+          !client.SetIoTimeout(kLoadIoTimeoutMs).ok()) {
+        tally->errors.fetch_add(1);
+        return;
+      }
+      Rng rng(100 * window + t);
+      const Tensor probe = Tensor::Randn({1, 3, kLoadHw, kLoadHw}, rng);
+      const std::vector<int> tasks = {t, t + 1};
+      std::set<uint64_t> inflight;
+      auto send_one = [&] {
+        auto id = client.Send(tasks, probe);
+        if (id.ok()) inflight.insert(id.ValueOrDie());
+        return id.ok();
+      };
+      auto retire_one = [&] {
+        auto r = client.Receive();
+        if (!r.ok()) return false;
+        const WireResponse& res = r.ValueOrDie();
+        // An id that answers no request sent is a protocol failure.
+        if (inflight.erase(res.request_id) == 0) return false;
+        if (res.status.ok()) {
+          tally->ok.fetch_add(1);
+        } else {
+          (allowed(res.status.code()) ? tally->allowed : tally->errors)
+              .fetch_add(1);
+        }
+        return true;
+      };
+      bool alive = true;
+      for (int i = 0; i < window && alive; ++i) alive = send_one();
+      while (alive && !stop.load(std::memory_order_relaxed)) {
+        alive = retire_one() && send_one();
+      }
+      // Drain what is still in flight so every request is accounted.
+      while (alive && !inflight.empty()) alive = retire_one();
+      if (!alive) tally->errors.fetch_add(1);  // the connection failed
+    });
   }
-  return *port > 0;
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(static_cast<int64_t>(seconds * 1e3)));
+  stop.store(true);
+  for (std::thread& c : clients) c.join();
 }
+
+int CmdNetLoad(const ParsedArgs& a) {
+  std::string host;
+  int port = 0;
+  if (!ParseHostPort(a.pos[0], &host, &port)) {
+    std::fprintf(stderr, "net-load: bad target '%s'\n", a.pos[0].c_str());
+    return 2;
+  }
+  const double seconds = a.DoubleFlag("seconds", 1.0);
+  if (seconds <= 0) {
+    std::fprintf(stderr, "net-load: --seconds must be positive\n");
+    return 2;
+  }
+  // The failure whitelist names statuses a server response carries; the
+  // kill-a-node smoke allows exactly the cluster statuses. A transport
+  // failure (refused or broken connection, 10 s of silence, an unmatched
+  // request_id) is always an error, and so is a run where nothing
+  // resolves at all (a hang).
+  static const std::map<std::string, StatusCode> kAllowable = {
+      {"unavailable", StatusCode::kUnavailable},
+      {"deadline_exceeded", StatusCode::kDeadlineExceeded},
+      {"resource_exhausted", StatusCode::kResourceExhausted},
+      {"io_error", StatusCode::kIoError},
+  };
+  std::vector<StatusCode> allow;
+  std::string name;
+  for (char c : (a.HasFlag("allow") ? a.flags.at("allow") : "") + ",") {
+    if (c != ',') {
+      name += c;
+      continue;
+    }
+    if (name.empty()) continue;
+    auto it = kAllowable.find(name);
+    if (it == kAllowable.end()) {
+      std::fprintf(stderr, "net-load: bad --allow status '%s' (known: "
+                   "unavailable, deadline_exceeded, resource_exhausted, "
+                   "io_error)\n", name.c_str());
+      return 2;
+    }
+    allow.push_back(it->second);
+    name.clear();
+  }
+
+  // A closed loop, then an open loop of 8 pipelined requests per
+  // connection: the shape a fan-in front-end produces.
+  LoadTally total;
+  for (int window : {1, 8}) RunLoad(host, port, window, seconds, allow, &total);
+  // Liveness: something must have resolved. A whitelisted failure is a
+  // resolved request (the kill smoke's point); silence is a hang.
+  if ((total.ok == 0 && total.allowed == 0) || total.errors > 0) {
+    std::fprintf(stderr, "net-load FAILED: %lld errors, %lld ok, %lld "
+                 "whitelisted\n", static_cast<long long>(total.errors),
+                 static_cast<long long>(total.ok),
+                 static_cast<long long>(total.allowed));
+    return 1;
+  }
+  std::printf("net-load ok: %lld requests, 0 errors, %lld whitelisted "
+              "failures\n", static_cast<long long>(total.ok),
+              static_cast<long long>(total.allowed));
+  return 0;
+}
+
+// ------------------------------------------------------- cluster family
 
 /// Parses `--nodes=id:port[,...]` (host 127.0.0.1) or `id:host:port`.
 /// Every node starts ONLINE; the state machine takes over from there.
@@ -907,6 +1043,11 @@ const std::vector<CommandSpec>& Commands() {
       {"net-query", "<host:port|port> <task,task,...> [hw]",
        "send one inference request over the wire protocol", 2, 3,
        {}, CmdNetQuery},
+      {"net-load",
+       "<host:port|port> [--seconds=S] [--allow=status,...]",
+       "drive 2 connections (tasks {0,1} and {1,2}) closed- then open-loop; "
+       "exit 1 on a transport failure, a response status outside --allow, "
+       "or when nothing resolves", 1, 1, {"seconds", "allow"}, CmdNetLoad},
       // Pool lifecycle family: create/info/fsck are the registry-level
       // names of the verbs above; upgrade is the generation swap.
       {"pool create", "<pool.poe> [tasks] [classes] [epochs] [--seed=N]",
