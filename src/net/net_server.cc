@@ -22,6 +22,11 @@ namespace poe {
 
 namespace {
 
+/// A connection's task buffer keeps at most this capacity between frames.
+/// A peer body can be up to max_body_bytes; holding that for the life of
+/// the connection would pin it in RSS.
+constexpr size_t kKeepTaskBufferBytes = 64 << 10;
+
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
@@ -640,6 +645,9 @@ void NetServer::HandleRead(Worker* w, Conn* c) {
         }
         SendFrame(w, c, std::move(reply).ValueOrDie());
         if (c->dead) return;
+        if (c->tbuf.capacity() > kKeepTaskBufferBytes) {
+          std::vector<uint8_t>().swap(c->tbuf);
+        }
         c->stage = Conn::Stage::kHeader;
         c->got = 0;
         break;

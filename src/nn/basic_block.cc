@@ -19,16 +19,33 @@ BasicBlock::BasicBlock(int64_t in_channels, int64_t out_channels,
 }
 
 Tensor BasicBlock::Forward(const Tensor& input, bool training) {
-  // Both BN+ReLU pairs run as one pass: the inference epilogue, or the
-  // training forward whose fused backward gates by the cached output.
-  Tensor a = training ? bn1_.ForwardTrainingFusedRelu(input)
-                      : bn1_.ForwardFusedRelu(input);
+  if (!training) return InferenceForward(input);
+  // Both BN+ReLU pairs run as one pass: the training forward whose fused
+  // backward gates by the cached output.
+  Tensor a = bn1_.ForwardTrainingFusedRelu(input);
   Tensor h = conv1_.Forward(a, training);
-  h = training ? bn2_.ForwardTrainingFusedRelu(h) : bn2_.ForwardFusedRelu(h);
+  h = bn2_.ForwardTrainingFusedRelu(h);
   h = conv2_.Forward(h, training);
   Tensor shortcut =
       projection_ ? projection_->Forward(a, training) : input;
   return Add(h, shortcut);
+}
+
+Tensor BasicBlock::InferenceForward(const Tensor& input) {
+  // Inference caches nothing, so conv1's and conv2's outputs are fresh
+  // and ours to overwrite. Every element sees the same float ops as in
+  // the out-of-place form (BN2+ReLU, then conv2 + shortcut), so the
+  // result is bitwise the same.
+  Tensor a = bn1_.ForwardFusedRelu(input);
+  Tensor h = conv1_.Forward(a, /*training=*/false);
+  const Tensor shortcut =
+      projection_ ? projection_->Forward(a, /*training=*/false) : input;
+  a = Tensor();
+  bn2_.ForwardFusedReluInPlace(&h);
+  Tensor out = conv2_.Forward(h, /*training=*/false);
+  h = Tensor();
+  AddInPlace(out, shortcut);
+  return out;
 }
 
 Tensor BasicBlock::Backward(const Tensor& grad_output) {

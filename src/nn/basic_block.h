@@ -20,6 +20,11 @@ namespace poe {
 ///
 /// where shortcut is x when shapes match, else a 1x1 strided convolution of
 /// `a` (the projection path standard in pre-activation ResNets).
+///
+/// The inference forward reuses buffers: BN2+ReLU overwrites conv1's
+/// output, the residual is added into conv2's output, and `a` is dropped
+/// once its last reader is done. At most three block activations are live
+/// at once, and the logits are bitwise those of the out-of-place form.
 class BasicBlock : public Module {
  public:
   BasicBlock(int64_t in_channels, int64_t out_channels, int64_t stride,
@@ -37,6 +42,8 @@ class BasicBlock : public Module {
   bool has_projection() const { return projection_ != nullptr; }
 
  private:
+  Tensor InferenceForward(const Tensor& input);
+
   BatchNorm2d bn1_;
   Conv2d conv1_;
   BatchNorm2d bn2_;

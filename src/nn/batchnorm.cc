@@ -112,6 +112,11 @@ Tensor BatchNorm2d::ForwardFusedRelu(const Tensor& input) {
   return output;
 }
 
+void BatchNorm2d::ForwardFusedReluInPlace(Tensor* x) {
+  // Elementwise: each output element reads only its own input element.
+  InferenceNormalize(*x, x, /*relu=*/true);
+}
+
 void BatchNorm2d::InferenceNormalize(const Tensor& input, Tensor* output,
                                      bool relu) {
   POE_CHECK_EQ(input.ndim(), 4);

@@ -28,6 +28,9 @@ class BatchNorm2d : public Module {
   bool CanFuseRelu() const override { return true; }
   /// Inference normalize with max(0, scale*x + shift) in one pass.
   Tensor ForwardFusedRelu(const Tensor& input) override;
+  /// ForwardFusedRelu written over `x` itself: the same per-element ops,
+  /// so bitwise equal, with no output allocation.
+  void ForwardFusedReluInPlace(Tensor* x);
   /// Training forward with the following ReLU folded in: returns
   /// ReLU(BN(x)), bitwise equal to the two modules run in turn. Pair it
   /// with BackwardFusedRelu.

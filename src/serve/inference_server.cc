@@ -1,5 +1,6 @@
 #include "serve/inference_server.h"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 #include <utility>
@@ -19,6 +20,10 @@ bool SameGeometry(const Tensor& a, const Tensor& b) {
 }
 
 }  // namespace
+
+int InferenceWorkersFor(int cores, int net_loops) {
+  return std::max(1, cores - net_loops);
+}
 
 InferenceServer::InferenceServer(ModelQueryService* service, Options options)
     : service_(service), options_(options) {

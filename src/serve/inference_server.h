@@ -67,6 +67,14 @@ struct InferenceResponse {
   uint64_t generation = 0;
 };
 
+/// Inference workers for a server whose network front-end runs
+/// `net_loops` event-loop threads on a machine with `cores` cores
+/// (std::thread::hardware_concurrency(); 0 when unknown): one worker per
+/// core the loops leave free, and never fewer than one. Intra-op work is
+/// shared separately: a worker that finds the ParallelFor pool busy runs
+/// its range inline.
+int InferenceWorkersFor(int cores, int net_loops);
+
 /// Bounded-queue batching server over a ModelQueryService.
 ///
 /// Worker threads pop the oldest request, then greedily absorb every other

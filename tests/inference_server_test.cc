@@ -71,6 +71,19 @@ InferenceRequest MakeRequest(std::vector<int> tasks, int rows, int seed) {
   return req;
 }
 
+TEST(InferenceServerTest, WorkersFillTheCoresTheNetLoopsLeave) {
+  EXPECT_EQ(InferenceWorkersFor(/*cores=*/1, /*net_loops=*/0), 1);
+  EXPECT_EQ(InferenceWorkersFor(1, 1), 1);
+  EXPECT_EQ(InferenceWorkersFor(4, 1), 3);
+  EXPECT_EQ(InferenceWorkersFor(4, 2), 2);
+  EXPECT_EQ(InferenceWorkersFor(4, 0), 4);
+  // Loops at or above the core count still leave one worker.
+  EXPECT_EQ(InferenceWorkersFor(4, 4), 1);
+  EXPECT_EQ(InferenceWorkersFor(2, 8), 1);
+  // hardware_concurrency() returns 0 when it cannot tell.
+  EXPECT_EQ(InferenceWorkersFor(0, 2), 1);
+}
+
 TEST(InferenceServerTest, ServesLogitsMatchingDirectForward) {
   ModelQueryService service(BuildPool(), /*cache_capacity=*/8);
   InferenceServer::Options opts;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activations.h"
+#include "nn/basic_block.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -216,6 +218,68 @@ TEST(BatchNormTest, CollectBuffersExposesRunningStats) {
   bn.CollectBuffers(&buffers);
   ASSERT_EQ(buffers.size(), 2u);
   EXPECT_EQ(buffers[0]->numel(), 4);
+}
+
+// Seeded BN affine parameters and running statistics, so neither
+// normalize in a block is the identity.
+void RandomizeBatchNorms(BasicBlock& block, Rng& rng) {
+  std::vector<Module*> children;
+  block.CollectChildren(&children);
+  for (Module* m : children) {
+    auto* bn = dynamic_cast<BatchNorm2d*>(m);
+    if (bn == nullptr) continue;
+    const int64_t c = bn->channels();
+    bn->gamma().value = Tensor::Rand({c}, rng, 0.5f, 1.5f);
+    bn->beta().value = Tensor::Randn({c}, rng, 0.5f);
+    bn->running_mean() = Tensor::Randn({c}, rng, 0.5f);
+    bn->running_var() = Tensor::Rand({c}, rng, 0.5f, 2.0f);
+  }
+}
+
+// The allocate-per-op inference composition the block's in-place forward
+// must reproduce bitwise.
+Tensor OutOfPlaceBlock(BasicBlock& block, const Tensor& x) {
+  std::vector<Module*> c;  // bn1, conv1, bn2, conv2[, projection]
+  block.CollectChildren(&c);
+  Tensor a = c[0]->ForwardFusedRelu(x);
+  Tensor h = c[1]->Forward(a, false);
+  h = c[2]->ForwardFusedRelu(h);
+  h = c[3]->Forward(h, false);
+  Tensor shortcut = c.size() > 4 ? c[4]->Forward(a, false) : x;
+  return Add(h, shortcut);
+}
+
+bool BitwiseEqual(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+TEST(BasicBlockTest, InPlaceInferenceMatchesOutOfPlaceBitwise) {
+  struct Geometry {
+    int64_t in_c, out_c, stride;
+  };
+  // Identity, 1x1 projection, strided projection.
+  for (const Geometry& g : {Geometry{4, 4, 1}, Geometry{4, 8, 1},
+                            Geometry{4, 8, 2}}) {
+    for (bool int8 : {false, true}) {
+      Rng rng(40 + g.out_c + g.stride);
+      BasicBlock block(g.in_c, g.out_c, g.stride, rng);
+      ASSERT_EQ(block.has_projection(), g.in_c != g.out_c || g.stride != 1);
+      RandomizeBatchNorms(block, rng);
+      if (int8) block.PrepareInt8Serving();
+      for (int64_t batch : {1, 5}) {
+        SCOPED_TRACE(::testing::Message()
+                     << g.in_c << "->" << g.out_c << " stride " << g.stride
+                     << (int8 ? " int8" : " f32") << " batch " << batch);
+        const Tensor x = Tensor::Randn({batch, g.in_c, 8, 8}, rng);
+        const Tensor x_before = x.Clone();
+        const Tensor expected = OutOfPlaceBlock(block, x);
+        const Tensor got = block.Forward(x, /*training=*/false);
+        EXPECT_TRUE(BitwiseEqual(got, expected));
+        EXPECT_TRUE(BitwiseEqual(x, x_before));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -158,15 +158,24 @@ TEST(ServingStressTest, ConcurrentMixedWorkloadKeepsEveryInvariant) {
   }
 }
 
-TEST(ServingStressTest, ServerUnderConcurrentClientsReconciles) {
+// Four clients against a server of `num_workers` workers: every request
+// resolves exactly once, the counters reconcile, and every OK response is
+// bitwise the solo forward of a fresh assembly of its task set.
+void RunServerUnderConcurrentClients(int num_workers) {
   ModelQueryService service(BuildPool(), 4, ServingPrecision::kFloat32, 4);
   InferenceServer::Options opts;
-  opts.num_workers = 2;
+  opts.num_workers = num_workers;
   opts.queue_capacity = 16;
   InferenceServer server(&service, opts);
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 50;
+  struct Served {
+    size_t set;  // index into MixedTaskSets()
+    Tensor input;
+    Tensor logits;
+  };
+  std::vector<std::vector<Served>> served(kClients);
   std::atomic<int> ok{0}, rejected{0}, failed{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
@@ -175,13 +184,16 @@ TEST(ServingStressTest, ServerUnderConcurrentClientsReconciles) {
       Rng rng(3000 + c);
       for (int i = 0; i < kPerClient; ++i) {
         state = state * 1664525u + 1013904223u;
+        const size_t set = state % MixedTaskSets().size();
         InferenceRequest req;
-        req.task_ids = MixedTaskSets()[state % MixedTaskSets().size()];
+        req.task_ids = MixedTaskSets()[set];
         req.input = Tensor::Randn({1, 3, 6, 6}, rng);
+        Tensor input = req.input.Clone();
         InferenceResponse res = server.Submit(std::move(req)).get();
         if (res.status.ok()) {
           ok.fetch_add(1);
           if (res.predictions.size() != 1) failed.fetch_add(1);
+          served[c].push_back({set, std::move(input), res.logits});
         } else if (res.status.code() == StatusCode::kResourceExhausted) {
           rejected.fetch_add(1);
         } else {
@@ -205,6 +217,34 @@ TEST(ServingStressTest, ServerUnderConcurrentClientsReconciles) {
   // counters reconcile too.
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.coalesced,
             stats.queries);
+
+  // Batched, trunk-fused and cached serving changes no f32 bit.
+  const PoolGenerationHandle gen = service.PinGeneration();
+  std::vector<TaskModel> solo;
+  for (std::vector<int> tasks : MixedTaskSets()) {
+    std::sort(tasks.begin(), tasks.end());
+    tasks.erase(std::unique(tasks.begin(), tasks.end()), tasks.end());
+    solo.push_back(gen->pool.Query(tasks).ValueOrDie());
+  }
+  for (const auto& client : served) {
+    for (const Served& s : client) {
+      Tensor expected = solo[s.set].Logits(s.input);
+      ASSERT_EQ(s.logits.numel(), expected.numel());
+      EXPECT_EQ(std::memcmp(s.logits.data(), expected.data(),
+                            sizeof(float) * expected.numel()),
+                0);
+    }
+  }
+}
+
+TEST(ServingStressTest, ServerUnderConcurrentClientsReconciles) {
+  RunServerUnderConcurrentClients(/*num_workers=*/2);
+}
+
+// One worker per client: every client's request can be in a forward at
+// once, so the worker pool and the intra-op pool are raced hardest.
+TEST(ServingStressTest, ServerUnderConcurrentClientsReconcilesAtFourWorkers) {
+  RunServerUnderConcurrentClients(/*num_workers=*/4);
 }
 
 }  // namespace

@@ -48,6 +48,7 @@
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "serve/inference_server.h"
+#include "util/parallel_for.h"
 #include "util/stopwatch.h"
 
 namespace poe {
@@ -277,6 +278,22 @@ int CmdBench(const ParsedArgs& a) {
   return 0;
 }
 
+/// One inference worker per core the net event loops leave free.
+int MachineInferenceWorkers(int net_loops) {
+  return InferenceWorkersFor(
+      static_cast<int>(std::thread::hardware_concurrency()), net_loops);
+}
+
+/// The server's thread split, on its own line after the address line
+/// (which scripts parse), then flushed.
+void PrintServeThreads(int workers, int net_loops) {
+  std::printf("serve threads: %d inference worker%s, %d net loop%s, "
+              "intra-op %d\n",
+              workers, workers == 1 ? "" : "s", net_loops,
+              net_loops == 1 ? "" : "s", NumThreads());
+  std::fflush(stdout);
+}
+
 int CmdServeBench(const ParsedArgs& a) {
   auto loaded = LoadPoolOrComplain(a.pos[0]);
   if (!loaded.ok()) return 1;
@@ -286,14 +303,14 @@ int CmdServeBench(const ParsedArgs& a) {
                             /*cache_capacity=*/32,
                             ServingPrecision::kFloat32, /*cache_shards=*/8);
   InferenceServer::Options opts;
-  opts.num_workers = 2;
+  opts.num_workers = MachineInferenceWorkers(/*net_loops=*/0);
   opts.queue_capacity = 256;
   InferenceServer server(&service, opts);
   const int n = service.PinGeneration()->pool.num_experts();
 
-  std::printf("serving %d clients x %d queries (%d experts, 8 shards, 2 "
+  std::printf("serving %d clients x %d queries (%d experts, 8 shards, %d "
               "workers)...\n",
-              clients, queries_per_client, n);
+              clients, queries_per_client, n, opts.num_workers);
   Stopwatch wall;
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
@@ -455,13 +472,13 @@ void HandleReloadSignal(int) { g_reload_requested = 1; }
 int CmdNetServe(const ParsedArgs& a) {
   const std::string path = a.pos[0];
   const int port = a.IntPos(1, 0);
-  const int net_workers = a.IntPos(2, 2);
+  const int net_workers = std::max(1, a.IntPos(2, 2));
   auto loaded = LoadPoolOrComplain(path);
   if (!loaded.ok()) return 1;
   ModelQueryService service(std::move(loaded).ValueOrDie(),
                             /*cache_capacity=*/32);
   InferenceServer::Options sopts;
-  sopts.num_workers = 2;
+  sopts.num_workers = MachineInferenceWorkers(net_workers);
   sopts.queue_capacity = 256;
   InferenceServer server(&service, sopts);
 
@@ -475,7 +492,7 @@ int CmdNetServe(const ParsedArgs& a) {
     return 1;
   }
   std::printf("listening on 127.0.0.1:%d\n", net.port());
-  std::fflush(stdout);
+  PrintServeThreads(sopts.num_workers, net_workers);
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -827,7 +844,8 @@ int CmdClusterServe(const ParsedArgs& a) {
   options.placement.replication = a.IntFlag("replication", 2);
   options.gossip_interval_ms = a.IntFlag("gossip-ms", 250);
   options.start_gossip = true;
-  options.serve.num_workers = 2;
+  const int net_loops = std::max(1, a.IntFlag("workers", 2));
+  options.serve.num_workers = MachineInferenceWorkers(net_loops);
   ClusterNode node(std::move(loaded).ValueOrDie(), view, options);
   WireTransport transport([&node] { return node.view(); },
                           options.fetch_timeout_ms);
@@ -838,7 +856,7 @@ int CmdClusterServe(const ParsedArgs& a) {
   NetServer::Options nopts;
   nopts.host = self->host;
   nopts.port = self->port;
-  nopts.num_workers = a.IntFlag("workers", 2);
+  nopts.num_workers = net_loops;
   NetServer net(&node.server(), nopts);
   Status started = net.Start();
   if (!started.ok()) {
@@ -858,7 +876,7 @@ int CmdClusterServe(const ParsedArgs& a) {
   }
   std::printf("cluster node %d: serving on %s:%d, owns [%s]\n", self_id,
               self->host.c_str(), net.port(), owned.c_str());
-  std::fflush(stdout);
+  PrintServeThreads(options.serve.num_workers, net_loops);
 
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
@@ -1037,7 +1055,8 @@ const std::vector<CommandSpec>& Commands() {
        "verify the pool file's section CRCs and commit footer", 1, 1,
        {}, CmdFsck},
       {"net-serve", "<pool.poe> [port] [net_workers]",
-       "serve over TCP; SIGHUP hot-reloads the pool file as a new "
+       "serve over TCP, one inference worker per core the net_workers "
+       "event loops leave free; SIGHUP hot-reloads the pool file as a new "
        "generation, SIGINT/SIGTERM drain and exit", 1, 3,
        {}, CmdNetServe},
       {"net-query", "<host:port|port> <task,task,...> [hw]",
