@@ -127,12 +127,23 @@ void InferenceServer::WorkerLoop() {
       cv_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
       if (queue_.empty()) return;  // shutdown and fully drained
 
+      // A worker takes its share of the pending rows, ceil(pending /
+      // workers), within the row budget. Every member of a batch waits
+      // for the whole forward, and rows one worker takes are rows the
+      // other workers cannot run at the same time. One worker taking the
+      // whole queue would make batch size, and with it tail latency, grow
+      // with any slowdown of the machine.
+      int64_t pending_rows = 0;
+      for (const Pending& p : queue_) pending_rows += p.request.input.dim(0);
+      const int64_t share =
+          (pending_rows + options_.num_workers - 1) / options_.num_workers;
+      const int64_t max_rows = std::min(options_.max_batch_rows, share);
+
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
-      // Greedy coalescing: absorb pending requests with the same image
-      // geometry until the row budget is hit. The task set may differ:
-      // different models still share one trunk pass.
-      const int64_t max_rows = options_.max_batch_rows;
+      // Coalescing: absorb pending requests with the same image geometry
+      // until the row budget is hit. The task set may differ: different
+      // models still share one trunk pass.
       int64_t rows = batch.front().request.input.dim(0);
       for (auto it = queue_.begin(); it != queue_.end() && rows < max_rows;) {
         if (SameGeometry(it->request.input, batch.front().request.input) &&

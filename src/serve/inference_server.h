@@ -77,9 +77,11 @@ int InferenceWorkersFor(int cores, int net_loops);
 
 /// Bounded-queue batching server over a ModelQueryService.
 ///
-/// Worker threads pop the oldest request, then greedily absorb every other
-/// pending request with the same image geometry up to `max_batch_rows`,
-/// and run the concatenated rows through as FEW forward passes as the
+/// Worker threads pop the oldest request, then absorb other pending
+/// requests with the same image geometry up to their share of the queue,
+/// ceil(pending rows / num_workers) capped at `max_batch_rows` (the
+/// oldest request always goes, whatever its size), and run the
+/// concatenated rows through as FEW forward passes as the
 /// models allow. Requests for the same canonical task set fuse into one
 /// model forward as before; requests for DIFFERENT models still share one
 /// library-trunk pass (every model of a pool aliases the same trunk, and

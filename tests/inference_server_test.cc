@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -155,6 +157,42 @@ TEST(InferenceServerTest, BatchesSameModelRequestsIntoOneForward) {
   EXPECT_EQ(stats.completed, 12);
   EXPECT_LT(stats.batches, 12);
   EXPECT_GT(stats.avg_batch(), 1.0);
+}
+
+TEST(InferenceServerTest, WorkerTakesItsShareOfTheQueue) {
+  ModelQueryService service(BuildPool(), 8);
+  // Every forward is held 200 ms. Two requests occupy both workers, then
+  // a burst of 12 queues behind them; the first worker released sees 12
+  // pending rows and takes ceil(12 / 2) = 6, leaving the rest to the
+  // other worker instead of taking the whole queue.
+  ScopedFaultInjection hold_every_batch("server.forward=delay:200:always");
+  InferenceServer::Options opts;
+  opts.num_workers = 2;
+  opts.max_batch_rows = 64;
+  InferenceServer server(&service, opts);
+
+  std::vector<std::future<InferenceResponse>> busy;
+  for (int i = 0; i < 2; ++i) {
+    busy.push_back(server.Submit(MakeRequest({0, 1}, 1, 200 + i)));
+  }
+  for (int spin = 0; spin < 500 && server.queue_depth() > 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.queue_depth(), 0u) << "both workers should be busy";
+
+  std::vector<std::future<InferenceResponse>> burst;
+  for (int i = 0; i < 12; ++i) {
+    burst.push_back(server.Submit(MakeRequest({0, 1}, 1, 300 + i)));
+  }
+  int64_t max_batch_rows = 0;
+  for (auto& f : burst) {
+    InferenceResponse res = f.get();
+    ASSERT_TRUE(res.status.ok()) << res.status.ToString();
+    max_batch_rows = std::max(max_batch_rows, res.batch_rows);
+  }
+  for (auto& f : busy) EXPECT_TRUE(f.get().status.ok());
+  EXPECT_EQ(max_batch_rows, 6);
+  EXPECT_EQ(server.stats().completed, 14);
 }
 
 TEST(InferenceServerTest, BatchedLogitsMatchUnbatchedBitwise) {
