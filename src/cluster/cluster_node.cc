@@ -42,11 +42,9 @@ Status ClusterNode::Start() {
   const std::shared_ptr<ExpertStore>& store = gen->pool.expert_store();
   store->SetRemoteMaterializer(
       [this](int task_id) { return FetchExpertModule(task_id); });
-  if (options_.shed_non_owned) {
-    const int num_experts = gen->pool.num_experts();
-    for (int t = 0; t < num_experts; ++t) {
-      if (!OwnsExpert(t)) POE_RETURN_NOT_OK(store->ReleaseMaster(t));
-    }
+  const int num_experts = gen->pool.num_experts();
+  for (int t = 0; t < num_experts; ++t) {
+    if (!OwnsExpert(t)) POE_RETURN_NOT_OK(store->ReleaseMaster(t));
   }
   if (options_.start_gossip && options_.gossip_interval_ms > 0) {
     std::lock_guard<std::mutex> lock(gossip_mu_);
@@ -92,8 +90,7 @@ Status ClusterNode::RequestTransition(int node_id, NodeState to) {
   return membership_.Transition(node_id, to);
 }
 
-Result<FetchExpertResult> ClusterNode::ServeFetchExpert(int expert_id,
-                                                        bool want_payload) {
+Result<std::string> ClusterNode::ServeFetchExpert(int expert_id) {
   if (!CanServeFetches(SelfState())) {
     return Status::Unavailable(
         "node " + std::to_string(options_.node_id) +
@@ -115,15 +112,10 @@ Result<FetchExpertResult> ClusterNode::ServeFetchExpert(int expert_id,
     return Status::Unavailable("expert " + std::to_string(expert_id) +
                                " was shed concurrently");
   }
-  FetchExpertResult result;
-  result.expert_id = expert_id;
-  if (want_payload) {
-    POE_ASSIGN_OR_RETURN(result.payload, SerializeModulePayload(*master));
-  } else {
-    result.module = master;
-  }
+  std::string payload;
+  POE_ASSIGN_OR_RETURN(payload, SerializeModulePayload(*master));
   peer_fetches_served_.fetch_add(1, std::memory_order_relaxed);
-  return result;
+  return payload;
 }
 
 Result<MembershipView> ClusterNode::ServePing(const MembershipView& view) {
@@ -164,23 +156,20 @@ Result<std::shared_ptr<Sequential>> ClusterNode::FetchExpertModule(
       last = fetched.status();
       continue;
     }
-    FetchExpertResult result = std::move(fetched).ValueOrDie();
-    std::shared_ptr<Sequential> module = std::move(result.module);
-    if (module == nullptr) {
-      // Wire path: rebuild the skeleton and restore the v3 section bytes.
-      // The skeleton's init weights are fully overwritten; the rng only
-      // satisfies the builder's signature.
-      Rng rng(0x9e3779b9u ^ static_cast<uint64_t>(task_id));
-      const PoolGenerationHandle gen = service_.PinGeneration();
-      const ExpertPool& pool = gen->pool;
-      module = BuildExpertPart(pool.ExpertConfig(task_id),
-                               pool.library_config().conv3_channels(), rng);
-      const Status restored =
-          DeserializeModulePayload(result.payload, *module);
-      if (!restored.ok()) {
-        remote_fetch_failed_.fetch_add(1, std::memory_order_relaxed);
-        return restored;
-      }
+    // Rebuild the skeleton and restore the v3 section bytes. The
+    // skeleton's init weights are fully overwritten; the rng only
+    // satisfies the builder's signature.
+    Rng rng(0x9e3779b9u ^ static_cast<uint64_t>(task_id));
+    const PoolGenerationHandle gen = service_.PinGeneration();
+    const ExpertPool& pool = gen->pool;
+    std::shared_ptr<Sequential> module =
+        BuildExpertPart(pool.ExpertConfig(task_id),
+                        pool.library_config().conv3_channels(), rng);
+    const Status restored =
+        DeserializeModulePayload(fetched.ValueOrDie(), *module);
+    if (!restored.ok()) {
+      remote_fetch_failed_.fetch_add(1, std::memory_order_relaxed);
+      return restored;
     }
     remote_fetch_ok_.fetch_add(1, std::memory_order_relaxed);
     if (i > 0) remote_fetch_replica_.fetch_add(1, std::memory_order_relaxed);
@@ -230,7 +219,7 @@ void ClusterNode::GossipOnce() {
         std::lock_guard<std::mutex> lock(gossip_mu_);
         failures = ++consecutive_ping_failures_[peer.node_id];
       }
-      if (failures >= options_.ping_failures_before_offline) {
+      if (failures >= kPingFailuresBeforeOffline) {
         const MembershipView now = membership_.View();
         const NodeInfo* info = now.Find(peer.node_id);
         if (info != nullptr && (info->state == NodeState::kOnline ||

@@ -21,8 +21,9 @@
 //     still cannot get the expert serves degraded or fails inside the
 //     status whitelist {OK, Unavailable, DeadlineExceeded,
 //     ResourceExhausted}.
-//   - Gossip failure detection: ping_failures_before_offline consecutive
-//     failed pings mark a peer OFFLINE (epoch bump, gossiped outward).
+//   - Gossip failure detection: kPingFailuresBeforeOffline (2)
+//     consecutive failed pings mark a peer OFFLINE (epoch bump, gossiped
+//     outward).
 //   - Self-defense: a node that finds ITSELF OFFLINE in a merged view is
 //     alive by construction, so it promotes itself REINTEGRATING -> ONLINE
 //     with fresh epochs — a wrongly-declared-dead node reinstates itself
@@ -50,19 +51,12 @@
 
 namespace poe {
 
+/// Consecutive failed pings before a peer is declared OFFLINE.
+inline constexpr int kPingFailuresBeforeOffline = 2;
+
 struct ClusterNodeOptions {
   int node_id = 0;
   PlacementConfig placement;
-  /// Release non-owned expert masters at Start(). Off = every node keeps
-  /// the full pool resident (no fetches ever; the cluster is then pure
-  /// membership/failover bookkeeping).
-  bool shed_non_owned = true;
-  /// Consecutive failed pings before a peer is declared OFFLINE.
-  int ping_failures_before_offline = 2;
-  /// Per-fetch I/O budget on the wire transport path (poectl plumbs this
-  /// into the WireTransport it builds; the node itself does not time out
-  /// loopback fetches).
-  double fetch_timeout_ms = 2000.0;
   /// Background gossip period; start_gossip=false (tests, poectl's
   /// explicit loop) leaves gossip to manual GossipOnce() calls.
   double gossip_interval_ms = 250.0;
@@ -94,8 +88,7 @@ class ClusterNode : public PeerEndpoint {
   void Stop();
 
   // --- PeerEndpoint (the server half peers see) ---
-  Result<FetchExpertResult> ServeFetchExpert(int expert_id,
-                                             bool want_payload) override;
+  Result<std::string> ServeFetchExpert(int expert_id) override;
   Result<MembershipView> ServePing(const MembershipView& view) override;
 
   /// One gossip round: ping every peer in the view (OFFLINE included —

@@ -171,14 +171,13 @@ Result<std::vector<uint8_t>> AnswerPeerFrame(PeerEndpoint& endpoint,
   if (header.type == kWireTypeFetchExpert) {
     int expert_id = -1;
     POE_RETURN_NOT_OK(DecodeFetchExpertBody(body, len, &expert_id));
-    auto result = endpoint.ServeFetchExpert(expert_id,
-                                            /*want_payload=*/true);
-    if (!result.ok()) {
-      return EncodeFetchExpertReplyFrame(header.request_id, result.status(),
+    auto payload = endpoint.ServeFetchExpert(expert_id);
+    if (!payload.ok()) {
+      return EncodeFetchExpertReplyFrame(header.request_id, payload.status(),
                                          "");
     }
     return EncodeFetchExpertReplyFrame(header.request_id, Status::OK(),
-                                       std::move(result).ValueOrDie().payload);
+                                       payload.ValueOrDie());
   }
   if (header.type == kWireTypePing) {
     MembershipView view;
@@ -193,9 +192,8 @@ Result<std::vector<uint8_t>> AnswerPeerFrame(PeerEndpoint& endpoint,
 
 // ------------------------------------------------------------ client
 
-WireTransport::WireTransport(std::function<MembershipView()> view_provider,
-                             double timeout_ms)
-    : view_provider_(std::move(view_provider)), timeout_ms_(timeout_ms) {}
+WireTransport::WireTransport(std::function<MembershipView()> view_provider)
+    : view_provider_(std::move(view_provider)) {}
 
 Result<NodeInfo> WireTransport::Resolve(int node_id) {
   const MembershipView view = view_provider_();
@@ -207,25 +205,23 @@ Result<NodeInfo> WireTransport::Resolve(int node_id) {
   return *node;
 }
 
-Result<FetchExpertResult> WireTransport::FetchExpert(int node_id,
-                                                     int expert_id) {
+Result<std::string> WireTransport::FetchExpert(int node_id, int expert_id) {
   NodeInfo node;
   POE_ASSIGN_OR_RETURN(node, Resolve(node_id));
   NetClient client;
   POE_RETURN_NOT_OK(client.Connect(node.host, node.port));
-  POE_RETURN_NOT_OK(client.SetIoTimeout(timeout_ms_));
+  POE_RETURN_NOT_OK(client.SetIoTimeout(kPeerRpcTimeoutMs));
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   WireHeader header;
   std::vector<uint8_t> body;
   POE_RETURN_NOT_OK(client.Call(EncodeFetchExpertFrame(id, expert_id),
                                 kWireTypeFetchExpertReply, &header, &body));
-  FetchExpertResult result;
-  result.expert_id = expert_id;
   Status remote;
+  std::string payload;
   POE_RETURN_NOT_OK(DecodeFetchExpertReplyBody(body.data(), body.size(),
-                                               &remote, &result.payload));
+                                               &remote, &payload));
   POE_RETURN_NOT_OK(remote);
-  return result;
+  return payload;
 }
 
 Result<MembershipView> WireTransport::Ping(int node_id,
@@ -234,7 +230,7 @@ Result<MembershipView> WireTransport::Ping(int node_id,
   POE_ASSIGN_OR_RETURN(node, Resolve(node_id));
   NetClient client;
   POE_RETURN_NOT_OK(client.Connect(node.host, node.port));
-  POE_RETURN_NOT_OK(client.SetIoTimeout(timeout_ms_));
+  POE_RETURN_NOT_OK(client.SetIoTimeout(kPeerRpcTimeoutMs));
   const uint64_t id = next_id_.fetch_add(1, std::memory_order_relaxed);
   WireHeader header;
   std::vector<uint8_t> body;

@@ -70,6 +70,9 @@ Result<std::vector<uint8_t>> AnswerPeerFrame(PeerEndpoint& endpoint,
 
 // ------------------------------------------------------------ client
 
+/// I/O budget of one peer exchange (fetch or ping).
+inline constexpr double kPeerRpcTimeoutMs = 2000.0;
+
 /// TCP transport: one fresh connection per exchange. Peer RPCs are rare
 /// (one fetch per expert ever, one ping per peer per gossip round — 4 Hz
 /// at the default 250 ms), so connection reuse would buy little and
@@ -80,13 +83,11 @@ class WireTransport : public PeerTransport {
  public:
   /// `view_provider` returns the current view, where a node id resolves
   /// to its host + port; ClusterNode passes a closure over its membership
-  /// view. `timeout_ms`
-  /// caps each exchange (connect + I/O) so a hung peer surfaces as a
-  /// transient kUnavailable, not a stuck thread.
-  WireTransport(std::function<MembershipView()> view_provider,
-                double timeout_ms);
+  /// view. kPeerRpcTimeoutMs caps each exchange's I/O so a hung peer
+  /// surfaces as a transient kUnavailable, not a stuck thread.
+  explicit WireTransport(std::function<MembershipView()> view_provider);
 
-  Result<FetchExpertResult> FetchExpert(int node_id, int expert_id) override;
+  Result<std::string> FetchExpert(int node_id, int expert_id) override;
   Result<MembershipView> Ping(int node_id,
                               const MembershipView& view) override;
 
@@ -94,7 +95,6 @@ class WireTransport : public PeerTransport {
   Result<NodeInfo> Resolve(int node_id);
 
   std::function<MembershipView()> view_provider_;
-  double timeout_ms_;
   std::atomic<uint64_t> next_id_{1};
 };
 

@@ -30,14 +30,14 @@ PeerEndpoint* LoopbackTransport::Resolve(int node_id) {
   return it == endpoints_.end() ? nullptr : it->second;
 }
 
-Result<FetchExpertResult> LoopbackTransport::FetchExpert(int node_id,
-                                                         int expert_id) {
+Result<std::string> LoopbackTransport::FetchExpert(int node_id,
+                                                   int expert_id) {
   PeerEndpoint* endpoint = Resolve(node_id);
   if (endpoint == nullptr) {
     return Status::Unavailable("node " + std::to_string(node_id) +
                                " is unreachable");
   }
-  return endpoint->ServeFetchExpert(expert_id, /*want_payload=*/false);
+  return endpoint->ServeFetchExpert(expert_id);
 }
 
 Result<MembershipView> LoopbackTransport::Ping(int node_id,

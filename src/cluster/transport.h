@@ -1,14 +1,15 @@
 // PeerTransport: how a ClusterNode talks to its peers.
 //
 // Two implementations with one contract:
-//   - LoopbackTransport (here): in-process pool of nodes. FetchExpert
-//     hands over the peer's master module SHARED POINTER — zero
-//     serialization, zero copies — so single-process multi-node tests and
-//     the in-process demo pay nothing for the abstraction.
+//   - LoopbackTransport (here): in-process pool of nodes; calls the
+//     peer's endpoint directly, with no sockets or framing.
 //   - WireTransport (peer_rpc.h): TCP via the wire protocol's framing
-//     (frame types 3-6) to the peer's NetServer port. The fetched expert
-//     arrives as its v3 section payload and is rebuilt into a fresh
-//     master.
+//     (frame types 3-6) to the peer's NetServer port.
+//
+// Both carry a fetched expert the same way: as its serialized v3 section
+// bytes, which the requester rebuilds into a fresh master. Loopback thus
+// pays one serialization per fetch (one per expert, ever) and runs the
+// same rebuild the wire path does.
 //
 // Error contract shared by both: a dead/refusing/crashed peer is
 // kUnavailable (transient — the fetch path tries the next owner and the
@@ -18,25 +19,14 @@
 #define POE_CLUSTER_TRANSPORT_H_
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 
 #include "cluster/membership.h"
-#include "nn/sequential.h"
 #include "util/result.h"
 
 namespace poe {
-
-/// What a fetch-expert exchange yields. Exactly one of `module` (loopback:
-/// the peer's master, aliased) or `payload` (wire: v3 section bytes to
-/// rebuild from) is filled.
-struct FetchExpertResult {
-  int expert_id = -1;
-  std::shared_ptr<Sequential> module;  ///< loopback path
-  std::string payload;                 ///< wire path (v3 section bytes)
-};
 
 /// The server half a node exposes to transports. ClusterNode implements
 /// this; LoopbackTransport dispatches to it directly, and a NetServer
@@ -45,12 +35,10 @@ struct FetchExpertResult {
 class PeerEndpoint {
  public:
   virtual ~PeerEndpoint() = default;
-  /// Answers a fetch: kUnavailable when the expert is not resident here
-  /// (or the node cannot serve fetches in its current state).
-  /// `want_payload` selects serialized bytes (wire) over the module
-  /// pointer (loopback).
-  virtual Result<FetchExpertResult> ServeFetchExpert(int expert_id,
-                                                     bool want_payload) = 0;
+  /// Answers a fetch with the expert's v3 section bytes: kUnavailable
+  /// when the expert is not resident here (or the node cannot serve
+  /// fetches in its current state).
+  virtual Result<std::string> ServeFetchExpert(int expert_id) = 0;
   /// Membership ping: merges the sender's view (epoch 0 = pure probe) and
   /// returns this node's (possibly updated) view.
   virtual Result<MembershipView> ServePing(const MembershipView& view) = 0;
@@ -59,8 +47,8 @@ class PeerEndpoint {
 class PeerTransport {
  public:
   virtual ~PeerTransport() = default;
-  virtual Result<FetchExpertResult> FetchExpert(int node_id,
-                                                int expert_id) = 0;
+  /// The expert's v3 section bytes, from node `node_id`.
+  virtual Result<std::string> FetchExpert(int node_id, int expert_id) = 0;
   virtual Result<MembershipView> Ping(int node_id,
                                       const MembershipView& view) = 0;
 };
@@ -76,7 +64,7 @@ class LoopbackTransport : public PeerTransport {
   void Crash(int node_id);
   void Revive(int node_id);
 
-  Result<FetchExpertResult> FetchExpert(int node_id, int expert_id) override;
+  Result<std::string> FetchExpert(int node_id, int expert_id) override;
   Result<MembershipView> Ping(int node_id,
                               const MembershipView& view) override;
 

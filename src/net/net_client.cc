@@ -130,7 +130,8 @@ Status NetClient::Call(const std::vector<uint8_t>& frame,
   uint8_t hbuf[kWireHeaderBytes];
   POE_RETURN_NOT_OK(ReadFull(hbuf, sizeof(hbuf)));
   const Status decoded =
-      DecodeHeader(hbuf, sizeof(hbuf), expected_type, max_body_bytes_, header);
+      DecodeHeader(hbuf, sizeof(hbuf), expected_type, kDefaultMaxBodyBytes,
+                   header);
   if (!decoded.ok()) {
     // A framing error poisons the connection by design — nothing after a
     // bad header can be trusted to be frame-aligned.
@@ -170,7 +171,7 @@ Result<WireResponse> NetClient::Receive() {
   POE_RETURN_NOT_OK(ReadFull(hbuf, sizeof(hbuf)));
   WireHeader header;
   POE_RETURN_NOT_OK(DecodeHeader(hbuf, sizeof(hbuf), kWireTypeResponse,
-                                 max_body_bytes_, &header));
+                                 kDefaultMaxBodyBytes, &header));
   std::vector<uint8_t> body(header.body_len);
   POE_RETURN_NOT_OK(ReadFull(body.data(), body.size()));
   if (Crc32c(body.data(), body.size()) != header.body_crc) {

@@ -81,7 +81,6 @@ class NetClient {
 
   int fd_ = -1;
   uint64_t next_id_ = 1;
-  uint32_t max_body_bytes_ = kDefaultMaxBodyBytes;
 };
 
 }  // namespace poe

@@ -23,9 +23,12 @@ namespace poe {
 namespace {
 
 /// A connection's task buffer keeps at most this capacity between frames.
-/// A peer body can be up to max_body_bytes; holding that for the life of
-/// the connection would pin it in RSS.
+/// A peer body can be up to kDefaultMaxBodyBytes; holding that for the
+/// life of the connection would pin it in RSS.
 constexpr size_t kKeepTaskBufferBytes = 64 << 10;
+
+/// Pending connections the kernel queues before accept().
+constexpr int kListenBacklog = 128;
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -126,7 +129,6 @@ NetServer::NetServer(InferenceServer* server, Options options)
     : server_(server), options_(std::move(options)) {
   if (options_.num_workers < 1) options_.num_workers = 1;
   if (options_.max_inflight_per_conn < 1) options_.max_inflight_per_conn = 1;
-  if (options_.listen_backlog < 1) options_.listen_backlog = 1;
 }
 
 NetServer::~NetServer() { Stop(); }
@@ -159,7 +161,7 @@ Status NetServer::Start() {
     listen_fd_ = -1;
     return s;
   }
-  if (::listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (::listen(listen_fd_, kListenBacklog) != 0) {
     const Status s = Errno("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -572,7 +574,7 @@ void NetServer::HandleRead(Worker* w, Conn* c) {
         const Status s = DecodeHeader(
             c->hbuf, kWireHeaderBytes,
             c->peer != nullptr ? type : kWireTypeRequest,
-            options_.max_body_bytes, &c->header);
+            kDefaultMaxBodyBytes, &c->header);
         if (!s.ok()) {
           uint64_t rid = 0;
           std::memcpy(&rid, c->hbuf + 16, sizeof(rid));

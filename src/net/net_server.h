@@ -95,8 +95,6 @@ class NetServer {
     /// Per-connection in-flight window: decoded-but-unanswered requests
     /// before the worker stops reading that socket.
     int max_inflight_per_conn = 32;
-    uint32_t max_body_bytes = kDefaultMaxBodyBytes;
-    int listen_backlog = 128;
   };
 
   /// `server` must outlive this object; Stop() this front-end BEFORE

@@ -312,18 +312,24 @@ void InferenceServer::ServeBatchImpl(std::vector<Pending>& batch) {
   }
   if (valid.empty()) return;
 
-  // Concatenates the rows of `members` into one tensor (no copy for a
-  // lone single-request group - the common unloaded case).
-  auto fuse_inputs = [&](const std::vector<size_t>& members,
-                         int64_t rows) -> Tensor {
-    if (members.size() == 1) return batch[members.front()].request.input;
-    const Tensor& first = batch[members.front()].request.input;
+  // Concatenates a partition's rows in group order (no copy for a lone
+  // request, the common unloaded case). Passed as a temporary, so the
+  // fused input lives only for the forward expression that reads it.
+  auto fuse_rows = [&](const std::vector<Group*>& partition,
+                       int64_t rows) -> Tensor {
+    const Tensor& first =
+        batch[partition.front()->members.front()].request.input;
+    if (partition.size() == 1 && partition.front()->members.size() == 1) {
+      return first;
+    }
     Tensor fused({rows, first.dim(1), first.dim(2), first.dim(3)});
     float* dst = fused.data();
-    for (size_t i : members) {
-      const Tensor& in = batch[i].request.input;
-      std::memcpy(dst, in.data(), sizeof(float) * in.numel());
-      dst += in.numel();
+    for (const Group* g : partition) {
+      for (size_t i : g->members) {
+        const Tensor& in = batch[i].request.input;
+        std::memcpy(dst, in.data(), sizeof(float) * in.numel());
+        dst += in.numel();
+      }
     }
     return fused;
   };
@@ -370,66 +376,56 @@ void InferenceServer::ServeBatchImpl(std::vector<Pending>& batch) {
     }
   };
 
-  if (valid.size() == 1) {
-    // One model: the classic fused forward.
-    Group& g = *valid.front();
-    Tensor logits = g.model->Logits(fuse_inputs(g.members, g.rows));
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    deliver(g, std::move(logits), g.rows);
-    return;
-  }
-
-  // Trunk-reuse batching: partition the groups by trunk identity (all
-  // models of one service share a trunk, so `rest` is defensive), run ONE
-  // library forward over every shared group's rows, then fan out each
-  // model's expert heads over its slice of the feature rows. Trunk rows
-  // are independent, so the fused features - and therefore the f32
-  // logits - are bitwise identical to solo forwards.
-  std::vector<Group*> shared, rest;
-  const std::shared_ptr<Sequential>& trunk = valid.front()->model->trunk();
+  // One forward path (Section 4.2): the trunk runs once, every expert
+  // head branches off its features. Groups are partitioned by trunk
+  // identity in first-arrival order; every model of one pool generation
+  // aliases one trunk, so a batch holds a second partition only when a
+  // library-changing upgrade landed between two groups' assemblies. Each
+  // partition runs ONE trunk pass over all its rows; a lone group's heads
+  // read the whole feature tensor, otherwise each group reads its own
+  // row slice. Trunk rows are independent, so the f32 logits are bitwise
+  // those of a solo forward.
+  std::vector<std::vector<Group*>> partitions;
   for (Group* g : valid) {
-    (g->model->trunk() == trunk ? shared : rest).push_back(g);
+    auto same_trunk = [g](const std::vector<Group*>& p) {
+      return p.front()->model->trunk() == g->model->trunk();
+    };
+    auto it = std::find_if(partitions.begin(), partitions.end(), same_trunk);
+    if (it == partitions.end()) {
+      partitions.push_back({g});
+    } else {
+      it->push_back(g);
+    }
   }
 
-  if (shared.size() == 1) {
-    rest.push_back(shared.front());
-    shared.clear();
-  }
-  if (!shared.empty()) {
-    std::vector<size_t> all_members;
-    int64_t total_rows = 0;
-    for (Group* g : shared) {
-      all_members.insert(all_members.end(), g->members.begin(),
-                         g->members.end());
-      total_rows += g->rows;
+  for (const std::vector<Group*>& partition : partitions) {
+    int64_t rows = 0;
+    for (const Group* g : partition) rows += g->rows;
+    const std::shared_ptr<TaskModel>& model = partition.front()->model;
+    if (partition.size() == 1) {
+      // Exactly the Logits op sequence and temporaries: no slice copy,
+      // and the fused input and features are freed before delivery.
+      Tensor logits = model->LogitsFromFeatures(
+          model->TrunkFeatures(fuse_rows(partition, rows)));
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      deliver(*partition.front(), std::move(logits), rows);
+      continue;
     }
-    Tensor features =
-        shared.front()->model->TrunkFeatures(fuse_inputs(all_members,
-                                                         total_rows));
+    Tensor features = model->TrunkFeatures(fuse_rows(partition, rows));
     batches_.fetch_add(1, std::memory_order_relaxed);
     trunk_fused_batches_.fetch_add(1, std::memory_order_relaxed);
-    trunk_fused_rows_.fetch_add(total_rows, std::memory_order_relaxed);
-
-    // Slice each group's contiguous feature rows and run its heads.
+    trunk_fused_rows_.fetch_add(rows, std::memory_order_relaxed);
     const int64_t row_stride = features.numel() / features.dim(0);
     std::vector<int64_t> slice_shape = features.shape();
     int64_t row0 = 0;
-    for (Group* g : shared) {
+    for (Group* g : partition) {
       slice_shape[0] = g->rows;
       Tensor slice(slice_shape);
       std::memcpy(slice.data(), features.data() + row0 * row_stride,
                   sizeof(float) * g->rows * row_stride);
       row0 += g->rows;
-      deliver(*g, g->model->LogitsFromFeatures(slice), total_rows);
+      deliver(*g, g->model->LogitsFromFeatures(slice), rows);
     }
-  }
-
-  // Defensive path: groups whose model does not share the fused trunk
-  // (or a lone leftover group) run standalone.
-  for (Group* g : rest) {
-    Tensor logits = g->model->Logits(fuse_inputs(g->members, g->rows));
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    deliver(*g, std::move(logits), g->rows);
   }
 }
 

@@ -80,17 +80,18 @@ int InferenceWorkersFor(int cores, int net_loops);
 /// Worker threads pop the oldest request, then absorb other pending
 /// requests with the same image geometry up to their share of the queue,
 /// ceil(pending rows / num_workers) capped at `max_batch_rows` (the
-/// oldest request always goes, whatever its size), and run the
-/// concatenated rows through as FEW forward passes as the
-/// models allow. Requests for the same canonical task set fuse into one
-/// model forward as before; requests for DIFFERENT models still share one
-/// library-trunk pass (every model of a pool aliases the same trunk, and
-/// trunk rows are independent), then fan out per-model expert heads over
-/// their feature-row slices — cross-model batching of the shared library
-/// trunk. Batching never waits for more traffic - an empty queue means
-/// batch-of-one, so the batch window is simply the time requests naturally
-/// spend queued behind the current forward (zero added latency, bigger
-/// batches exactly when the system is loaded, which is when they pay).
+/// oldest request always goes, whatever its size), and run one library
+/// trunk pass per distinct trunk in the batch. Every model of one pool
+/// generation aliases the same trunk, so a batch normally makes one pass,
+/// whatever task sets it mixes; a library-changing upgrade that lands
+/// between two models' assemblies adds a second. Each model's expert
+/// heads then run over its rows of the trunk features (the whole tensor
+/// when it is the pass's only model). Trunk rows are independent, so
+/// fused f32 logits equal solo ones bitwise. Batching never waits for
+/// more traffic - an empty queue means batch-of-one, so the batch window
+/// is simply the time requests naturally spend queued behind the current
+/// forward (zero added latency, bigger batches exactly when the system is
+/// loaded, which is when they pay).
 ///
 /// Backpressure: a submission into a full queue fails fast with
 /// ResourceExhausted instead of letting latency grow without bound.

@@ -106,12 +106,11 @@ struct ServeStats {
   /// malformed input, or server shut down.
   int64_t rejected = 0;
   int64_t completed = 0;
-  int64_t batches = 0;            ///< fused forward passes executed
+  int64_t batches = 0;            ///< trunk forward passes executed
   int64_t batched_requests = 0;   ///< requests served by those passes
   int64_t queue_depth = 0;        ///< pending now
-  /// Cross-model trunk reuse: batches whose rows spanned ≥ 2 distinct
-  /// models but shared ONE library-trunk forward, and the rows that rode
-  /// those fused trunk passes.
+  /// Cross-model trunk reuse: trunk passes that served ≥ 2 distinct
+  /// models, and the rows those passes served.
   int64_t trunk_fused_batches = 0;
   int64_t trunk_fused_rows = 0;
 

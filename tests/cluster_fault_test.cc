@@ -145,7 +145,7 @@ struct WireNode {
                                              std::move(options));
     ClusterNode* node = wn->node.get();
     wn->transport = std::make_unique<WireTransport>(
-        [node] { return node->view(); }, /*timeout_ms=*/2000.0);
+        [node] { return node->view(); });
     node->SetTransport(wn->transport.get());
     wn->net = std::make_unique<NetServer>(&node->server(),
                                           NetServer::Options{});
@@ -219,7 +219,7 @@ TEST(ClusterWireTest, FetchesTravelSerializedAndRebuildIdenticalMasters) {
   EXPECT_EQ(n0.frames_decoded + n1.frames_decoded, 0);
 
   // Wire fetches REBUILD masters from serialized sections — same weights,
-  // distinct objects (unlike the loopback path, which aliases).
+  // distinct objects.
   for (int t = 0; t < kNumTasks; ++t) {
     EXPECT_NE(wn0->node->service().PinGeneration()->pool.expert(t).get(),
               wn1->node->service().PinGeneration()->pool.expert(t).get());

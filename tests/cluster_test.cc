@@ -5,6 +5,7 @@
 // counters reconcile).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <memory>
 #include <vector>
@@ -113,11 +114,18 @@ TEST(ClusterTest, QueriesFetchMissingExpertsFromPeersAndCacheThem) {
   ExpectFetchIdentities(*node0);
   ExpectFetchIdentities(*node1);
 
-  // Loopback fetches alias the owner's master: no duplicate weights.
+  // Loopback fetches rebuild each master from its serialized sections,
+  // as wire fetches do: distinct objects holding the owner's weights, so
+  // both nodes answer bitwise alike.
   for (int t = 0; t < kNumTasks; ++t) {
-    EXPECT_EQ(node0->service().PinGeneration()->pool.expert(t).get(),
+    EXPECT_NE(node0->service().PinGeneration()->pool.expert(t).get(),
               node1->service().PinGeneration()->pool.expert(t).get());
   }
+  const Tensor probe = MakeInput(2, 19);
+  const Tensor l0 = node0->service().Query(all).ValueOrDie()->Logits(probe);
+  const Tensor l1 = node1->service().Query(all).ValueOrDie()->Logits(probe);
+  ASSERT_EQ(l0.numel(), l1.numel());
+  EXPECT_EQ(std::memcmp(l0.data(), l1.data(), sizeof(float) * l0.numel()), 0);
 
   // Re-querying hits the flight cache: no new fetch traffic.
   ASSERT_TRUE(node0->service().Query(all).ok());

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <future>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -280,6 +281,78 @@ TEST(InferenceServerTest, TrunkFusedCrossModelLogitsAreBitwiseF32) {
   ServeStats stats = server.stats();
   EXPECT_GT(stats.trunk_fused_batches, 0);
   EXPECT_GT(stats.trunk_fused_rows, 0);
+}
+
+/// Spins until `site` has been reached `hits` times (10 s cap).
+bool AwaitFaultHits(const std::string& site, int64_t hits) {
+  for (int spin = 0; spin < 10000; ++spin) {
+    if (FaultInjector::Global().SiteStats(site).hits >= hits) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+TEST(InferenceServerTest, BatchSpanningTwoTrunksAnswersFromEachGeneration) {
+  // A library-changing upgrade that lands between two groups' assemblies
+  // gives one batch two trunks. The only worker is held on a first
+  // request while A and B queue behind it and are dequeued together; A's
+  // assembly then sleeps after pinning generation 1, the upgrade
+  // publishes generation 2 with different library weights, and B
+  // assembles against it.
+  ExpertPool next = BuildPool();
+  next.library()->Parameters().front()->value.data()[0] += 1.0f;
+  ModelQueryService service(BuildPool(), 8);
+  const PoolGenerationHandle first = service.PinGeneration();
+  ScopedFaultInjection faults(
+      "server.forward=delay:300:once:1;service.assemble=delay:1000:once:2");
+  InferenceServer::Options opts;
+  opts.num_workers = 1;
+  InferenceServer server(&service, opts);
+
+  std::future<InferenceResponse> held = server.Submit(MakeRequest({0}, 1, 40));
+  ASSERT_TRUE(AwaitFaultHits("server.forward", 1));
+  const InferenceRequest a = MakeRequest({1}, 2, 41);
+  const InferenceRequest b = MakeRequest({2}, 1, 42);
+  InferenceRequest a_copy = a;
+  a_copy.input = a.input.Clone();
+  InferenceRequest b_copy = b;
+  b_copy.input = b.input.Clone();
+  std::future<InferenceResponse> fa = server.Submit(std::move(a_copy));
+  std::future<InferenceResponse> fb = server.Submit(std::move(b_copy));
+
+  // Hit 1 is the held request's assembly; hit 2 is A's, asleep.
+  ASSERT_TRUE(AwaitFaultHits("service.assemble", 2));
+  auto diff = service.UpgradePool(std::move(next));
+  ASSERT_TRUE(diff.ok()) << diff.status().ToString();
+  ASSERT_TRUE(diff.ValueOrDie().library_changed);
+  const PoolGenerationHandle second = service.PinGeneration();
+
+  ASSERT_TRUE(held.get().status.ok());
+  const InferenceResponse ra = fa.get();
+  const InferenceResponse rb = fb.get();
+  ASSERT_TRUE(ra.status.ok()) << ra.status.ToString();
+  ASSERT_TRUE(rb.status.ok()) << rb.status.ToString();
+  // A and B shared the second batch: one forward-site hit each batch.
+  EXPECT_EQ(FaultInjector::Global().SiteStats("server.forward").hits, 2);
+  EXPECT_EQ(ra.generation, 1u);
+  EXPECT_EQ(rb.generation, 2u);
+
+  // Each answer is bitwise the solo forward of its own generation's model.
+  auto expect_solo = [](const PoolGenerationHandle& gen,
+                        const InferenceRequest& req,
+                        const InferenceResponse& res) {
+    TaskModel model = gen->pool.Query(req.task_ids).ValueOrDie();
+    Tensor direct = model.Logits(req.input);
+    ASSERT_EQ(res.logits.numel(), direct.numel());
+    EXPECT_EQ(std::memcmp(res.logits.data(), direct.data(),
+                          sizeof(float) * direct.numel()),
+              0)
+        << "generation " << gen->id;
+  };
+  expect_solo(first, a, ra);
+  expect_solo(second, b, rb);
+  ServeStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, stats.completed);
 }
 
 TEST(InferenceServerTest, BatchThatThrowsCountsEachRequestOnce) {

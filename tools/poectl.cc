@@ -27,6 +27,7 @@
 #include <cerrno>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -312,6 +313,9 @@ int CmdServeBench(const ParsedArgs& a) {
               "workers)...\n",
               clients, queries_per_client, n, opts.num_workers);
   Stopwatch wall;
+  // Backpressure (ResourceExhausted) is expected under load; any other
+  // failed query is a wrong answer and fails the run.
+  std::atomic<int64_t> failed{0};
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -327,6 +331,7 @@ int CmdServeBench(const ParsedArgs& a) {
         InferenceResponse res = server.Submit(std::move(req)).get();
         if (!res.status.ok() &&
             res.status.code() != StatusCode::kResourceExhausted) {
+          failed.fetch_add(1);
           std::fprintf(stderr, "query failed: %s\n",
                        res.status.ToString().c_str());
         }
@@ -386,6 +391,11 @@ int CmdServeBench(const ParsedArgs& a) {
   std::printf("precision: %s, pool weight bytes: %lld\n",
               stats.precision == ServingPrecision::kInt8 ? "int8" : "f32",
               static_cast<long long>(stats.pool_bytes));
+  if (failed > 0) {
+    std::fprintf(stderr, "serve-bench FAILED: %lld queries failed\n",
+                 static_cast<long long>(failed.load()));
+    return 1;
+  }
   return 0;
 }
 
@@ -629,6 +639,14 @@ struct LoadTally {
   std::atomic<int64_t> ok{0};       ///< answered with an OK status
   std::atomic<int64_t> allowed{0};  ///< failed with an --allow'ed status
   std::atomic<int64_t> errors{0};   ///< any other failure, transport included
+  std::mutex mu;
+  std::string first_error;  ///< what the first error was; guarded by mu
+
+  void Error(const std::string& what) {
+    errors.fetch_add(1);
+    std::lock_guard<std::mutex> lock(mu);
+    if (first_error.empty()) first_error = what;
+  }
 };
 
 /// Drives kLoadConns connections at the target for `seconds`, each
@@ -648,31 +666,44 @@ void RunLoad(const std::string& host, int port, int window, double seconds,
     clients.emplace_back([&, t] {
       NetClient client;
       // A server that stops answering fails the run instead of hanging it.
-      if (!client.Connect(host, port).ok() ||
-          !client.SetIoTimeout(kLoadIoTimeoutMs).ok()) {
-        tally->errors.fetch_add(1);
+      Status connected = client.Connect(host, port);
+      if (connected.ok()) connected = client.SetIoTimeout(kLoadIoTimeoutMs);
+      if (!connected.ok()) {
+        tally->Error("connect: " + connected.ToString());
         return;
       }
       Rng rng(100 * window + t);
       const Tensor probe = Tensor::Randn({1, 3, kLoadHw, kLoadHw}, rng);
       const std::vector<int> tasks = {t, t + 1};
       std::set<uint64_t> inflight;
+      std::string broken;  // why the connection failed
       auto send_one = [&] {
         auto id = client.Send(tasks, probe);
-        if (id.ok()) inflight.insert(id.ValueOrDie());
-        return id.ok();
+        if (!id.ok()) {
+          broken = "send: " + id.status().ToString();
+          return false;
+        }
+        inflight.insert(id.ValueOrDie());
+        return true;
       };
       auto retire_one = [&] {
         auto r = client.Receive();
-        if (!r.ok()) return false;
+        if (!r.ok()) {
+          broken = "receive: " + r.status().ToString();
+          return false;
+        }
         const WireResponse& res = r.ValueOrDie();
         // An id that answers no request sent is a protocol failure.
-        if (inflight.erase(res.request_id) == 0) return false;
+        if (inflight.erase(res.request_id) == 0) {
+          broken = "unmatched request_id " + std::to_string(res.request_id);
+          return false;
+        }
         if (res.status.ok()) {
           tally->ok.fetch_add(1);
+        } else if (allowed(res.status.code())) {
+          tally->allowed.fetch_add(1);
         } else {
-          (allowed(res.status.code()) ? tally->allowed : tally->errors)
-              .fetch_add(1);
+          tally->Error("response status " + res.status.ToString());
         }
         return true;
       };
@@ -683,7 +714,7 @@ void RunLoad(const std::string& host, int port, int window, double seconds,
       }
       // Drain what is still in flight so every request is accounted.
       while (alive && !inflight.empty()) alive = retire_one();
-      if (!alive) tally->errors.fetch_add(1);  // the connection failed
+      if (!alive) tally->Error(broken);
     });
   }
   std::this_thread::sleep_for(
@@ -741,10 +772,13 @@ int CmdNetLoad(const ParsedArgs& a) {
   // Liveness: something must have resolved. A whitelisted failure is a
   // resolved request (the kill smoke's point); silence is a hang.
   if ((total.ok == 0 && total.allowed == 0) || total.errors > 0) {
+    const std::string first = total.errors > 0 ? total.first_error
+                                               : "nothing resolved";
     std::fprintf(stderr, "net-load FAILED: %lld errors, %lld ok, %lld "
-                 "whitelisted\n", static_cast<long long>(total.errors),
+                 "whitelisted; first error: %s\n",
+                 static_cast<long long>(total.errors),
                  static_cast<long long>(total.ok),
-                 static_cast<long long>(total.allowed));
+                 static_cast<long long>(total.allowed), first.c_str());
     return 1;
   }
   std::printf("net-load ok: %lld requests, 0 errors, %lld whitelisted "
@@ -847,8 +881,7 @@ int CmdClusterServe(const ParsedArgs& a) {
   const int net_loops = std::max(1, a.IntFlag("workers", 2));
   options.serve.num_workers = MachineInferenceWorkers(net_loops);
   ClusterNode node(std::move(loaded).ValueOrDie(), view, options);
-  WireTransport transport([&node] { return node.view(); },
-                          options.fetch_timeout_ms);
+  WireTransport transport([&node] { return node.view(); });
   node.SetTransport(&transport);
 
   // One port per node: clients and peers share this NetServer. Peer
@@ -1049,7 +1082,9 @@ const std::vector<CommandSpec>& Commands() {
        "record static activation scales and save a packed int8 pool", 2, 4,
        {}, CmdCalibrate},
       {"serve-bench", "<pool.poe> [clients] [queries_per_client]",
-       "drive the concurrent serving runtime and print ServeStats", 1, 3,
+       "drive the concurrent serving runtime and print ServeStats; exit 1 "
+       "when a query fails with a status other than resource_exhausted",
+       1, 3,
        {}, CmdServeBench},
       {"fsck", "<pool.poe>",
        "verify the pool file's section CRCs and commit footer", 1, 1,
@@ -1066,7 +1101,8 @@ const std::vector<CommandSpec>& Commands() {
        "<host:port|port> [--seconds=S] [--allow=status,...]",
        "drive 2 connections (tasks {0,1} and {1,2}) closed- then open-loop; "
        "exit 1 on a transport failure, a response status outside --allow, "
-       "or when nothing resolves", 1, 1, {"seconds", "allow"}, CmdNetLoad},
+       "or when nothing resolves, naming the first error", 1, 1,
+       {"seconds", "allow"}, CmdNetLoad},
       // Pool lifecycle family: create/info/fsck are the registry-level
       // names of the verbs above; upgrade is the generation swap.
       {"pool create", "<pool.poe> [tasks] [classes] [epochs] [--seed=N]",
