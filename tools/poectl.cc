@@ -49,6 +49,7 @@
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "serve/inference_server.h"
+#include "util/fault.h"
 #include "util/parallel_for.h"
 #include "util/stopwatch.h"
 
@@ -501,15 +502,21 @@ int CmdNetServe(const ParsedArgs& a) {
     std::fprintf(stderr, "net-serve: %s\n", started.ToString().c_str());
     return 1;
   }
-  std::printf("listening on 127.0.0.1:%d\n", net.port());
-  PrintServeThreads(sopts.num_workers, net_workers);
-
+  // Handlers go in before the port is announced: a supervisor may signal
+  // as soon as it reads the address line, and a SIGTERM that beat the
+  // handler would kill the server instead of draining it.
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
   // SIGHUP = reload the pool FILE and hot-swap it in as the next
   // generation, without dropping a single connection or in-flight request
   // (`poectl pool upgrade old new --apply --pid=$SRV` does rename+signal).
   std::signal(SIGHUP, HandleReloadSignal);
+  std::printf("listening on 127.0.0.1:%d\n", net.port());
+  PrintServeThreads(sopts.num_workers, net_workers);
+  // Right after the announcement (a delay armed here holds the window
+  // open for the signal test).
+  (void)PoeFaultHit("net_serve.ready");
+
   while (g_stop_requested == 0) {
     if (g_reload_requested != 0) {
       g_reload_requested = 0;
@@ -907,12 +914,12 @@ int CmdClusterServe(const ParsedArgs& a) {
   for (int t : node.OwnedExperts()) {
     owned += (owned.empty() ? "" : ",") + std::to_string(t);
   }
+  // Handlers before the announcement, as in net-serve.
+  std::signal(SIGINT, HandleStopSignal);
+  std::signal(SIGTERM, HandleStopSignal);
   std::printf("cluster node %d: serving on %s:%d, owns [%s]\n", self_id,
               self->host.c_str(), net.port(), owned.c_str());
   PrintServeThreads(options.serve.num_workers, net_loops);
-
-  std::signal(SIGINT, HandleStopSignal);
-  std::signal(SIGTERM, HandleStopSignal);
   while (g_stop_requested == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
