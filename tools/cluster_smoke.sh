@@ -32,7 +32,10 @@ trap cleanup EXIT
 
 POOL="$WORK/pool.poe"
 ALLOW='unavailable,deadline_exceeded,resource_exhausted'
-BASE=$((20000 + RANDOM % 20000))
+# Ports below the kernel's ephemeral range (32768-60999 on Linux by
+# default), so an outgoing connection's local port can never take one
+# between picking it and binding it.
+BASE=$((10000 + RANDOM % 19999))
 P0=$BASE; P1=$((BASE + 1))
 NODES="0:$P0,1:$P1"
 
