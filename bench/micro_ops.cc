@@ -235,12 +235,16 @@ BENCHMARK(BM_ConvWrnPrepacked)
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1})   // 1x1 pointwise fast path
+    ->Args({16, 16, 32, 1, 3})    // WRN-16-1 trunk: conv2 body
+    ->Args({32, 32, 16, 1, 3})    // WRN-16-1 trunk: conv3 body
+    ->Args({16, 32, 32, 2, 3});   // WRN-16-1 trunk: conv3 transition
 
-// Im2col-free direct convolution: the GEMM's B pack gathers shifted row
-// views of the zero-padded image, so the im2col matrix is never
-// materialized. Same prepacked weights and shapes as BM_ConvWrnPrepacked;
-// outputs are bitwise identical (test-pinned), only the lowering differs.
+// Pack-free direct convolution: the micro-kernel reads B straight from
+// the zero-padded image (column-phase split when strided), so neither an
+// im2col matrix nor a B panel is written. Same prepacked weights and
+// shapes as BM_ConvWrnPrepacked; outputs are bitwise identical
+// (test-pinned), only the lowering differs.
 void BM_ConvWrnDirect(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -269,7 +273,10 @@ BENCHMARK(BM_ConvWrnDirect)
     ->Args({3, 16, 32, 1, 3})      // stem
     ->Args({64, 64, 32, 1, 3})     // conv2 group body
     ->Args({128, 128, 16, 1, 3})   // conv3 group body
-    ->Args({256, 256, 8, 1, 3});   // conv4 group body
+    ->Args({256, 256, 8, 1, 3})    // conv4 group body
+    ->Args({16, 16, 32, 1, 3})     // WRN-16-1 trunk: conv2 body
+    ->Args({32, 32, 16, 1, 3})     // WRN-16-1 trunk: conv3 body
+    ->Args({16, 32, 32, 2, 3});    // WRN-16-1 trunk: conv3 transition
 
 // Int8 direct convolution with calibrated activations: each input byte is
 // quantized exactly once into the padded image, then the conv-aware B

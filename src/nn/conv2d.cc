@@ -71,14 +71,14 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   // matrix would be the image itself, so skip the unfold entirely.
   const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
 
-  // Im2col-free direct path (stride 1, inference and training): the GEMM
-  // packs its B panels straight from a zero-padded image copy — or the
-  // input itself when pad == 0 — instead of a materialized im2col matrix.
-  // Bitwise identical output (see conv_direct.h), so Backward, which
-  // re-unfolds from the cached input, sees the same forward either way.
-  // im2col remains the fallback for strided geometries and
-  // POE_CONV_PATH=im2col.
-  const bool direct = !pointwise && UseDirectConv(kernel_, stride_);
+  // Im2col-free direct path (every geometry, inference and training): the
+  // GEMM reads its B operand straight from a zero-padded image copy, split
+  // by column phase when strided, or from the input itself when stride is
+  // 1 and pad is 0, instead of a materialized im2col matrix. Bitwise
+  // identical output (see conv_direct.h), so Backward, which re-unfolds
+  // from the cached input, sees the same forward either way. im2col runs
+  // only under POE_CONV_PATH=im2col.
+  const bool direct = !pointwise && UseDirectConv();
 
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
   // identical to the per-call PackA output, so the product is too.
@@ -117,27 +117,25 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       }
     }
   };
-  // Direct path: the padded scratch is per-thread and its border is
-  // zeroed once — interior copies never touch the border, so the batch
-  // loop reuses it with a single memset's worth of zeroing total.
+  // Direct path: one per-thread image buffer serves the whole range.
   auto run_range_direct = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
-    const int64_t pelems = PaddedImageElems(in_channels_, h, w, pad_);
-    float* pbuf = pelems > 0 ? scope.Alloc(pelems) : nullptr;
-    if (pbuf != nullptr) ZeroImageBorder(pbuf, in_channels_, h, w, pad_);
     ConvImageView img;
     img.channels = in_channels_;
     img.height = h;
     img.width = w;
     img.kernel = kernel_;
     img.pad = pad_;
+    img.stride = stride_;
+    const int64_t elems = DirectImageElems(img);
+    float* buf = elems > 0 ? scope.Alloc(elems) : nullptr;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
-      if (pbuf != nullptr) {
-        CopyImageInterior(in_b, in_channels_, h, w, pad_, pbuf);
-        img.padded = pbuf;
+      if (buf != nullptr) {
+        FillDirectImage(in_b, img, buf);
+        img.padded = buf;
       } else {
-        img.padded = in_b;  // pad == 0: the view aliases the input
+        img.padded = in_b;  // stride 1, pad 0: the view aliases the input
       }
       float* out_b = out + b * out_channels_ * ohw;
       if (packed) {
@@ -206,7 +204,7 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   ep.relu = fuse_relu;
 
   const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-  const bool direct = !pointwise && UseDirectConv(kernel_, stride_);
+  const bool direct = !pointwise && UseDirectConvS8(stride_);
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 

@@ -1,8 +1,8 @@
-// 2-D convolution layer lowered to GEMM, batch-parallel. Forwards with
-// stride 1 (inference and training) run im2col-free: the GEMM packs its B
-// panels straight from a zero-padded image view (tensor/conv_direct.h),
-// bitwise identical to the im2col lowering, which remains the fallback
-// for strided geometries and backs the backward pass.
+// 2-D convolution layer lowered to GEMM, batch-parallel. f32 forwards
+// (inference and training, any stride) run im2col-free: the GEMM reads its
+// B operand in place from a zero-padded image view (tensor/conv_direct.h),
+// bitwise identical to the im2col lowering, which backs the backward pass
+// and the strided int8 forward.
 #ifndef POE_NN_CONV2D_H_
 #define POE_NN_CONV2D_H_
 
@@ -25,8 +25,8 @@ namespace poe {
 /// where batch-norm absorbs the bias.
 ///
 /// Steady-state Forward makes no scratch allocations: the direct path's
-/// padded-image buffer (and the fallback's im2col buffer) come from the
-/// per-thread arena, 1x1/stride-1 convolutions skip the unfold entirely,
+/// padded-image buffer (and the im2col buffer where that lowering runs)
+/// come from the per-thread arena, 1x1/stride-1 convolutions skip the unfold entirely,
 /// and bias (+ fused ReLU at inference) is applied by the GEMM epilogue
 /// instead of a second pass over the output.
 class Conv2d : public Module {

@@ -1,5 +1,6 @@
 #include "tensor/conv_direct.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -66,23 +67,56 @@ void CopyImageInteriorT(const T* image, int64_t channels, int64_t height,
 
 }  // namespace
 
+int64_t DirectImageElems(const ConvImageView& v) {
+  if (v.stride == 1) {
+    return PaddedImageElems(v.channels, v.height, v.width, v.pad);
+  }
+  return v.phases() * v.channels * v.padded_h() * v.phase_w();
+}
+
+void FillDirectImage(const float* image, const ConvImageView& v,
+                     float* buf) {
+  if (v.stride == 1) {
+    ZeroImageBorderT(buf, v.channels, v.height, v.width, v.pad);
+    CopyImageInteriorT(image, v.channels, v.height, v.width, v.pad, buf);
+    return;
+  }
+  // Phase plane q, row y, position t holds padded pixel (y, t*s + q):
+  // image pixel (y - pad, t*s + q - pad) inside the image, else zero.
+  const int64_t s = v.stride;
+  const int64_t ph = v.padded_h();
+  const int64_t phw = v.phase_w();
+  for (int64_t q = 0; q < v.phases(); ++q) {
+    // Positions t whose image column t*s + q - pad lies in [0, width).
+    const int64_t t_lo = std::max<int64_t>(0, (v.pad - q + s - 1) / s);
+    const int64_t t_hi =
+        std::min(phw, (v.width + v.pad - q + s - 1) / s);
+    for (int64_t c = 0; c < v.channels; ++c) {
+      float* plane = buf + (q * v.channels + c) * ph * phw;
+      for (int64_t y = 0; y < ph; ++y) {
+        float* dst = plane + y * phw;
+        const int64_t iy = y - v.pad;
+        if (iy < 0 || iy >= v.height || t_lo >= t_hi) {
+          std::fill(dst, dst + phw, 0.0f);
+          continue;
+        }
+        const float* src = image + (c * v.height + iy) * v.width;
+        const int64_t x0 = q - v.pad;  // image column of position 0
+        std::fill(dst, dst + t_lo, 0.0f);
+        for (int64_t t = t_lo; t < t_hi; ++t) dst[t] = src[t * s + x0];
+        std::fill(dst + t_hi, dst + phw, 0.0f);
+      }
+    }
+  }
+}
+
 ConvPath ConvPathChoice() { return ConvPathState(); }
 
 void SetConvPath(ConvPath path) { ConvPathState() = path; }
 
-void ZeroImageBorder(float* padded, int64_t channels, int64_t height,
-                     int64_t width, int64_t pad) {
-  ZeroImageBorderT(padded, channels, height, width, pad);
-}
-
 void ZeroImageBorder(int8_t* padded, int64_t channels, int64_t height,
                      int64_t width, int64_t pad) {
   ZeroImageBorderT(padded, channels, height, width, pad);
-}
-
-void CopyImageInterior(const float* image, int64_t channels, int64_t height,
-                       int64_t width, int64_t pad, float* padded) {
-  CopyImageInteriorT(image, channels, height, width, pad, padded);
 }
 
 void CopyImageInterior(const int8_t* image, int64_t channels, int64_t height,

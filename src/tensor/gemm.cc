@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "tensor/arena.h"
 #include "tensor/pack.h"
@@ -22,55 +23,110 @@ namespace {
 
 // Cache blocking (floats). One op(A) block (kMC x kKC, ~300 KB) lives in L2
 // while a kKC x NR slice of packed op(B) (~40 KB) streams through L1.
-constexpr int64_t kMC = 240;  // multiple of every kernel's MR (6 and 12)
+constexpr int64_t kMC = 240;  // multiple of every kernel's MR (6 and 8)
 constexpr int64_t kKC = 320;
 constexpr int64_t kNC = 1024;
 
 constexpr int64_t kMaxMR = 16;
 constexpr int64_t kMaxNR = 64;
 
-// A micro-kernel computes acc[r*nr + c] = sum_p a[p*mr + r] * b[p*nr + c]
-// over packed panels (acc is overwritten, never read). Scaling by alpha,
-// the beta-accumulate into C, and the epilogue all happen in StoreTile.
+// A micro-kernel computes acc[r*nr + c] = sum_p a[p*mr + r] * b(p, c)
+// over a packed A panel (acc is overwritten, never read). Scaling by
+// alpha, the beta-accumulate into C, and the epilogue all happen in
+// StoreTile.
+//
+// Each tile shape comes in two forms that differ only in where the
+// k-step's B row is loaded from:
+//   - packed: b(p, c) = b[p*nr + c], a panel written by PackB;
+//   - direct: b(p, c) = seg[c / S][koff[p] + c % S], NR/S segments of S
+//     contiguous floats read straight from a padded conv image (S is the
+//     kernel's segment width; see DirectB below). No panel is written.
+// Both forms run the identical FMA chain per accumulator, so a product is
+// bitwise the same whichever form computed a tile.
 using MicroKernelFn = void (*)(int64_t kc, const float* a, const float* b,
                                float* acc);
+using DirectKernelFn = void (*)(int64_t kc, const float* a,
+                                const float* const* seg,
+                                const int32_t* koff, float* acc);
+
+// A direct form and the segment width S it loads.
+struct DirectForm {
+  int64_t seg = 0;  // 0 ends a kernel's list
+  DirectKernelFn fn = nullptr;
+};
 
 struct Kernel {
   int64_t mr, nr;
   MicroKernelFn fn;
   const char* name;
+  DirectForm direct[2];  // widest segment first
 };
 
 // Portable fallback: 6x16 accumulator block in plain C. The fixed trip
 // counts let the compiler unroll and vectorize for whatever the build
-// targets.
+// targets. kSeg == 0 reads packed panels; kSeg == 1 reads each of the 16
+// lanes through its own segment pointer, so the direct form covers any
+// output width.
+template <int kSeg>
 void MicroKernel6x16Scalar(int64_t kc, const float* a, const float* b,
+                           const float* const* seg, const int32_t* koff,
                            float* acc) {
   float c[6 * 16];
   std::memset(c, 0, sizeof(c));
-  for (int64_t p = 0; p < kc; ++p, a += 6, b += 16) {
+  for (int64_t p = 0; p < kc; ++p, a += 6) {
+    float bv[16];
+    if constexpr (kSeg == 0) {
+      std::memcpy(bv, b, sizeof(bv));
+      b += 16;
+    } else {
+      const int32_t off = koff[p];
+      for (int j = 0; j < 16; ++j) bv[j] = seg[j][off];
+    }
     for (int r = 0; r < 6; ++r) {
       const float av = a[r];
-      for (int j = 0; j < 16; ++j) c[r * 16 + j] += av * b[j];
+      for (int j = 0; j < 16; ++j) c[r * 16 + j] += av * bv[j];
     }
   }
   std::memcpy(acc, c, sizeof(c));
 }
 
+void MicroKernel6x16ScalarPacked(int64_t kc, const float* a, const float* b,
+                                 float* acc) {
+  MicroKernel6x16Scalar<0>(kc, a, b, nullptr, nullptr, acc);
+}
+
+void MicroKernel6x16ScalarDirect(int64_t kc, const float* a,
+                                 const float* const* seg,
+                                 const int32_t* koff, float* acc) {
+  MicroKernel6x16Scalar<1>(kc, a, nullptr, seg, koff, acc);
+}
+
 #ifdef POE_GEMM_X86
 
 // 6x16 register tile: 12 fp32x8 accumulators + 2 B vectors + 1 broadcast
-// fills 15 of the 16 ymm registers.
-__attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2(
-    int64_t kc, const float* a, const float* b, float* acc) {
+// fills 15 of the 16 ymm registers. Direct form: two 8-float segments.
+template <int kSeg>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+MicroKernel6x16Avx2(int64_t kc, const float* a, const float* b,
+                    const float* const* seg, const int32_t* koff,
+                    float* acc) {
   __m256 c0[6], c1[6];
   for (int r = 0; r < 6; ++r) {
     c0[r] = _mm256_setzero_ps();
     c1[r] = _mm256_setzero_ps();
   }
-  for (int64_t p = 0; p < kc; ++p, a += 6, b += 16) {
-    const __m256 b0 = _mm256_loadu_ps(b);
-    const __m256 b1 = _mm256_loadu_ps(b + 8);
+  for (int64_t p = 0; p < kc; ++p, a += 6) {
+    __m256 b0, b1;
+    if constexpr (kSeg == 0) {
+      b0 = _mm256_loadu_ps(b);
+      b1 = _mm256_loadu_ps(b + 8);
+      b += 16;
+    } else {
+      static_assert(kSeg == 8, "avx2 direct form loads 8-float segments");
+      const int32_t off = koff[p];
+      b0 = _mm256_loadu_ps(seg[0] + off);
+      b1 = _mm256_loadu_ps(seg[1] + off);
+    }
 #pragma GCC unroll 6
     for (int r = 0; r < 6; ++r) {
       const __m256 av = _mm256_set1_ps(a[r]);
@@ -84,29 +140,80 @@ __attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2(
   }
 }
 
-// 12x32 register tile: 24 fp32x16 accumulators + 2 B vectors + broadcasts
-// fits the 32 zmm registers with room to spare.
-__attribute__((target("avx512f"))) void MicroKernel12x32Avx512(
+__attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2Packed(
     int64_t kc, const float* a, const float* b, float* acc) {
-  __m512 c0[12], c1[12];
-  for (int r = 0; r < 12; ++r) {
+  MicroKernel6x16Avx2<0>(kc, a, b, nullptr, nullptr, acc);
+}
+
+__attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2Direct8(
+    int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
+    float* acc) {
+  MicroKernel6x16Avx2<8>(kc, a, nullptr, seg, koff, acc);
+}
+
+// 8x32 register tile: 16 fp32x16 accumulators + 2 B vectors + broadcasts.
+// MR = 8 divides the 16-, 32- and 64-channel weights of WRN layers, so no
+// padding rows are computed. Direct forms: two 16-float segments, or four
+// 8-float segments joined pairwise (8-wide output rows).
+template <int kSeg>
+__attribute__((target("avx512f"), always_inline)) inline void
+MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
+                      const float* const* seg, const int32_t* koff,
+                      float* acc) {
+  __m512 c0[8], c1[8];
+  for (int r = 0; r < 8; ++r) {
     c0[r] = _mm512_setzero_ps();
     c1[r] = _mm512_setzero_ps();
   }
-  for (int64_t p = 0; p < kc; ++p, a += 12, b += 32) {
-    const __m512 b0 = _mm512_loadu_ps(b);
-    const __m512 b1 = _mm512_loadu_ps(b + 16);
-#pragma GCC unroll 12
-    for (int r = 0; r < 12; ++r) {
+  for (int64_t p = 0; p < kc; ++p, a += 8) {
+    __m512 b0, b1;
+    if constexpr (kSeg == 0) {
+      b0 = _mm512_loadu_ps(b);
+      b1 = _mm512_loadu_ps(b + 16);
+      b += 32;
+    } else if constexpr (kSeg == 16) {
+      const int32_t off = koff[p];
+      b0 = _mm512_loadu_ps(seg[0] + off);
+      b1 = _mm512_loadu_ps(seg[1] + off);
+    } else {
+      static_assert(kSeg == 8, "avx512 direct forms load 16 or 8 floats");
+      const int32_t off = koff[p];
+      const auto join = [](const float* lo, const float* hi) {
+        return _mm512_castpd_ps(_mm512_insertf64x4(
+            _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(lo))),
+            _mm256_castps_pd(_mm256_loadu_ps(hi)), 1));
+      };
+      b0 = join(seg[0] + off, seg[1] + off);
+      b1 = join(seg[2] + off, seg[3] + off);
+    }
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) {
       const __m512 av = _mm512_set1_ps(a[r]);
       c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
       c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
     }
   }
-  for (int r = 0; r < 12; ++r) {
+  for (int r = 0; r < 8; ++r) {
     _mm512_storeu_ps(acc + r * 32, c0[r]);
     _mm512_storeu_ps(acc + r * 32 + 16, c1[r]);
   }
+}
+
+__attribute__((target("avx512f"))) void MicroKernel8x32Avx512Packed(
+    int64_t kc, const float* a, const float* b, float* acc) {
+  MicroKernel8x32Avx512<0>(kc, a, b, nullptr, nullptr, acc);
+}
+
+__attribute__((target("avx512f"))) void MicroKernel8x32Avx512Direct16(
+    int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
+    float* acc) {
+  MicroKernel8x32Avx512<16>(kc, a, nullptr, seg, koff, acc);
+}
+
+__attribute__((target("avx512f"))) void MicroKernel8x32Avx512Direct8(
+    int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
+    float* acc) {
+  MicroKernel8x32Avx512<8>(kc, a, nullptr, seg, koff, acc);
 }
 
 #endif  // POE_GEMM_X86
@@ -118,14 +225,18 @@ const Kernel& PickKernel() {
     // unsupported or unknown values fall back to auto-detection.
     const char* env = std::getenv("POE_GEMM_KERNEL");
     const std::string want = env ? env : "";
-    const Kernel scalar{6, 16, MicroKernel6x16Scalar, "scalar"};
+    const Kernel scalar{6, 16, MicroKernel6x16ScalarPacked, "scalar",
+                        {{1, MicroKernel6x16ScalarDirect}}};
     if (want == "scalar") return scalar;
 #ifdef POE_GEMM_X86
     const bool has_avx512 = __builtin_cpu_supports("avx512f");
     const bool has_avx2 =
         __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    const Kernel avx512{12, 32, MicroKernel12x32Avx512, "avx512"};
-    const Kernel avx2{6, 16, MicroKernel6x16Avx2, "avx2"};
+    const Kernel avx512{8, 32, MicroKernel8x32Avx512Packed, "avx512",
+                        {{16, MicroKernel8x32Avx512Direct16},
+                         {8, MicroKernel8x32Avx512Direct8}}};
+    const Kernel avx2{6, 16, MicroKernel6x16Avx2Packed, "avx2",
+                      {{8, MicroKernel6x16Avx2Direct8}}};
     if (want == "avx512" && has_avx512) return avx512;
     if (want == "avx2" && has_avx2) return avx2;
     if (has_avx512) return avx512;
@@ -192,19 +303,113 @@ inline const float* PrepackedBBlock(const float* packed, int64_t k,
   return packed + k * j0 + nc_pad * pc;
 }
 
+// op(B) of a direct convolution, read in place from the padded image
+// (see conv_direct.h): B(p, j) = image[koff[p] + ColOffset(j)]. koff maps
+// k row p = (c, kh, kw) to that tap's offset at output pixel (0, 0), and
+// ColOffset(j) moves it to output pixel (j / out_w, j % out_w).
+struct DirectB {
+  const float* image = nullptr;
+  const int32_t* koff = nullptr;
+  int64_t n = 0, out_w = 0, row_step = 0;
+
+  int64_t ColOffset(int64_t j) const {
+    return (j / out_w) * row_step + j % out_w;
+  }
+};
+
+// Picks how the micro-panel of columns [j, j + nr) reads a direct B: the
+// widest direct form whose segments each lie inside one output row (so
+// their floats are contiguous in the image) and inside n, with seg[]
+// pointing at each segment's first column. Null when no form fits (a row
+// or N tail); the caller gathers that panel instead.
+DirectKernelFn PickDirectForm(const Kernel& kn, const DirectB& d, int64_t j,
+                              const float** seg) {
+  if (j + kn.nr > d.n) return nullptr;
+  for (const DirectForm& form : kn.direct) {
+    if (form.seg == 0) break;
+    bool fits = true;
+    for (int64_t s = 0; s < kn.nr && fits; s += form.seg) {
+      fits = (j + s) % d.out_w + form.seg <= d.out_w;
+    }
+    if (!fits) continue;
+    for (int64_t s = 0; s < kn.nr; s += form.seg) {
+      seg[s / form.seg] = d.image + d.ColOffset(j + s);
+    }
+    return form.fn;
+  }
+  return nullptr;
+}
+
+// Gathers the kc x nr block of a micro-panel no direct form covers into
+// `out` in the packed layout, zero past n: the same values a direct form
+// would load, for the packed kernel to read.
+void GatherPanel(const DirectB& d, int64_t pc, int64_t kc, int64_t j,
+                 int64_t nr, float* out) {
+  const int64_t cols = std::min(nr, d.n - j);
+  int64_t col_off[kMaxNR];
+  for (int64_t c = 0; c < cols; ++c) col_off[c] = d.ColOffset(j + c);
+  for (int64_t p = 0; p < kc; ++p) {
+    const float* src = d.image + d.koff[pc + p];
+    float* dst = out + p * nr;
+    for (int64_t c = 0; c < cols; ++c) dst[c] = src[col_off[c]];
+    for (int64_t c = cols; c < nr; ++c) dst[c] = 0.0f;
+  }
+}
+
+// What StoreTile needs for every tile of one (row tile, k-block).
+struct TileStore {
+  float alpha, blk_beta;
+  bool epilogue;
+  const GemmEpilogue* ep;
+  float* c;
+  int64_t ldc;
+};
+
+// Runs the register tiles of one NR-column micro-panel (columns j ..
+// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). B
+// comes from the packed panel `bp`, or, when `direct` is set, straight
+// from the conv image; `gather` (kc x nr floats) backs the panels no
+// direct form covers.
+void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
+                   const float* a_pack, int64_t i0, int64_t mc,
+                   const float* bp, const DirectB* direct, float* gather,
+                   int64_t j, int64_t cols, const TileStore& st) {
+  const float* seg[kMaxNR];
+  DirectKernelFn direct_fn = nullptr;
+  if (direct != nullptr) {
+    direct_fn = PickDirectForm(kn, *direct, j, seg);
+    if (direct_fn == nullptr) {
+      GatherPanel(*direct, pc, kc, j, kn.nr, gather);
+      bp = gather;
+    }
+  }
+  float acc[kMaxMR * kMaxNR];
+  for (int64_t ip = 0; ip < mc; ip += kn.mr) {
+    const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
+    if (direct_fn != nullptr) {
+      direct_fn(kc, ap, seg, direct->koff + pc, acc);
+    } else {
+      kn.fn(kc, ap, bp, acc);
+    }
+    StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
+              st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
+  }
+}
+
 // Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc): packs A/B blocks
 // into this thread's scratch arena (or indexes the persistent prepacked
-// panels when `prepacked_a` / `prepacked_b` are given) and runs the
-// micro-kernel over the register-tile grid. One task owns each C tile and
-// accumulates k-blocks in a fixed order, so results are identical under
-// any thread schedule — and, because prepacked panels are byte-identical
-// to per-call packs, across the plain and prepacked entry points.
+// panels when `prepacked_a` / `prepacked_b` are given, or reads a direct
+// conv B in place) and runs the micro-kernel over the register-tile grid.
+// One task owns each C tile and accumulates k-blocks in a fixed order, so
+// results are identical under any thread schedule — and, because
+// prepacked panels are byte-identical to per-call packs and direct forms
+// load the values a pack would hold, across every entry point.
 void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, const float* b, float beta,
                  float* c, const GemmEpilogue& ep, const Kernel& kernel,
                  const float* prepacked_a, const float* prepacked_b,
-                 const ConvImageView* conv_img, int64_t i0, int64_t mc,
-                 int64_t j0, int64_t nc) {
+                 const DirectB* direct, int64_t i0, int64_t mc, int64_t j0,
+                 int64_t nc) {
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t mc_pad = (mc + mr - 1) / mr * mr;
@@ -213,8 +418,9 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   ScratchScope scope;
   float* a_buf = prepacked_a ? nullptr : scope.Alloc(mc_pad * kc_max);
-  float* b_buf = prepacked_b ? nullptr : scope.Alloc(kc_max * nc_pad);
-  float acc[kMaxMR * kMaxNR];
+  float* b_buf =
+      prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
+  float* gather = direct ? scope.Alloc(kc_max * nr) : nullptr;
 
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
@@ -225,26 +431,19 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
       a_pack = a_buf;
     }
-    const float* b_pack;
+    const float* b_pack = nullptr;
     if (prepacked_b != nullptr) {
       b_pack = PrepackedBBlock(prepacked_b, k, n, nr, j0, pc, kc);
-    } else if (conv_img != nullptr) {
-      PackBConv(*conv_img, pc, kc, j0, nc, nr, b_buf);
-      b_pack = b_buf;
-    } else {
+    } else if (direct == nullptr) {
       PackB(trans_b, b, k, n, pc, kc, j0, nc, nr, b_buf);
       b_pack = b_buf;
     }
-    const float blk_beta = (pc == 0) ? beta : 1.0f;
-    const bool last = pc + kc >= k;
+    const TileStore st{alpha, pc == 0 ? beta : 1.0f,
+                       pc + kc >= k && !ep.empty(), &ep, c, n};
     for (int64_t jp = 0; jp < nc; jp += nr) {
-      const float* bp = b_pack + (jp / nr) * kc * nr;
-      const int64_t cols = std::min(nr, nc - jp);
-      for (int64_t ip = 0; ip < mc; ip += mr) {
-        kernel.fn(kc, a_pack + (ip / mr) * kc * mr, bp, acc);
-        StoreTile(acc, nr, std::min(mr, mc - ip), cols, alpha, blk_beta,
-                  last && !ep.empty(), ep, i0 + ip, j0 + jp, c, n);
-      }
+      RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
+                    b_pack ? b_pack + (jp / nr) * kc * nr : nullptr, direct,
+                    gather, j0 + jp, std::min(nr, nc - jp), st);
     }
   }
 }
@@ -274,7 +473,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, const float* b, float beta,
                 float* c, const GemmEpilogue& ep, bool parallel,
                 const float* prepacked_a, const float* prepacked_b,
-                const ConvImageView* conv_img) {
+                const DirectB* direct) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
@@ -297,7 +496,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const int64_t i0 = rt * kMC;
       const int64_t j0 = ct * kNC;
       ComputeTile(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep,
-                  kernel, prepacked_a, prepacked_b, conv_img, i0,
+                  kernel, prepacked_a, prepacked_b, direct, i0,
                   std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
     });
     return;
@@ -305,9 +504,10 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   // Hoisted path: op(B) packing is hoisted out of the row-macro-tile
   // loop — each B k-block is packed once per column stripe and reused by
-  // every row tile, instead of being repacked ceil(m/MC) times. Per-element
-  // k-accumulation order is unchanged (ascending k-blocks), so the result
-  // stays bitwise identical to the parallel per-tile path.
+  // every row tile, instead of being repacked ceil(m/MC) times (a direct
+  // conv B needs no packing at all). Per-element k-accumulation order is
+  // unchanged (ascending k-blocks), so the result stays bitwise identical
+  // to the parallel per-tile path.
   //
   // When the pool has workers but the product is under-tiled (fewer macro
   // tiles than workers — the realtime batch-1 conv shapes), the NR-column
@@ -329,21 +529,19 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
     float* a_buf = prepacked_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
-    float* b_buf = prepacked_b ? nullptr : scope.Alloc(kc_max * nc_pad);
+    float* b_buf =
+        prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
     for (int64_t pc = 0; pc < k; pc += kKC) {
       const int64_t kc = std::min(kKC, k - pc);
-      const float* b_pack;
+      const float* b_pack = nullptr;
       if (prepacked_b != nullptr) {
         b_pack = PrepackedBBlock(prepacked_b, k, n, nr, j0, pc, kc);
-      } else if (conv_img != nullptr) {
-        PackBConv(*conv_img, pc, kc, j0, nc, nr, b_buf);
-        b_pack = b_buf;
-      } else {
+      } else if (direct == nullptr) {
         PackB(trans_b, b, k, n, pc, kc, j0, nc, nr, b_buf);
         b_pack = b_buf;
       }
-      const float blk_beta = (pc == 0) ? beta : 1.0f;
-      const bool last = pc + kc >= k;
+      const TileStore st{alpha, pc == 0 ? beta : 1.0f,
+                         pc + kc >= k && !ep.empty(), &ep, c, n};
       for (int64_t rt = 0; rt < row_tiles; ++rt) {
         const int64_t i0 = rt * kMC;
         const int64_t mc = std::min(kMC, m - i0);
@@ -355,17 +553,13 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           a_pack = a_buf;
         }
         const auto micro_panels = [&](int64_t jb0, int64_t jb1) {
-          float acc[kMaxMR * kMaxNR];
+          ScratchScope panel_scope;
+          float* gather = direct ? panel_scope.Alloc(kc * nr) : nullptr;
           for (int64_t jb = jb0; jb < jb1; ++jb) {
             const int64_t jp = jb * nr;
-            const float* bp = b_pack + jb * kc * nr;
-            const int64_t cols = std::min(nr, nc - jp);
-            for (int64_t ip = 0; ip < mc; ip += mr) {
-              kernel.fn(kc, a_pack + (ip / mr) * kc * mr, bp, acc);
-              StoreTile(acc, nr, std::min(mr, mc - ip), cols, alpha,
-                        blk_beta, last && !ep.empty(), ep, i0 + ip, j0 + jp,
-                        c, n);
-            }
+            RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
+                          b_pack ? b_pack + jb * kc * nr : nullptr, direct,
+                          gather, j0 + jp, std::min(nr, nc - jp), st);
           }
         };
         const int64_t jp_blocks = (nc + nr - 1) / nr;
@@ -379,6 +573,34 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
+// The k-row offset table of a direct conv operand, built once per call
+// into this thread's table (a GEMM never re-enters itself on one thread;
+// sub-tile workers only read the caller's table behind its barrier).
+DirectB MakeDirectB(const ConvImageView& img) {
+  thread_local std::vector<int32_t> koff;
+  POE_CHECK_LE(DirectImageElems(img), int64_t{INT32_MAX});
+  const int64_t s = img.stride;
+  const int64_t ph = img.padded_h();
+  const int64_t phw = img.phase_w();
+  koff.resize(static_cast<size_t>(img.depth()));
+  size_t p = 0;
+  for (int64_t c = 0; c < img.channels; ++c) {
+    for (int64_t kh = 0; kh < img.kernel; ++kh) {
+      for (int64_t kw = 0; kw < img.kernel; ++kw) {
+        koff[p++] = static_cast<int32_t>(
+            (((kw % s) * img.channels + c) * ph + kh) * phw + kw / s);
+      }
+    }
+  }
+  DirectB d;
+  d.image = img.padded;
+  d.koff = koff.data();
+  d.n = img.cols();
+  d.out_w = img.out_w();
+  d.row_step = s * phw;
+  return d;
+}
+
 }  // namespace
 
 void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -386,15 +608,16 @@ void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const GemmEpilogue& ep, bool parallel) {
   GemmExImpl(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep, parallel,
              /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*conv_img=*/nullptr);
+             /*direct=*/nullptr);
 }
 
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel) {
+  const DirectB direct = MakeDirectB(img);
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
              img.depth(), alpha, a, /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &img);
+             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &direct);
 }
 
 PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,
@@ -455,7 +678,7 @@ void GemmPackedA(const PackedAWeights& a, int64_t n, const float* b,
   POE_CHECK(!a.empty()) << "GemmPackedA on unpacked weights";
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_, alpha,
              /*a=*/nullptr, b, beta, c, ep, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*conv_img=*/nullptr);
+             /*prepacked_b=*/nullptr, /*direct=*/nullptr);
 }
 
 void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
@@ -463,9 +686,10 @@ void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
                      bool parallel) {
   POE_CHECK(!a.empty()) << "GemmConvPackedA on unpacked weights";
   POE_CHECK_EQ(a.k_, img.depth());
+  const DirectB direct = MakeDirectB(img);
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
              alpha, /*a=*/nullptr, /*b=*/nullptr, beta, c, ep, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, &img);
+             a.data_.data(), /*prepacked_b=*/nullptr, &direct);
 }
 
 void GemmPackedB(int64_t m, const float* a, bool trans_a,
@@ -474,7 +698,7 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
   POE_CHECK(!b.empty()) << "GemmPackedB on unpacked weights";
   GemmExImpl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, alpha, a,
              /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, b.data_.data(), /*conv_img=*/nullptr);
+             /*prepacked_a=*/nullptr, b.data_.data(), /*direct=*/nullptr);
 }
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

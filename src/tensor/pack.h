@@ -1,11 +1,11 @@
 // Panel packing for the blocked GEMM (see gemm.cc and docs/PERF.md).
+// Direct convolutions pack only A: their B operand is read in place from
+// the padded image (see conv_direct.h), so no conv B packer exists.
 #ifndef POE_TENSOR_PACK_H_
 #define POE_TENSOR_PACK_H_
 
 #include <cstdint>
 #include <cstring>
-
-#include "tensor/conv_direct.h"
 
 namespace poe {
 
@@ -77,50 +77,6 @@ inline void PackB(bool trans_b, const float* b, int64_t k, int64_t n,
         for (int64_t c = 0; c < cols; ++c) dst[c] = src[c * k + p];
         for (int64_t c = cols; c < nr; ++c) dst[c] = 0.0f;
       }
-    }
-  }
-}
-
-/// Packs the op(B) block [p0, p0+kc) x [j0, j0+nc) of the *virtual*
-/// im2col matrix of `img` into `out`, gathering from the padded image
-/// instead of a materialized buffer. Row p of the virtual matrix is the
-/// (c, kh, kw) = (p / kernel^2, (p % kernel^2) / kernel, p % kernel)
-/// shifted view of the padded image, matching Im2Col's row order; column
-/// j is output pixel (j / out_w, j % out_w). Because stride is 1, the
-/// columns of one output row are contiguous in the padded image, so each
-/// panel row is one or two memcpys. The panel bytes are identical to
-/// PackB(!trans_b, im2col_matrix, ...) — including the zero fill past the
-/// edge — which is what makes the direct conv path bitwise identical to
-/// the im2col path.
-inline void PackBConv(const ConvImageView& img, int64_t p0, int64_t kc,
-                      int64_t j0, int64_t nc, int64_t nr, float* out) {
-  const int64_t pw = img.padded_w();
-  const int64_t out_w = img.out_w();
-  const int64_t kk = img.kernel * img.kernel;
-  for (int64_t jp = 0; jp < nc; jp += nr) {
-    const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
-    float* panel = out + (jp / nr) * kc * nr;
-    for (int64_t p = 0; p < kc; ++p) {
-      const int64_t pk = p0 + p;
-      const int64_t c = pk / kk;
-      const int64_t rem = pk - c * kk;
-      const int64_t kh = rem / img.kernel;
-      const int64_t kw = rem - kh * img.kernel;
-      const float* base = img.padded + (c * img.padded_h() + kh) * pw + kw;
-      float* dst = panel + p * nr;
-      int64_t j = j0 + jp;
-      int64_t done = 0;
-      while (done < cols) {
-        const int64_t oh = j / out_w;
-        const int64_t ow = j - oh * out_w;
-        const int64_t len =
-            (cols - done < out_w - ow) ? cols - done : out_w - ow;
-        std::memcpy(dst + done, base + oh * pw + ow,
-                    static_cast<size_t>(len) * sizeof(float));
-        done += len;
-        j += len;
-      }
-      for (int64_t cpad = cols; cpad < nr; ++cpad) dst[cpad] = 0.0f;
     }
   }
 }

@@ -161,10 +161,11 @@ inline void PackBs8(bool trans_b, const int8_t* b, int64_t k, int64_t n,
 }
 
 /// Packs the full k x [j0, j0+nc) block of the *virtual* im2col matrix of
-/// `img` (see PackBConv in pack.h for the row/column mapping) into `out`
-/// and writes colsum exactly like PackBs8. This is the portable direct-conv
-/// B pack used by the scalar kernel and by edge panels of the SIMD conv
-/// packers; the panel bytes and colsums are identical to
+/// `img` (row p is tap (c, kh, kw) in Im2Col's order, column j is output
+/// pixel (j / out_w, j % out_w)) into `out` and writes colsum exactly like
+/// PackBs8. This is the portable direct-conv B pack used by the scalar
+/// kernel and by edge panels of the SIMD conv packers; the panel bytes and
+/// colsums are identical to
 /// PackBs8(!trans_b, im2col_matrix, ...), so the int8 GEMM — whose
 /// accumulation is exact integer arithmetic — produces bitwise-identical
 /// output on the direct and im2col paths.

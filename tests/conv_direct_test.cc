@@ -1,5 +1,5 @@
-// Direct (im2col-free) convolution: the ISSUE-level guarantee is bitwise
-// identity with the im2col lowering on every kernel tier, plus sub-tile
+// Direct (im2col-free) convolution: the guarantee is bitwise identity
+// with the im2col lowering on every kernel tier, plus sub-tile
 // determinism (thread count never changes output bits). The GEMM-level
 // tests compare GemmConvEx/GemmS8Conv against the same GEMM run over a
 // materialized im2col matrix; the layer-level tests pin POE_CONV_PATH's
@@ -243,7 +243,7 @@ TEST(ConvDirectGemmTest, MultiTileParallelIsDeterministic) {
 // Layer-level oracle: identically-seeded Conv2d layers forwarded under
 // the pinned direct and im2col paths must agree bitwise — f32 plain,
 // f32 prepacked, and both int8 serving modes, across paddings, strides
-// (stride 2 exercises the automatic im2col fallback), and batch sizes.
+// (stride 2 runs the f32 phase-split path) and batch sizes.
 TEST(ConvDirectLayerTest, ForwardF32BitwiseAcrossPaths) {
   for (int64_t kernel : {1, 3, 5}) {
     for (int64_t stride : {1, 2}) {
@@ -342,6 +342,96 @@ TEST(ConvDirectLayerTest, BatchSizeDoesNotChangeBits) {
     ASSERT_EQ(0, std::memcmp(y.data(), y_all.data() + b * item,
                              sizeof(float) * item))
         << "item " << b;
+  }
+}
+
+// The pack-free f32 path against the im2col lowering over the geometry
+// grid the serving trunk and experts span, plus the edges each kernel tier
+// must handle: stride 1 and 2, kernel 1 and 3, pad 0 and 1, output rows 32,
+// 16 and 8 wide (whole SIMD segments) and 7 and 5 wide (gathered panels),
+// output channels that do and do not fill a register tile, reduction
+// depths of one and of two k-blocks, batches 1, 3 and 5, per-call and
+// prepacked weights, inference (plain and fused-ReLU) and training
+// forwards. The mt4 rerun covers the sub-tile parallel schedule.
+TEST(ConvDirectLayerTest, PackFreeBitwiseMatchesIm2ColGrid) {
+  const int64_t kBatches[] = {1, 3, 5};
+  int64_t case_index = 0;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t kernel : {1, 3}) {
+      for (int64_t pad : {0, 1}) {
+        for (int64_t out_w : {32, 16, 8, 7, 5}) {
+          for (int64_t out_c : {3, 13, 16, 17, 32, 64}) {
+            for (int64_t in_c : {3, 37}) {  // 37*9 > one 320-deep k-block
+              const int64_t batch = kBatches[case_index++ % 3];
+              const int64_t out_h = 3;
+              const int64_t in_w = (out_w - 1) * stride + kernel - 2 * pad;
+              const int64_t in_h = (out_h - 1) * stride + kernel - 2 * pad;
+              Rng rng(static_cast<uint64_t>(case_index));
+              Conv2d conv(in_c, out_c, kernel, stride, pad, rng,
+                          /*bias=*/true);
+              Tensor x = Tensor::Randn({batch, in_c, in_h, in_w}, rng);
+              const auto check = [&](const Tensor& got, const Tensor& want,
+                                     const char* mode) {
+                ASSERT_EQ(got.shape(), want.shape());
+                ASSERT_EQ(0, std::memcmp(got.data(), want.data(),
+                                         got.numel() * sizeof(float)))
+                    << mode << ": stride=" << stride << " kernel=" << kernel
+                    << " pad=" << pad << " out_w=" << out_w
+                    << " out_c=" << out_c << " in_c=" << in_c
+                    << " batch=" << batch;
+              };
+              Tensor want_train, want_infer;
+              {
+                ScopedConvPath pin(ConvPath::kIm2Col);
+                want_train = conv.Forward(x, /*training=*/true);
+                want_infer = conv.ForwardFusedRelu(x);
+              }
+              check(conv.Forward(x, /*training=*/true), want_train,
+                    "training");
+              check(conv.ForwardFusedRelu(x), want_infer, "inference");
+              conv.Prepack(ServingPrecision::kFloat32);
+              check(conv.ForwardFusedRelu(x), want_infer, "prepacked");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Row r of a fused batch equals that row's solo forward bit for bit at
+// the serving geometries (trunk body, trunk transition, 1x1 projection,
+// expert block at 8x8), so fusing requests never changes an answer. At
+// more than one worker the batch runs batch-parallel and each solo row
+// GEMM-parallel, two different schedules.
+TEST(ConvDirectLayerTest, BatchRowsMatchSoloForwards) {
+  struct Shape {
+    int64_t in_c, out_c, in_hw, stride, kernel;
+  };
+  const Shape kShapes[] = {
+      {16, 16, 32, 1, 3}, {32, 32, 16, 1, 3}, {16, 32, 32, 2, 3},
+      {32, 64, 16, 2, 1}, {32, 16, 16, 2, 3}, {16, 16, 8, 1, 3},
+  };
+  for (const Shape& sh : kShapes) {
+    Rng rng(sh.in_c * 7 + sh.out_c + sh.stride);
+    Conv2d conv(sh.in_c, sh.out_c, sh.kernel, sh.stride, sh.kernel / 2, rng);
+    conv.Prepack(ServingPrecision::kFloat32);
+    const int64_t batch = 5;
+    Tensor x = Tensor::Randn({batch, sh.in_c, sh.in_hw, sh.in_hw}, rng);
+    Tensor y_all = conv.ForwardFusedRelu(x);
+    const int64_t in_item = sh.in_c * sh.in_hw * sh.in_hw;
+    const int64_t out_item = y_all.numel() / batch;
+    for (int64_t r = 0; r < batch; ++r) {
+      Tensor xr({1, sh.in_c, sh.in_hw, sh.in_hw});
+      std::memcpy(xr.data(), x.data() + r * in_item, sizeof(float) * in_item);
+      Tensor yr = conv.ForwardFusedRelu(xr);
+      ASSERT_EQ(yr.numel(), out_item);
+      ASSERT_EQ(0, std::memcmp(yr.data(), y_all.data() + r * out_item,
+                               sizeof(float) * out_item))
+          << "in_c=" << sh.in_c << " out_c=" << sh.out_c
+          << " stride=" << sh.stride << " kernel=" << sh.kernel << " row "
+          << r;
+    }
   }
 }
 

@@ -53,6 +53,9 @@ CROSS_RATIOS = {
                                      "BM_ConvWrnDirectInt8/64/64/32/1/3"),
     "direct_vs_im2col/ConvWrn/64": ("BM_ConvWrnPrepacked/64/64/32/1/3",
                                     "BM_ConvWrnDirect/64/64/32/1/3"),
+    "direct_vs_im2col/ConvWrnStride2/16": (
+        "BM_ConvWrnPrepacked/16/32/32/2/3",
+        "BM_ConvWrnDirect/16/32/32/2/3"),
     "direct_vs_im2col/ConvWrnInt8/64": (
         "BM_ConvWrnInt8Calibrated/64/64/32/1/3",
         "BM_ConvWrnDirectInt8/64/64/32/1/3"),
