@@ -151,6 +151,14 @@ __attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2Direct8(
   MicroKernel6x16Avx2<8>(kc, a, nullptr, seg, koff, acc);
 }
 
+// One zmm from two 8-float loads: `lo` fills lanes 0-7, `hi` lanes 8-15.
+__attribute__((target("avx512f"), always_inline)) inline __m512 LoadTwo8(
+    const float* lo, const float* hi) {
+  return _mm512_castpd_ps(_mm512_insertf64x4(
+      _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(lo))),
+      _mm256_castps_pd(_mm256_loadu_ps(hi)), 1));
+}
+
 // 8x32 register tile: 16 fp32x16 accumulators + 2 B vectors + broadcasts.
 // MR = 8 divides the 16-, 32- and 64-channel weights of WRN layers, so no
 // padding rows are computed. Direct forms: two 16-float segments, or four
@@ -178,13 +186,8 @@ MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
     } else {
       static_assert(kSeg == 8, "avx512 direct forms load 16 or 8 floats");
       const int32_t off = koff[p];
-      const auto join = [](const float* lo, const float* hi) {
-        return _mm512_castpd_ps(_mm512_insertf64x4(
-            _mm512_castps_pd(_mm512_castps256_ps512(_mm256_loadu_ps(lo))),
-            _mm256_castps_pd(_mm256_loadu_ps(hi)), 1));
-      };
-      b0 = join(seg[0] + off, seg[1] + off);
-      b1 = join(seg[2] + off, seg[3] + off);
+      b0 = LoadTwo8(seg[0] + off, seg[1] + off);
+      b1 = LoadTwo8(seg[2] + off, seg[3] + off);
     }
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r) {
