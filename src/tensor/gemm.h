@@ -1,5 +1,6 @@
 // Blocked, packed, SIMD-dispatched single-precision GEMM used by conv
-// (via im2col) and linear layers. See docs/PERF.md for the design.
+// (direct, or via im2col in the backward) and linear layers. See
+// docs/PERF.md for the design.
 #ifndef POE_TENSOR_GEMM_H_
 #define POE_TENSOR_GEMM_H_
 
@@ -125,11 +126,12 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
 
 /// Direct (im2col-free) convolution as GEMM: C (m x img.cols()) =
 /// alpha * A * vcol(img) + beta * C, where vcol(img) is the virtual
-/// im2col matrix of the padded image (img.depth() x img.cols()) that the
-/// B-panel pack gathers on the fly (PackBConv). A is the m x img.depth()
-/// row-major weight matrix. Bitwise identical to GemmEx over the
-/// materialized im2col matrix on every kernel tier, because the packed
-/// panels are byte-identical (see conv_direct.h).
+/// im2col matrix of the padded image (img.depth() x img.cols()), any
+/// stride. The micro-kernel reads its B rows in place from the image; no
+/// B panel is packed. A is the m x img.depth() row-major weight matrix.
+/// Bitwise identical to GemmEx over the materialized im2col matrix on
+/// every kernel tier, because each output element runs the same FMA chain
+/// over k (see conv_direct.h).
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel);

@@ -1,11 +1,11 @@
 // im2col / col2im transforms backing convolution as GEMM.
 //
-// Inference at stride 1 no longer materializes these matrices: the direct
-// path (tensor/conv_direct.h) feeds the GEMM's B pack straight from a
+// Forwards no longer materialize these matrices: the direct path
+// (tensor/conv_direct.h) reads the GEMM's B operand straight from a
 // zero-padded image view, bitwise identical to im2col + GEMM. What stays
-// on the im2col route is everything direct does not cover — strided
-// forwards, and the backward pass (Im2Col re-unfolds the cached input for
-// dW, Col2Im folds dX back).
+// on the im2col route is the backward pass (Im2Col re-unfolds the cached
+// input for dW, Col2Im folds dX back), the strided int8 forward, and the
+// POE_CONV_PATH=im2col pin.
 //
 // Both transforms work a column-matrix row at a time: for each kernel
 // column kw the in-range output columns form one span [ow_lo, ow_hi), so a
