@@ -26,9 +26,9 @@ namespace poe {
 ///
 /// Steady-state Forward makes no scratch allocations: the direct path's
 /// padded-image buffer (and the im2col buffer where that lowering runs)
-/// come from the per-thread arena, 1x1/stride-1 convolutions skip the unfold entirely,
-/// and bias (+ fused ReLU at inference) is applied by the GEMM epilogue
-/// instead of a second pass over the output.
+/// come from the per-thread arena, 1x1/stride-1 convolutions skip the
+/// unfold entirely, and bias (+ fused ReLU at inference) is applied by the
+/// GEMM epilogue instead of a second pass over the output.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,

@@ -363,7 +363,10 @@ TEST(ConvDirectLayerTest, PackFreeBitwiseMatchesIm2ColGrid) {
           for (int64_t out_c : {3, 13, 16, 17, 32, 64}) {
             for (int64_t in_c : {3, 37}) {  // 37*9 > one 320-deep k-block
               const int64_t batch = kBatches[case_index++ % 3];
-              const int64_t out_h = 3;
+              // 9 output rows: every width has full micro-panels (direct
+              // forms, or gathers where rows are narrower than a segment)
+              // and, except width 32, an N tail.
+              const int64_t out_h = 9;
               const int64_t in_w = (out_w - 1) * stride + kernel - 2 * pad;
               const int64_t in_h = (out_h - 1) * stride + kernel - 2 * pad;
               Rng rng(static_cast<uint64_t>(case_index));
