@@ -200,7 +200,12 @@ BENCHMARK(BM_ConvWrnInt8Calibrated)
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1})   // 1x1 pointwise fast path
+    ->Args({16, 16, 32, 1, 3})    // WRN-16-1 trunk: conv2 body
+    ->Args({32, 32, 16, 1, 3})    // WRN-16-1 trunk: conv3 body
+    ->Args({16, 32, 32, 2, 3})    // WRN-16-1 trunk: conv3 transition
+    ->Args({32, 16, 16, 2, 3})    // expert head: first conv
+    ->Args({16, 16, 8, 1, 3});    // expert head: 8x8 conv
 
 // F32 conv with prepacked op(A) weight panels (pack-once serving) vs the
 // per-call PackA of BM_ConvWrn — same rows, bitwise identical outputs.
@@ -279,8 +284,9 @@ BENCHMARK(BM_ConvWrnDirect)
     ->Args({16, 32, 32, 2, 3});    // WRN-16-1 trunk: conv3 transition
 
 // Int8 direct convolution with calibrated activations: each input byte is
-// quantized exactly once into the padded image, then the conv-aware B
-// pack gathers it — no im2col matrix, no re-quantization. Baseline:
+// quantized exactly once and copied into the channel-interleaved padded
+// image (column-phase split when strided), which the micro-kernels read
+// in place — no im2col matrix, no B panel. Baseline:
 // BM_ConvWrnInt8Calibrated (same rows, bitwise-identical outputs).
 void BM_ConvWrnDirectInt8(benchmark::State& state) {
   const int64_t in_c = state.range(0);
@@ -313,7 +319,12 @@ BENCHMARK(BM_ConvWrnDirectInt8)
     ->Args({3, 16, 32, 1, 3})      // stem
     ->Args({64, 64, 32, 1, 3})     // conv2 group body
     ->Args({128, 128, 16, 1, 3})   // conv3 group body
-    ->Args({256, 256, 8, 1, 3});   // conv4 group body
+    ->Args({256, 256, 8, 1, 3})    // conv4 group body
+    ->Args({16, 16, 32, 1, 3})     // WRN-16-1 trunk: conv2 body
+    ->Args({32, 32, 16, 1, 3})     // WRN-16-1 trunk: conv3 body
+    ->Args({16, 32, 32, 2, 3})     // WRN-16-1 trunk: conv3 transition
+    ->Args({32, 16, 16, 2, 3})     // expert head: first conv
+    ->Args({16, 16, 8, 1, 3});     // expert head: 8x8 conv
 
 void BM_Conv2dBackward(benchmark::State& state) {
   const int64_t channels = state.range(0);

@@ -69,7 +69,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
 
   // 1x1/stride-1 convolution is a plain channel-mixing GEMM: the im2col
   // matrix would be the image itself, so skip the unfold entirely.
-  const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
+  const bool pointwise = IsPointwise();
 
   // Im2col-free direct path (every geometry, inference and training): the
   // GEMM reads its B operand straight from a zero-padded image copy, split
@@ -169,8 +169,8 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
 
 // The int8 serving forward: activations are quantized per-tensor (static
 // calibrated scale when present, else a dynamic max-abs pass) with the
-// vectorized quantizer — fused into the column matrix for pointwise
-// convs, one whole-image pass for k > 1 — and multiplied against the
+// vectorized quantizer — straight into the column matrix for pointwise
+// convs, once per image for the others — and multiplied against the
 // pre-packed int8 weight panels. The GEMM's output pass applies
 // scale_act * wscale[channel] dequantization, bias, and the fused ReLU,
 // so no f32 weight or separate dequant sweep exists anywhere on this
@@ -185,7 +185,6 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   const int64_t out_w = ConvOutSize(w, kernel_, pad_, stride_);
   POE_CHECK_GT(out_h, 0);
   POE_CHECK_GT(out_w, 0);
-  const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t ohw = out_h * out_w;
   const int64_t chw = in_channels_ * h * w;
 
@@ -203,70 +202,52 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  const bool pointwise = kernel_ == 1 && stride_ == 1 && pad_ == 0;
-  const bool direct = !pointwise && UseDirectConvS8(stride_);
+  const bool pointwise = IsPointwise();
+  const bool direct = !pointwise && UseDirectConv();
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  // Pointwise convs quantize straight into the column matrix (the fully
-  // fused case: the unfold is the identity, so one vectorized pass does
-  // everything). Other k > 1 convs quantize the image exactly once
-  // (vectorized) and gather bytes — directly from the padded image on the
-  // direct path, through a materialized im2col matrix on the fallback.
-  // A fused quantizing unfold (Im2ColQuantize, removed) would re-quantize
-  // every element k*k times, which measured ~2x slower at WRN 3x3
-  // geometries (docs/PERF.md). All orders are bitwise identical.
+  // Each image is quantized exactly once into a flat CHW buffer; that is
+  // the pointwise GEMM's B. The direct path then copies the bytes into the
+  // channel-interleaved layout the micro-kernels read in place (stride-
+  // phase split when strided); the im2col pin unfolds them in the weights'
+  // k-group order. A fused quantizing unfold (Im2ColQuantize, removed)
+  // would re-quantize every element k*k times, which measured ~2x slower
+  // at WRN 3x3 geometries (docs/PERF.md). All orders are bitwise
+  // identical.
+  const int64_t group = pointwise ? 1 : GemmS8KGroup();
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
-    int8_t* cols = AllocS8(scope, pointwise ? chw : ckk * ohw);
-    int8_t* q_img = pointwise ? nullptr : AllocS8(scope, chw);
-    for (int64_t b = begin; b < end; ++b) {
-      float* out_b = out + b * out_channels_ * ohw;
-      if (pointwise) {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, cols);
-      } else {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, q_img);
-        Im2Col(q_img, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
-               cols);
-      }
-      GemmS8PackedA(qweight_, ohw, cols, out_b, ep, gemm_parallel);
-    }
-  };
-  // Direct path: pad == 0 quantizes the whole image straight into the
-  // view's buffer; pad > 0 quantizes once into a flat scratch and
-  // row-copies the bytes into the zero-bordered interior (a memcpy, not a
-  // second rounding — each input byte is quantized exactly once).
-  auto run_range_direct = [&](int64_t begin, int64_t end) {
-    ScratchScope scope;
-    const int64_t pelems = PaddedImageElems(in_channels_, h, w, pad_);
-    int8_t* q_pad = AllocS8(scope, pad_ > 0 ? pelems : chw);
-    int8_t* q_tmp = pad_ > 0 ? AllocS8(scope, chw) : nullptr;
-    if (pad_ > 0) ZeroImageBorder(q_pad, in_channels_, h, w, pad_);
+    int8_t* q = AllocS8(scope, chw);
     ConvImageViewS8 img;
-    img.padded = q_pad;
     img.channels = in_channels_;
     img.height = h;
     img.width = w;
     img.kernel = kernel_;
     img.pad = pad_;
+    img.stride = stride_;
+    img.group = group;
+    const int64_t elems = direct ? DirectImageElems(img) : 0;
+    int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
+    int8_t* cols =
+        pointwise || direct ? q : AllocS8(scope, qweight_.depth() * ohw);
     for (int64_t b = begin; b < end; ++b) {
       float* out_b = out + b * out_channels_ * ohw;
-      if (pad_ > 0) {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, q_tmp);
-        CopyImageInterior(q_tmp, in_channels_, h, w, pad_, q_pad);
-      } else {
-        QuantizeBufferS8(in + b * chw, chw, inv_scale, q_pad);
+      QuantizeBufferS8(in + b * chw, chw, inv_scale, q);
+      if (direct) {
+        if (elems > 0) FillDirectImage(q, img, image);
+        img.padded = image;
+        GemmS8ConvPackedA(qweight_, img, out_b, ep, gemm_parallel);
+        continue;
       }
-      GemmS8ConvPackedA(qweight_, img, out_b, ep, gemm_parallel);
+      if (!pointwise) {
+        Im2Col(q, in_channels_, h, w, kernel_, kernel_, pad_, stride_, cols,
+               group);
+      }
+      GemmS8PackedA(qweight_, ohw, cols, out_b, ep, gemm_parallel);
     }
   };
-  if (direct) {
-    if (gemm_parallel) {
-      run_range_direct(0, batch);
-    } else {
-      ParallelFor(batch, run_range_direct, /*min_chunk=*/1);
-    }
-  } else if (gemm_parallel) {
+  if (gemm_parallel) {
     run_range(0, batch);
   } else {
     ParallelFor(batch, run_range, /*min_chunk=*/1);
@@ -296,9 +277,12 @@ void Conv2d::FinishInt8Setup(const int8_t* values) {
   // of the same layer.
   std::lock_guard<std::mutex> lock(prepack_mu_);
   // Pack once into the kernel layout; only the packed form stays resident
-  // (persistence exports the portable row-major form via Unpack).
-  qweight_ = PackedS8Weights::Pack(out_channels_,
-                                   in_channels_ * kernel_ * kernel_, values);
+  // (persistence exports the portable row-major form via Unpack). Convs
+  // other than pointwise ones take the k-group order of the direct path.
+  qweight_ = IsPointwise()
+                 ? PackedS8Weights::Pack(out_channels_, in_channels_, values)
+                 : PackedS8Weights::PackConv(out_channels_, in_channels_,
+                                             kernel_, values);
   // Dequant-free serving: release the f32 weight storage for good, along
   // with any now-stale f32 packed panels.
   f32_packed_.store(false, std::memory_order_release);

@@ -1,8 +1,8 @@
-// 2-D convolution layer lowered to GEMM, batch-parallel. f32 forwards
-// (inference and training, any stride) run im2col-free: the GEMM reads its
-// B operand in place from a zero-padded image view (tensor/conv_direct.h),
-// bitwise identical to the im2col lowering, which backs the backward pass
-// and the strided int8 forward.
+// 2-D convolution layer lowered to GEMM, batch-parallel. Forwards (f32
+// inference and training, int8 serving, any stride) run im2col-free: the
+// GEMM reads its B operand in place from a zero-padded image view
+// (tensor/conv_direct.h), bitwise identical to the im2col lowering, which
+// backs the backward pass.
 #ifndef POE_NN_CONV2D_H_
 #define POE_NN_CONV2D_H_
 
@@ -88,6 +88,10 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
+  /// 1x1, stride 1, pad 0: a plain channel-mixing GEMM on the image.
+  bool IsPointwise() const {
+    return kernel_ == 1 && stride_ == 1 && pad_ == 0;
+  }
   Tensor ForwardImpl(const Tensor& input, bool training, bool fuse_relu);
   Tensor ForwardInt8(const Tensor& input, bool fuse_relu);
   /// Shared PrepareInt8Serving/Adopt tail: packs `values` (row-major

@@ -1,22 +1,23 @@
-// Im2col-free direct convolution support: zero-padded image views that
-// the blocked GEMM reads its B operand from, instead of a materialized
-// im2col matrix (which duplicates every input element kernel*kernel
-// times).
+// Im2col-free direct convolution support: zero-padded image layouts that
+// the GEMM micro-kernels read their B operand from in place, instead of a
+// materialized im2col matrix (which duplicates every input element
+// kernel*kernel times).
 //
-// f32, any stride: the micro-kernel loads each k-step's B row straight
-// from the padded image. A per-call table maps k row p = (c, kh, kw) to
-// that tap's offset, and each output row's columns are contiguous in the
-// image, so no B panel is written (gemm.cc, DirectB). For stride s > 1
-// the image is stored column-phase split: padded column x lives in phase
-// plane x % s at position x / s, so the taps of one output row are again
-// contiguous and the offset table absorbs the phase. Panels that no SIMD
-// load shape covers (rows narrower than a vector, N tails) are gathered
-// into an L1-sized panel for the same kernel.
+// A per-call table maps each k step to its tap's offset at output pixel
+// (0, 0), and the pixels of one output row are contiguous in the image, so
+// no B panel is written (gemm.cc DirectB, gemm_s8.cc GemmS8ConvPackedA).
+// For stride s > 1 the image is stored column-phase split: padded column x
+// lives in phase plane x % s at position x / s, so the taps of one output
+// row are again contiguous and the offset table absorbs the phase. Panels
+// that no load shape covers (rows narrower than a vector, N tails) are
+// gathered into a small panel for the same kernel.
 //
-// int8, stride 1: the B-panel packers gather the virtual im2col matrix out
-// of the padded image while packing (spans or SIMD loads, then the VNNI
-// k-grouping). Strided int8 convs use im2col: the VNNI kernels consume k
-// in groups of 4 consecutive rows, which a packer must interleave anyway.
+// f32 images are planar. int8 images interleave `group` channels per pixel
+// (the int8 kernel's k-group: 4 for VNNI and scalar, 2 for AVX2), so the
+// B bytes of one k-group for consecutive output pixels form one contiguous
+// run, the packed panel's own layout. Their weights are packed in the
+// matching k order (c / group, kh, kw, c % group), with zero weights for
+// the channels that pad C up to a multiple of `group`.
 //
 // Every direct product runs the same FMA (or exact integer) chain per
 // output element as the im2col lowering, so outputs are bitwise identical
@@ -31,9 +32,9 @@ namespace poe {
 
 /// Which lowering Conv2d uses for non-pointwise forward passes.
 enum class ConvPath {
-  kAuto,    ///< direct when the geometry is covered, else im2col
+  kAuto,    ///< direct (every geometry is covered)
   kIm2Col,  ///< always materialize the im2col matrix
-  kDirect,  ///< direct when covered (f32: always; int8: stride 1)
+  kDirect,  ///< direct
 };
 
 /// Current process-wide path choice. Initialized once from POE_CONV_PATH
@@ -45,25 +46,19 @@ ConvPath ConvPathChoice();
 /// measurement or setup code.
 void SetConvPath(ConvPath path);
 
-/// True when the f32 forward takes the direct path (every geometry is
+/// True when conv forwards take the direct path (every geometry is
 /// covered; only the POE_CONV_PATH=im2col pin opts out).
 inline bool UseDirectConv() {
   return ConvPathChoice() != ConvPath::kIm2Col;
 }
 
-/// True when the int8 forward takes the direct path: stride 1 only (the
-/// padding is absorbed into the padded image copy, so any pad works).
-inline bool UseDirectConvS8(int64_t stride) {
-  return stride == 1 && UseDirectConv();
-}
-
-/// A zero-padded image the GEMM reads the virtual im2col matrix from.
-/// With stride 1, `padded` holds channels x (height + 2*pad) x
-/// (width + 2*pad) elements. With stride s > 1 (f32 only) it holds
-/// phases() column-phase planes of channels x padded_h() x phase_w():
-/// padded column x sits in plane x % s at x / s. The interior is the
-/// image, the border is exact zero (float 0.0f or quantized 0, matching
-/// what Im2Col writes for out-of-range taps).
+/// A zero-padded image the GEMM reads the virtual im2col matrix from. It
+/// holds phases() column-phase planes (one when stride is 1), each of
+/// channel_groups() x padded_h() x phase_w() pixels of `group` channels:
+/// padded column x sits in plane x % stride at position x / stride, and
+/// channel c in group c / group at lane c % group. The interior is the
+/// image; the border and the lanes past `channels` are exact zero (float
+/// 0.0f or quantized 0, matching what Im2Col writes for out-of-range taps).
 template <typename T>
 struct ConvImageViewT {
   const T* padded = nullptr;
@@ -73,6 +68,7 @@ struct ConvImageViewT {
   int64_t kernel = 0;  ///< square kernel extent
   int64_t pad = 0;
   int64_t stride = 1;
+  int64_t group = 1;  ///< channels per pixel: 1 for f32, the k-group for int8
 
   int64_t padded_h() const { return height + 2 * pad; }
   int64_t padded_w() const { return width + 2 * pad; }
@@ -82,44 +78,55 @@ struct ConvImageViewT {
   int64_t phases() const { return stride < kernel ? stride : kernel; }
   /// Width of one phase plane's rows (padded_w() when stride is 1).
   int64_t phase_w() const { return (padded_w() + stride - 1) / stride; }
+  int64_t channel_groups() const { return (channels + group - 1) / group; }
   /// GEMM reduction depth (im2col rows): channels * kernel^2.
   int64_t depth() const { return channels * kernel * kernel; }
   /// GEMM output columns (im2col columns): out_h * out_w.
   int64_t cols() const { return out_h() * out_w(); }
+  /// Offset of tap (channel group cg, kh, kw) at output pixel (0, 0).
+  int64_t tap_offset(int64_t cg, int64_t kh, int64_t kw) const {
+    return ((((kw % stride) * channel_groups() + cg) * padded_h() + kh) *
+                phase_w() +
+            kw / stride) *
+           group;
+  }
+  /// Moves a tap from output pixel 0 to output pixel j.
+  int64_t col_offset(int64_t j) const {
+    return ((j / out_w()) * stride * phase_w() + j % out_w()) * group;
+  }
 };
 
 using ConvImageView = ConvImageViewT<float>;
 using ConvImageViewS8 = ConvImageViewT<int8_t>;
 
-/// Number of elements a padded copy of one image needs. Zero when pad == 0
-/// (the view can alias the input image directly — no copy at all).
-inline int64_t PaddedImageElems(int64_t channels, int64_t height,
-                                int64_t width, int64_t pad) {
-  return pad == 0 ? 0
-                  : channels * (height + 2 * pad) * (width + 2 * pad);
+/// Writes the k-step offset table of a direct GEMM over `v`: entry
+/// (cg * kernel + kh) * kernel + kw is tap_offset(cg, kh, kw) (a k row for
+/// f32, a k-group of `group` rows for int8).
+template <typename T>
+void TapOffsets(const ConvImageViewT<T>& v, int32_t* koff) {
+  for (int64_t cg = 0; cg < v.channel_groups(); ++cg)
+    for (int64_t kh = 0; kh < v.kernel; ++kh)
+      for (int64_t kw = 0; kw < v.kernel; ++kw)
+        *koff++ = static_cast<int32_t>(v.tap_offset(cg, kh, kw));
 }
 
-/// Elements of the f32 direct-layout copy of one image for view `v`
-/// (its `padded` pointer is ignored). Zero when stride is 1 and pad is 0:
-/// the view aliases the input image.
-int64_t DirectImageElems(const ConvImageView& v);
+/// Elements of the direct-layout copy of one image for view `v` (its
+/// `padded` pointer is ignored). Zero when the view can alias the planar
+/// input image: stride 1, pad 0 and one channel per pixel.
+template <typename T>
+int64_t DirectImageElems(const ConvImageViewT<T>& v) {
+  if (v.stride == 1 && v.pad == 0 && v.group == 1) return 0;
+  return v.phases() * v.channel_groups() * v.group * v.padded_h() *
+         v.phase_w();
+}
 
-/// Writes one CHW image into `buf` (DirectImageElems(v) floats) in the
-/// direct layout of `v`, border zeros included. Requires a nonzero
-/// DirectImageElems(v).
+/// Writes one CHW image into `buf` (DirectImageElems(v) elements) in the
+/// direct layout of `v`, border and padding-channel zeros included.
+/// Requires a nonzero DirectImageElems(v). The f32 form needs group 1; the
+/// int8 form copies an already-quantized image byte for byte.
 void FillDirectImage(const float* image, const ConvImageView& v, float* buf);
-
-/// Zeroes the border of a padded int8 image buffer once; the interior may
-/// stay uninitialized (CopyImageInterior overwrites all of it). Callers
-/// reuse one buffer across a batch: the borders only need zeroing once
-/// because interior copies never touch them.
-void ZeroImageBorder(int8_t* padded, int64_t channels, int64_t height,
-                     int64_t width, int64_t pad);
-
-/// Copies an already-quantized CHW int8 image into the interior of a
-/// padded buffer.
-void CopyImageInterior(const int8_t* image, int64_t channels, int64_t height,
-                       int64_t width, int64_t pad, int8_t* padded);
+void FillDirectImage(const int8_t* image, const ConvImageViewS8& v,
+                     int8_t* buf);
 
 }  // namespace poe
 

@@ -582,25 +582,14 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 DirectB MakeDirectB(const ConvImageView& img) {
   thread_local std::vector<int32_t> koff;
   POE_CHECK_LE(DirectImageElems(img), int64_t{INT32_MAX});
-  const int64_t s = img.stride;
-  const int64_t ph = img.padded_h();
-  const int64_t phw = img.phase_w();
   koff.resize(static_cast<size_t>(img.depth()));
-  size_t p = 0;
-  for (int64_t c = 0; c < img.channels; ++c) {
-    for (int64_t kh = 0; kh < img.kernel; ++kh) {
-      for (int64_t kw = 0; kw < img.kernel; ++kw) {
-        koff[p++] = static_cast<int32_t>(
-            (((kw % s) * img.channels + c) * ph + kh) * phw + kw / s);
-      }
-    }
-  }
+  TapOffsets(img, koff.data());
   DirectB d;
   d.image = img.padded;
   d.koff = koff.data();
   d.n = img.cols();
   d.out_w = img.out_w();
-  d.row_step = s * phw;
+  d.row_step = img.stride * img.phase_w();
   return d;
 }
 

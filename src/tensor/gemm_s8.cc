@@ -42,16 +42,27 @@ constexpr int64_t kMaxNR = 32;
 using MicroKernelS8Fn = void (*)(int64_t groups, const uint8_t* a,
                                  const int8_t* b, int32_t* acc);
 
+// The direct form of a micro-kernel reads each k-group's B in place from a
+// channel-interleaved conv image (conv_direct.h): columns 0..NR/2-1 from
+// b0 + koff[g], the rest from b1 + koff[g], each half a run of NR/2
+// columns x KR bytes, the packed panel's layout. One form thus covers
+// 16-wide runs of an output row (b1 = b0 + 8*KR) and 8-wide output rows.
+// Same products in the same order as the packed form.
+using DirectKernelS8Fn = void (*)(int64_t groups, const uint8_t* a,
+                                  const int8_t* b0, const int8_t* b1,
+                                  const int32_t* koff, int32_t* acc);
+
 // Optional SIMD fast paths a kernel may plug in (null = generic loops):
-// a B-panel packer for the kernel's (nr, kr) geometry (!trans_b only), a
-// direct-conv B-panel packer gathering the virtual im2col matrix from a
-// padded image (same panel bytes and colsums), and a vectorized
-// dequantizing store for the kernel's accumulator tile shape.
+// a B-panel packer for the kernel's (nr, kr) geometry (!trans_b only) and
+// a vectorized dequantizing store for the kernel's accumulator tile shape.
+// Kernels with a shift also supply per-pixel channel sums of a direct conv
+// image (`planes` planes of `pixels` kr-channel pixels), from which
+// GemmS8ConvPackedA builds the column sums.
 using PackBFastFn = void (*)(const int8_t* b, int64_t k, int64_t n,
                              int64_t j0, int64_t nc, int8_t* out,
                              int32_t* colsum);
-using PackBConvFastFn = void (*)(const ConvImageViewS8& img, int64_t j0,
-                                 int64_t nc, int8_t* out, int32_t* colsum);
+using PixelSumsFn = void (*)(const int8_t* planes, int64_t nplanes,
+                             int64_t pixels, int32_t* sums);
 using DequantStoreFn = void (*)(const int32_t* acc, int64_t rows,
                                 int64_t cols, const int32_t* colsum,
                                 const GemmS8Epilogue& ep, int64_t row0,
@@ -61,102 +72,13 @@ struct KernelS8 {
   int64_t mr, nr, kr;
   int64_t acc_rs, acc_cs;  // accumulator tile strides (row, column)
   uint8_t shift;  // 128 for u8 x s8 instruction kernels, else 0
-  PackBFastFn pack_b_fast;           // nullable, !trans_b geometry only
-  PackBConvFastFn pack_b_conv_fast;  // nullable
-  DequantStoreFn store_fast;         // nullable
+  PackBFastFn pack_b_fast;    // nullable, !trans_b geometry only
+  PixelSumsFn pixel_sums;     // non-null exactly when shift != 0
+  DequantStoreFn store_fast;  // nullable
   MicroKernelS8Fn fn;
+  DirectKernelS8Fn direct;
   const char* name;
 };
-
-// Shared address math for the SIMD direct-conv B packers: one 16-column
-// block of the virtual im2col matrix reads 16 consecutive output pixels,
-// which for stride 1 are one contiguous run of the padded image when they
-// sit inside a single output row, else a handful of row segments. The
-// segment structure depends only on the block's starting column — it is
-// identical for every k row — so the packers compute it once per panel.
-struct ConvColSeg {
-  int32_t dst;  // byte offset inside the 16-byte block
-  int32_t len;
-  int64_t src;  // element offset inside a shifted padded-image row view
-};
-
-// Builds the segment list for the 16 columns starting at flat output
-// index j. Returns 0 and sets *contig_off when the block is contiguous;
-// out_w >= 1 bounds the list by ceil(16/out_w) + 1 <= 17 entries.
-inline int BuildConvColSegs(int64_t j, int64_t out_w, int64_t pw,
-                            int64_t* contig_off, ConvColSeg* segs) {
-  const int64_t oh = j / out_w;
-  const int64_t ow = j - oh * out_w;
-  if (ow + 16 <= out_w) {
-    *contig_off = oh * pw + ow;
-    return 0;
-  }
-  int nseg = 0;
-  int64_t left = 16;
-  int64_t jj = j;
-  while (left > 0) {
-    const int64_t soh = jj / out_w;
-    const int64_t sow = jj - soh * out_w;
-    const int64_t len = std::min(left, out_w - sow);
-    segs[nseg].dst = static_cast<int32_t>(16 - left);
-    segs[nseg].len = static_cast<int32_t>(len);
-    segs[nseg].src = soh * pw + sow;
-    ++nseg;
-    left -= len;
-    jj += len;
-  }
-  return nseg;
-}
-
-#ifdef POE_GEMM_S8_X86
-// Loads the 16 virtual-im2col bytes of one k row for a column block:
-// `row` is the padded image shifted by that row's (c, kh, kw) offset.
-// Contiguous blocks are a single unaligned load (always in bounds: the
-// rightmost tap of the last output pixel is the last padded-image byte);
-// row-crossing blocks assemble their segments into a stack buffer first.
-inline __m128i LoadConvBlock16(const int8_t* row, int64_t contig_off,
-                               const ConvColSeg* segs, int nseg) {
-  if (nseg == 0) {
-    return _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(row + contig_off));
-  }
-  alignas(16) int8_t buf[16];
-  for (int s = 0; s < nseg; ++s) {
-    std::memcpy(buf + segs[s].dst, row + segs[s].src,
-                static_cast<size_t>(segs[s].len));
-  }
-  return _mm_load_si128(reinterpret_cast<const __m128i*>(buf));
-}
-
-// Walks the per-k row base pointer of a conv image in ascending p =
-// (c, kh, kw) order with pure increments (no divisions in the pack loop).
-struct ConvRowCursor {
-  const int8_t* row;
-  int64_t kw = 0, kh = 0;
-  int64_t kernel, pw, row_step, chan_step;
-
-  explicit ConvRowCursor(const ConvImageViewS8& img)
-      : row(img.padded),
-        kernel(img.kernel),
-        pw(img.padded_w()),
-        row_step(img.padded_w() - img.kernel),
-        chan_step((img.padded_h() - img.kernel) * img.padded_w()) {}
-
-  void Advance() {
-    ++kw;
-    ++row;
-    if (kw == kernel) {
-      kw = 0;
-      ++kh;
-      row += row_step;
-      if (kh == kernel) {
-        kh = 0;
-        row += chan_step;
-      }
-    }
-  }
-};
-#endif  // POE_GEMM_S8_X86
 
 // Chunk-wise specialization of PackAs8 for the untransposed case: each
 // source row contributes contiguous kr-byte runs, so the pack is a plain
@@ -207,12 +129,22 @@ void PackAs8RowMajor(const int8_t* a, int64_t m, int64_t k, int64_t i0,
 
 // Portable fallback: 6x16 int32 accumulator block in plain C with the
 // KR = 4 interleave. Fixed trip counts let the compiler unroll/vectorize.
+// The direct form copies a k-group's two 32-byte halves into one run.
+template <bool kDirect>
 void MicroKernelS8Scalar6x16(int64_t groups, const uint8_t* a,
-                             const int8_t* b, int32_t* acc) {
+                             const int8_t* bp, const int8_t* b1,
+                             const int32_t* koff, int32_t* acc) {
   int32_t c[6 * 16];
   std::memset(c, 0, sizeof(c));
   const int8_t* as = reinterpret_cast<const int8_t*>(a);  // shift == 0
-  for (int64_t g = 0; g < groups; ++g, as += 6 * 4, b += 16 * 4) {
+  for (int64_t g = 0; g < groups; ++g, as += 6 * 4) {
+    int8_t run[16 * 4];
+    const int8_t* b = bp + g * 16 * 4;
+    if constexpr (kDirect) {
+      std::memcpy(run, bp + koff[g], 32);
+      std::memcpy(run + 32, b1 + koff[g], 32);
+      b = run;
+    }
     for (int r = 0; r < 6; ++r) {
       const int32_t a0 = as[r * 4 + 0];
       const int32_t a1 = as[r * 4 + 1];
@@ -228,26 +160,41 @@ void MicroKernelS8Scalar6x16(int64_t groups, const uint8_t* a,
   std::memcpy(acc, c, sizeof(c));
 }
 
+void MicroKernelS8ScalarPacked(int64_t groups, const uint8_t* a,
+                               const int8_t* b, int32_t* acc) {
+  MicroKernelS8Scalar6x16<false>(groups, a, b, nullptr, nullptr, acc);
+}
+
+void MicroKernelS8ScalarDirect(int64_t groups, const uint8_t* a,
+                               const int8_t* b0, const int8_t* b1,
+                               const int32_t* koff, int32_t* acc) {
+  MicroKernelS8Scalar6x16<true>(groups, a, b0, b1, koff, acc);
+}
+
 #ifdef POE_GEMM_S8_X86
 
 // Exact 6x16 AVX2 kernel, KR = 2: both operands are sign-extended to int16
 // and combined with vpmaddwd (a0*b0 + a1*b1 into int32, no saturation —
 // |products| <= 2 * 127^2 so the pairwise int32 sum is exact). 12 ymm
 // accumulators + 2 B vectors + 1 broadcast.
-__attribute__((target("avx2"))) void MicroKernelS8Avx2_6x16(
-    int64_t groups, const uint8_t* a, const int8_t* b, int32_t* acc) {
+template <bool kDirect>
+__attribute__((target("avx2"), always_inline)) inline void
+MicroKernelS8Avx2_6x16(int64_t groups, const uint8_t* a, const int8_t* b,
+                       const int8_t* b1, const int32_t* koff, int32_t* acc) {
   __m256i c0[6], c1[6];
   for (int r = 0; r < 6; ++r) {
     c0[r] = _mm256_setzero_si256();
     c1[r] = _mm256_setzero_si256();
   }
   const int8_t* as = reinterpret_cast<const int8_t*>(a);  // shift == 0
-  for (int64_t g = 0; g < groups; ++g, as += 6 * 2, b += 16 * 2) {
+  for (int64_t g = 0; g < groups; ++g, as += 6 * 2) {
     // 32 B bytes = 16 columns x 2 k-values, sign-extended to int16 pairs.
+    const int8_t* lo = kDirect ? b + koff[g] : b + g * 16 * 2;
+    const int8_t* hi = kDirect ? b1 + koff[g] : lo + 16;
     const __m256i b0 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b)));
-    const __m256i b1 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + 16)));
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo)));
+    const __m256i b1v = _mm256_cvtepi8_epi16(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi)));
 #pragma GCC unroll 6
     for (int r = 0; r < 6; ++r) {
       const uint32_t pair =
@@ -257,7 +204,7 @@ __attribute__((target("avx2"))) void MicroKernelS8Avx2_6x16(
            << 16);
       const __m256i va = _mm256_set1_epi32(static_cast<int32_t>(pair));
       c0[r] = _mm256_add_epi32(c0[r], _mm256_madd_epi16(va, b0));
-      c1[r] = _mm256_add_epi32(c1[r], _mm256_madd_epi16(va, b1));
+      c1[r] = _mm256_add_epi32(c1[r], _mm256_madd_epi16(va, b1v));
     }
   }
   for (int r = 0; r < 6; ++r) {
@@ -265,6 +212,17 @@ __attribute__((target("avx2"))) void MicroKernelS8Avx2_6x16(
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + r * 16 + 8),
                         c1[r]);
   }
+}
+
+__attribute__((target("avx2"))) void MicroKernelS8Avx2Packed(
+    int64_t groups, const uint8_t* a, const int8_t* b, int32_t* acc) {
+  MicroKernelS8Avx2_6x16<false>(groups, a, b, nullptr, nullptr, acc);
+}
+
+__attribute__((target("avx2"))) void MicroKernelS8Avx2Direct(
+    int64_t groups, const uint8_t* a, const int8_t* b0, const int8_t* b1,
+    const int32_t* koff, int32_t* acc) {
+  MicroKernelS8Avx2_6x16<true>(groups, a, b0, b1, koff, acc);
 }
 
 // SIMD B packer for the AVX2 geometry (kr = 2, nr = 16, !trans_b),
@@ -328,77 +286,6 @@ __attribute__((target("avx2"))) void PackBs8Avx2_16x2(
       // Edge panel: generic bytewise pack of the partial column set.
       PackBs8(/*trans_b=*/false, b, k, n, j0 + jp, cols, kNr, kKr, panel,
               colsum + jp);
-    }
-  }
-}
-
-// Direct-conv variant of PackBs8Avx2_16x2: the 16-column source rows come
-// from the virtual im2col matrix — 16 consecutive output pixels of one
-// (c, kh, kw) tap, i.e. a shifted window of the padded image — instead of
-// a materialized B row. The interleave and colsum arithmetic are the
-// matrix packer's, so the panel bytes and sums are byte-identical to
-// packing the materialized im2col matrix.
-__attribute__((target("avx2"))) void PackBs8ConvAvx2_16x2(
-    const ConvImageViewS8& img, int64_t j0, int64_t nc, int8_t* out,
-    int32_t* colsum) {
-  constexpr int64_t kNr = 16;
-  constexpr int64_t kKr = 2;
-  const int64_t k = img.depth();
-  const int64_t kpad = (k + kKr - 1) / kKr * kKr;
-  const int64_t kfull = k / kKr * kKr;
-  const int64_t out_w = img.out_w();
-  const int64_t pw = img.padded_w();
-  for (int64_t jp = 0; jp < nc; jp += kNr) {
-    const int64_t cols = (nc - jp < kNr) ? nc - jp : kNr;
-    int8_t* panel = out + (jp / kNr) * kpad * kNr;
-    if (cols == kNr) {
-      int64_t contig_off = 0;
-      ConvColSeg segs[17];
-      const int nseg =
-          BuildConvColSegs(j0 + jp, out_w, pw, &contig_off, segs);
-      __m256i sum_lo = _mm256_setzero_si256();  // columns 0..7, int32
-      __m256i sum_hi = _mm256_setzero_si256();  // columns 8..15
-      int8_t* dst = panel;
-      ConvRowCursor cur(img);
-      for (int64_t p = 0; p < kfull; p += 2, dst += 32) {
-        const __m128i r0 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        const __m128i r1 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                         _mm_unpacklo_epi8(r0, r1));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                         _mm_unpackhi_epi8(r0, r1));
-        const __m256i pair16 = _mm256_add_epi16(_mm256_cvtepi8_epi16(r0),
-                                                _mm256_cvtepi8_epi16(r1));
-        sum_lo = _mm256_add_epi32(
-            sum_lo,
-            _mm256_cvtepi16_epi32(_mm256_castsi256_si128(pair16)));
-        sum_hi = _mm256_add_epi32(
-            sum_hi,
-            _mm256_cvtepi16_epi32(_mm256_extracti128_si256(pair16, 1)));
-      }
-      if (kfull < k) {  // odd k: trailing group is (value, 0) pairs
-        const __m128i r0 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        const __m128i zero = _mm_setzero_si128();
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst),
-                         _mm_unpacklo_epi8(r0, zero));
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + 16),
-                         _mm_unpackhi_epi8(r0, zero));
-        const __m256i last16 = _mm256_cvtepi8_epi16(r0);
-        sum_lo = _mm256_add_epi32(
-            sum_lo,
-            _mm256_cvtepi16_epi32(_mm256_castsi256_si128(last16)));
-        sum_hi = _mm256_add_epi32(
-            sum_hi,
-            _mm256_cvtepi16_epi32(_mm256_extracti128_si256(last16, 1)));
-      }
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + jp), sum_lo);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(colsum + jp + 8),
-                          sum_hi);
-    } else {
-      // Edge panel: generic bytewise gather of the partial column set.
-      PackBs8Conv(img, j0 + jp, cols, kNr, kKr, panel, colsum + jp);
     }
   }
 }
@@ -485,75 +372,109 @@ __attribute__((target("avx2"))) void DequantStoreAvx2_6x16(
 // The target attribute only legalizes the zmm16-23 clobbers for a
 // non-native (runtime-dispatch) build; the body is fixed asm either way
 // and is reached only when dispatch selected the VNNI kernel.
+#define POE_VNNI_ZERO(r) "vpxord %%zmm" #r ", %%zmm" #r ", %%zmm" #r "\n\t"
+#define POE_VNNI_ZERO_ACC                                                   \
+  POE_VNNI_ZERO(8) POE_VNNI_ZERO(9) POE_VNNI_ZERO(10) POE_VNNI_ZERO(11)     \
+  POE_VNNI_ZERO(12) POE_VNNI_ZERO(13) POE_VNNI_ZERO(14) POE_VNNI_ZERO(15)   \
+  POE_VNNI_ZERO(16) POE_VNNI_ZERO(17) POE_VNNI_ZERO(18) POE_VNNI_ZERO(19)   \
+  POE_VNNI_ZERO(20) POE_VNNI_ZERO(21) POE_VNNI_ZERO(22) POE_VNNI_ZERO(23)
+// Column c's update: its 4-byte run at `off`(base), into zmm(8 + c).
+#define POE_VNNI_COL(off, base, r) \
+  "vpdpbusd " #off "(%[" #base "])%{1to16%}, %%zmm0, %%zmm" #r "\n\t"
+#define POE_VNNI_COLS8(base, r0, r1, r2, r3, r4, r5, r6, r7)               \
+  POE_VNNI_COL(0, base, r0) POE_VNNI_COL(4, base, r1)                       \
+  POE_VNNI_COL(8, base, r2) POE_VNNI_COL(12, base, r3)                      \
+  POE_VNNI_COL(16, base, r4) POE_VNNI_COL(20, base, r5)                     \
+  POE_VNNI_COL(24, base, r6) POE_VNNI_COL(28, base, r7)
+#define POE_VNNI_STORE(r, off) "vmovdqu64 %%zmm" #r ", " #off "(%[acc])\n\t"
+#define POE_VNNI_STORE_ACC                                                  \
+  POE_VNNI_STORE(8, 0) POE_VNNI_STORE(9, 64) POE_VNNI_STORE(10, 128)        \
+  POE_VNNI_STORE(11, 192) POE_VNNI_STORE(12, 256) POE_VNNI_STORE(13, 320)   \
+  POE_VNNI_STORE(14, 384) POE_VNNI_STORE(15, 448) POE_VNNI_STORE(16, 512)   \
+  POE_VNNI_STORE(17, 576) POE_VNNI_STORE(18, 640) POE_VNNI_STORE(19, 704)   \
+  POE_VNNI_STORE(20, 768) POE_VNNI_STORE(21, 832) POE_VNNI_STORE(22, 896)   \
+  POE_VNNI_STORE(23, 960)
+#define POE_VNNI_CLOBBERS                                                   \
+  "zmm0", "zmm8", "zmm9", "zmm10", "zmm11", "zmm12", "zmm13", "zmm14",      \
+      "zmm15", "zmm16", "zmm17", "zmm18", "zmm19", "zmm20", "zmm21",        \
+      "zmm22", "zmm23", "memory", "cc"
+
 __attribute__((target("avx512f,avx512bw,avx512vnni"))) void
 MicroKernelS8Vnni16x16(int64_t groups, const uint8_t* a, const int8_t* b,
                        int32_t* acc) {
   asm volatile(
-      "vpxord %%zmm8, %%zmm8, %%zmm8\n\t"
-      "vpxord %%zmm9, %%zmm9, %%zmm9\n\t"
-      "vpxord %%zmm10, %%zmm10, %%zmm10\n\t"
-      "vpxord %%zmm11, %%zmm11, %%zmm11\n\t"
-      "vpxord %%zmm12, %%zmm12, %%zmm12\n\t"
-      "vpxord %%zmm13, %%zmm13, %%zmm13\n\t"
-      "vpxord %%zmm14, %%zmm14, %%zmm14\n\t"
-      "vpxord %%zmm15, %%zmm15, %%zmm15\n\t"
-      "vpxord %%zmm16, %%zmm16, %%zmm16\n\t"
-      "vpxord %%zmm17, %%zmm17, %%zmm17\n\t"
-      "vpxord %%zmm18, %%zmm18, %%zmm18\n\t"
-      "vpxord %%zmm19, %%zmm19, %%zmm19\n\t"
-      "vpxord %%zmm20, %%zmm20, %%zmm20\n\t"
-      "vpxord %%zmm21, %%zmm21, %%zmm21\n\t"
-      "vpxord %%zmm22, %%zmm22, %%zmm22\n\t"
-      "vpxord %%zmm23, %%zmm23, %%zmm23\n\t"
+      POE_VNNI_ZERO_ACC
       "1:\n\t"
       "vmovdqu64 (%[a]), %%zmm0\n\t"
-      "vpdpbusd 0(%[b])%{1to16%}, %%zmm0, %%zmm8\n\t"
-      "vpdpbusd 4(%[b])%{1to16%}, %%zmm0, %%zmm9\n\t"
-      "vpdpbusd 8(%[b])%{1to16%}, %%zmm0, %%zmm10\n\t"
-      "vpdpbusd 12(%[b])%{1to16%}, %%zmm0, %%zmm11\n\t"
-      "vpdpbusd 16(%[b])%{1to16%}, %%zmm0, %%zmm12\n\t"
-      "vpdpbusd 20(%[b])%{1to16%}, %%zmm0, %%zmm13\n\t"
-      "vpdpbusd 24(%[b])%{1to16%}, %%zmm0, %%zmm14\n\t"
-      "vpdpbusd 28(%[b])%{1to16%}, %%zmm0, %%zmm15\n\t"
-      "vpdpbusd 32(%[b])%{1to16%}, %%zmm0, %%zmm16\n\t"
-      "vpdpbusd 36(%[b])%{1to16%}, %%zmm0, %%zmm17\n\t"
-      "vpdpbusd 40(%[b])%{1to16%}, %%zmm0, %%zmm18\n\t"
-      "vpdpbusd 44(%[b])%{1to16%}, %%zmm0, %%zmm19\n\t"
-      "vpdpbusd 48(%[b])%{1to16%}, %%zmm0, %%zmm20\n\t"
-      "vpdpbusd 52(%[b])%{1to16%}, %%zmm0, %%zmm21\n\t"
-      "vpdpbusd 56(%[b])%{1to16%}, %%zmm0, %%zmm22\n\t"
-      "vpdpbusd 60(%[b])%{1to16%}, %%zmm0, %%zmm23\n\t"
+      POE_VNNI_COLS8(b, 8, 9, 10, 11, 12, 13, 14, 15)
+      POE_VNNI_COL(32, b, 16) POE_VNNI_COL(36, b, 17)
+      POE_VNNI_COL(40, b, 18) POE_VNNI_COL(44, b, 19)
+      POE_VNNI_COL(48, b, 20) POE_VNNI_COL(52, b, 21)
+      POE_VNNI_COL(56, b, 22) POE_VNNI_COL(60, b, 23)
       "add $64, %[a]\n\t"
       "add $64, %[b]\n\t"
       "dec %[g]\n\t"
       "jne 1b\n\t"
-      "vmovdqu64 %%zmm8, 0(%[acc])\n\t"
-      "vmovdqu64 %%zmm9, 64(%[acc])\n\t"
-      "vmovdqu64 %%zmm10, 128(%[acc])\n\t"
-      "vmovdqu64 %%zmm11, 192(%[acc])\n\t"
-      "vmovdqu64 %%zmm12, 256(%[acc])\n\t"
-      "vmovdqu64 %%zmm13, 320(%[acc])\n\t"
-      "vmovdqu64 %%zmm14, 384(%[acc])\n\t"
-      "vmovdqu64 %%zmm15, 448(%[acc])\n\t"
-      "vmovdqu64 %%zmm16, 512(%[acc])\n\t"
-      "vmovdqu64 %%zmm17, 576(%[acc])\n\t"
-      "vmovdqu64 %%zmm18, 640(%[acc])\n\t"
-      "vmovdqu64 %%zmm19, 704(%[acc])\n\t"
-      "vmovdqu64 %%zmm20, 768(%[acc])\n\t"
-      "vmovdqu64 %%zmm21, 832(%[acc])\n\t"
-      "vmovdqu64 %%zmm22, 896(%[acc])\n\t"
-      "vmovdqu64 %%zmm23, 960(%[acc])\n\t"
+      POE_VNNI_STORE_ACC
       : [a] "+r"(a), [b] "+r"(b), [g] "+r"(groups)
       : [acc] "r"(acc)
-      : "zmm0", "zmm8", "zmm9", "zmm10", "zmm11", "zmm12", "zmm13",
-        "zmm14", "zmm15", "zmm16", "zmm17", "zmm18", "zmm19", "zmm20",
-        "zmm21", "zmm22", "zmm23", "memory", "cc");
+      : POE_VNNI_CLOBBERS);
+}
+
+// Direct form: the k-group's two 32-byte halves are addressed through the
+// offset table (two lea per group, plain base + displacement operands).
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void
+MicroKernelS8Vnni16x16Direct(int64_t groups, const uint8_t* a,
+                             const int8_t* b0, const int8_t* b1,
+                             const int32_t* koff, int32_t* acc) {
+  int64_t off;
+  const int8_t* p0;
+  const int8_t* p1;
+  asm volatile(
+      POE_VNNI_ZERO_ACC
+      "1:\n\t"
+      "movslq (%[koff]), %[off]\n\t"
+      "lea (%[b0],%[off]), %[p0]\n\t"
+      "lea (%[b1],%[off]), %[p1]\n\t"
+      "vmovdqu64 (%[a]), %%zmm0\n\t"
+      POE_VNNI_COLS8(p0, 8, 9, 10, 11, 12, 13, 14, 15)
+      POE_VNNI_COLS8(p1, 16, 17, 18, 19, 20, 21, 22, 23)
+      "add $64, %[a]\n\t"
+      "add $4, %[koff]\n\t"
+      "dec %[g]\n\t"
+      "jne 1b\n\t"
+      POE_VNNI_STORE_ACC
+      : [a] "+r"(a), [koff] "+r"(koff), [g] "+r"(groups), [off] "=&r"(off),
+        [p0] "=&r"(p0), [p1] "=&r"(p1)
+      : [b0] "r"(b0), [b1] "r"(b1), [acc] "r"(acc)
+      : POE_VNNI_CLOBBERS);
+}
+
+// Interleaves four 16-byte k rows into one 64-byte kr = 4 group (column
+// c's four k bytes contiguous), stores it at `dst` and returns `sums` plus
+// the group's column sums (one vpdpbusd of all-ones: u8 ones x s8 values
+// accumulate each column's 4 bytes into its int32 lane). A static helper
+// rather than a lambda so the intrinsics inherit this target attribute on
+// every compiler (GCC 12 does not pass the enclosing function's target to
+// a lambda body).
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) inline __m512i
+TransposeStoreVnni16x4(__m128i r0, __m128i r1, __m128i r2, __m128i r3,
+                       __m512i ones, int8_t* dst, __m512i sums) {
+  const __m128i t0 = _mm_unpacklo_epi8(r0, r1);  // c0..c7 (r0,r1)
+  const __m128i t1 = _mm_unpackhi_epi8(r0, r1);  // c8..c15
+  const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
+  const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
+  __m512i block = _mm512_castsi128_si512(_mm_unpacklo_epi16(t0, t2));
+  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t0, t2), 1);
+  block = _mm512_inserti32x4(block, _mm_unpacklo_epi16(t1, t3), 2);
+  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t1, t3), 3);
+  _mm512_storeu_si512(dst, block);
+  return _mm512_dpbusd_epi32(sums, ones, block);
 }
 
 // SIMD B packer for the VNNI geometry (kr = 4, nr = 16, !trans_b): each
-// k-group of a panel is a 4x16 byte transpose (two punpck levels), and the
-// column sums fall out of one vpdpbusd against all-ones (u8 ones x s8
-// values accumulate each column's 4 bytes into its int32 lane).
+// k-group of a panel is a 4x16 byte transpose (two punpck levels), with
+// the column sums from TransposeStoreVnni16x4.
 __attribute__((target("avx512f,avx512bw,avx512vnni"))) void
 PackBs8Vnni16x4(const int8_t* b, int64_t k, int64_t n, int64_t j0,
                 int64_t nc, int8_t* out, int32_t* colsum) {
@@ -570,24 +491,13 @@ PackBs8Vnni16x4(const int8_t* b, int64_t k, int64_t n, int64_t j0,
       int8_t* dst = panel;
       const int8_t* src = b + j0 + jp;
       for (int64_t p = 0; p < kfull; p += 4, dst += 64) {
-        const __m128i r0 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(src + (p + 0) * n));
-        const __m128i r1 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(src + (p + 1) * n));
-        const __m128i r2 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(src + (p + 2) * n));
-        const __m128i r3 = _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(src + (p + 3) * n));
-        const __m128i t0 = _mm_unpacklo_epi8(r0, r1);  // c0..c7 (r0,r1)
-        const __m128i t1 = _mm_unpackhi_epi8(r0, r1);  // c8..c15
-        const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-        const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-        __m512i block = _mm512_castsi128_si512(_mm_unpacklo_epi16(t0, t2));
-        block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t0, t2), 1);
-        block = _mm512_inserti32x4(block, _mm_unpacklo_epi16(t1, t3), 2);
-        block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t1, t3), 3);
-        _mm512_storeu_si512(dst, block);
-        sums = _mm512_dpbusd_epi32(sums, ones, block);
+        const int8_t* row = src + p * n;
+        sums = TransposeStoreVnni16x4(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + n)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 2 * n)),
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + 3 * n)),
+            ones, dst, sums);
       }
       if (kfull < k) {  // zero-padded trailing group
         alignas(64) int8_t tail[64] = {0};
@@ -608,79 +518,22 @@ PackBs8Vnni16x4(const int8_t* b, int64_t k, int64_t n, int64_t j0,
   }
 }
 
-// Interleaves four 16-byte k rows into one 64-byte kr = 4 group (column
-// c's four k bytes contiguous), stores it at `dst` and returns `sums` plus
-// the group's column sums. A static helper rather than a lambda so the
-// intrinsics inherit this target attribute on every compiler (GCC 12
-// does not pass the enclosing function's target to a lambda body).
-__attribute__((target("avx512f,avx512bw,avx512vnni"))) inline __m512i
-TransposeStoreVnni16x4(__m128i r0, __m128i r1, __m128i r2, __m128i r3,
-                       __m512i ones, int8_t* dst, __m512i sums) {
-  const __m128i t0 = _mm_unpacklo_epi8(r0, r1);  // c0..c7 (r0,r1)
-  const __m128i t1 = _mm_unpackhi_epi8(r0, r1);  // c8..c15
-  const __m128i t2 = _mm_unpacklo_epi8(r2, r3);
-  const __m128i t3 = _mm_unpackhi_epi8(r2, r3);
-  __m512i block = _mm512_castsi128_si512(_mm_unpacklo_epi16(t0, t2));
-  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t0, t2), 1);
-  block = _mm512_inserti32x4(block, _mm_unpacklo_epi16(t1, t3), 2);
-  block = _mm512_inserti32x4(block, _mm_unpackhi_epi16(t1, t3), 3);
-  _mm512_storeu_si512(dst, block);
-  return _mm512_dpbusd_epi32(sums, ones, block);
-}
-
-// Direct-conv variant of PackBs8Vnni16x4 (kr = 4): rows of the k-group
-// come from shifted padded-image windows; the tail group substitutes zero
-// vectors for the missing k rows, which the transpose turns into exactly
-// the zero-padded tail bytes the matrix packer emits. Byte-identical
-// panels and colsums, same vpdpbusd colsum trick.
-__attribute__((target("avx512f,avx512bw,avx512vnni"))) void
-PackBs8ConvVnni16x4(const ConvImageViewS8& img, int64_t j0, int64_t nc,
-                    int8_t* out, int32_t* colsum) {
-  constexpr int64_t kNr = 16;
-  constexpr int64_t kKr = 4;
-  const int64_t k = img.depth();
-  const int64_t kpad = (k + kKr - 1) / kKr * kKr;
-  const int64_t kfull = k / kKr * kKr;
-  const int64_t out_w = img.out_w();
-  const int64_t pw = img.padded_w();
+// Channel sums of `pixels` 4-channel pixels summed over `nplanes` planes
+// (plane i at planes + i * pixels * 4) into sums[0, pixels): one vpdpbusd
+// of all-ones per plane per 16 pixels, masked at the tail.
+__attribute__((target("avx512f,avx512bw,avx512vnni"))) void PixelSumsVnni(
+    const int8_t* planes, int64_t nplanes, int64_t pixels, int32_t* sums) {
   const __m512i ones = _mm512_set1_epi8(1);
-  for (int64_t jp = 0; jp < nc; jp += kNr) {
-    const int64_t cols = (nc - jp < kNr) ? nc - jp : kNr;
-    int8_t* panel = out + (jp / kNr) * kpad * kNr;
-    if (cols == kNr) {
-      int64_t contig_off = 0;
-      ConvColSeg segs[17];
-      const int nseg =
-          BuildConvColSegs(j0 + jp, out_w, pw, &contig_off, segs);
-      __m512i sums = _mm512_setzero_si512();
-      int8_t* dst = panel;
-      ConvRowCursor cur(img);
-      for (int64_t p = 0; p < kfull; p += 4, dst += 64) {
-        const __m128i r0 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        const __m128i r1 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        const __m128i r2 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        const __m128i r3 = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-        cur.Advance();
-        sums = TransposeStoreVnni16x4(r0, r1, r2, r3, ones, dst, sums);
-      }
-      if (kfull < k) {  // zero rows for k past the end == zero-padded tail
-        const __m128i zero = _mm_setzero_si128();
-        __m128i r[4] = {zero, zero, zero, zero};
-        for (int64_t q = 0; kfull + q < k; ++q) {
-          r[q] = LoadConvBlock16(cur.row, contig_off, segs, nseg);
-          cur.Advance();
-        }
-        sums =
-            TransposeStoreVnni16x4(r[0], r[1], r[2], r[3], ones, dst, sums);
-      }
-      _mm512_storeu_si512(colsum + jp, sums);
-    } else {
-      // Edge panel: generic bytewise gather of the partial column set.
-      PackBs8Conv(img, j0 + jp, cols, kNr, kKr, panel, colsum + jp);
+  for (int64_t i = 0; i < pixels; i += 16) {
+    const __mmask16 mask = static_cast<__mmask16>(
+        pixels - i >= 16 ? 0xffffu : (1u << (pixels - i)) - 1u);
+    __m512i acc = _mm512_setzero_si512();
+    for (int64_t p = 0; p < nplanes; ++p) {
+      acc = _mm512_dpbusd_epi32(
+          acc, ones,
+          _mm512_maskz_loadu_epi32(mask, planes + (p * pixels + i) * 4));
     }
+    _mm512_mask_storeu_epi32(sums + i, mask, acc);
   }
 }
 
@@ -755,20 +608,21 @@ const KernelS8& PickKernelS8() {
     const char* env = std::getenv("POE_GEMM_KERNEL");
     const std::string want = env ? env : "";
     const KernelS8 scalar{6, 16, 4, 16, 1, 0, nullptr, nullptr, nullptr,
-                          MicroKernelS8Scalar6x16, "scalar"};
+                          MicroKernelS8ScalarPacked,
+                          MicroKernelS8ScalarDirect, "scalar"};
     if (want == "scalar") return scalar;
 #ifdef POE_GEMM_S8_X86
     const bool has_vnni = __builtin_cpu_supports("avx512vnni") &&
                           __builtin_cpu_supports("avx512bw");
     const bool has_avx2 = __builtin_cpu_supports("avx2");
     const KernelS8 vnni{16, 16, 4, 1, 16, 128,
-                        PackBs8Vnni16x4, PackBs8ConvVnni16x4,
+                        PackBs8Vnni16x4, PixelSumsVnni,
                         DequantStoreVnni16x16, MicroKernelS8Vnni16x16,
-                        "avx512vnni"};
+                        MicroKernelS8Vnni16x16Direct, "avx512vnni"};
     const KernelS8 avx2{6, 16, 2, 16, 1, 0,
-                        PackBs8Avx2_16x2, PackBs8ConvAvx2_16x2,
-                        DequantStoreAvx2_6x16, MicroKernelS8Avx2_6x16,
-                        "avx2"};
+                        PackBs8Avx2_16x2, nullptr,
+                        DequantStoreAvx2_6x16, MicroKernelS8Avx2Packed,
+                        MicroKernelS8Avx2Direct, "avx2"};
     if (want == "avx512" && has_vnni) return vnni;
     if (want == "avx2" && has_avx2) return avx2;
     if (has_vnni) return vnni;
@@ -800,18 +654,6 @@ void PackBDispatch(const KernelS8& kn, bool trans_b, const int8_t* b,
     return;
   }
   PackBs8(trans_b, b, k, n, j0, nc, kn.nr, kn.kr, out, colsum);
-}
-
-// Direct-conv B pack: gathers the virtual im2col block straight from the
-// padded image, SIMD when the kernel provides a conv packer.
-void PackBConvDispatch(const KernelS8& kn, const ConvImageViewS8& img,
-                       int64_t j0, int64_t nc, int8_t* out,
-                       int32_t* colsum) {
-  if (kn.pack_b_conv_fast != nullptr) {
-    kn.pack_b_conv_fast(img, j0, nc, out, colsum);
-    return;
-  }
-  PackBs8Conv(img, j0, nc, kn.nr, kn.kr, out, colsum);
 }
 
 // Scalar int32 -> f32 conversion, shared by the scalar/avx2 store path,
@@ -850,6 +692,20 @@ __attribute__((noinline)) void DequantStoreS8(
   }
 }
 
+// The dequantizing store of one register tile (colsum points at its
+// columns), SIMD when the kernel has one.
+void StoreTileS8(const KernelS8& kn, const int32_t* acc, int64_t rows,
+                 int64_t cols, const int32_t* colsum,
+                 const GemmS8Epilogue& ep, int64_t row0, int64_t col0,
+                 float* c, int64_t ldc) {
+  if (kn.store_fast != nullptr) {
+    kn.store_fast(acc, rows, cols, colsum, ep, row0, col0, c, ldc);
+    return;
+  }
+  DequantStoreS8(acc, kn.acc_rs, kn.acc_cs, rows, cols, colsum, kn.shift, ep,
+                 row0, col0, c, ldc);
+}
+
 // Register-tile loops over one packed macro-tile.
 void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
                   const int8_t* b_pack, const int32_t* colsum, int64_t kpad,
@@ -858,21 +714,14 @@ void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t groups = kpad / kernel.kr;
-  const int32_t shift = kernel.shift;
   int32_t acc[kMaxMR * kMaxNR];
   for (int64_t jp = 0; jp < nc; jp += nr) {
     const int8_t* bp = b_pack + (jp / nr) * kpad * nr;
     const int64_t cols = std::min(nr, nc - jp);
     for (int64_t ip = 0; ip < mc; ip += mr) {
       kernel.fn(groups, a_pack + (ip / mr) * kpad * mr, bp, acc);
-      if (kernel.store_fast != nullptr) {  // SIMD dequantizing store
-        kernel.store_fast(acc, std::min(mr, mc - ip), cols, colsum + jp,
-                          ep, i0 + ip, j0 + jp, c, ldc);
-        continue;
-      }
-      DequantStoreS8(acc, kernel.acc_rs, kernel.acc_cs,
-                     std::min(mr, mc - ip), cols, colsum + jp, shift, ep,
-                     i0 + ip, j0 + jp, c, ldc);
+      StoreTileS8(kernel, acc, std::min(mr, mc - ip), cols, colsum + jp, ep,
+                  i0 + ip, j0 + jp, c, ldc);
     }
   }
 }
@@ -891,10 +740,8 @@ struct PrepackedS8B {
 // PackedS8Weights) skips the A pack; it requires i0 % mr == 0, which holds
 // because kMC is a multiple of every MR. `prepacked_b` (panels + colsums
 // for the full k x n, from PackedS8BWeights) likewise skips the B pack.
-// `conv_img` substitutes the virtual im2col matrix for b (direct conv).
 void ComputeTileS8(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                   int64_t k, const int8_t* a, const int8_t* b,
-                   const ConvImageViewS8* conv_img, float* c,
+                   int64_t k, const int8_t* a, const int8_t* b, float* c,
                    const GemmS8Epilogue& ep, const KernelS8& kernel,
                    const uint8_t* prepacked_a, const PrepackedS8B* prepacked_b,
                    int64_t i0, int64_t mc, int64_t j0, int64_t nc) {
@@ -921,11 +768,7 @@ void ComputeTileS8(bool trans_a, bool trans_b, int64_t m, int64_t n,
     colsum = prepacked_b->colsum + j0;
   } else {
     int8_t* buf = AllocS8(scope, nc_pad * kpad);
-    if (conv_img != nullptr) {
-      PackBConvDispatch(kernel, *conv_img, j0, nc, buf, colsum_buf);
-    } else {
-      PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
-    }
+    PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
     b_pack = buf;
     colsum = colsum_buf;
   }
@@ -936,8 +779,8 @@ void ComputeTileS8(bool trans_a, bool trans_b, int64_t m, int64_t n,
 void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 const int8_t* a, const int8_t* b, float* c,
                 const GemmS8Epilogue& ep, bool parallel,
-                const uint8_t* prepacked_a, const PrepackedS8B* prepacked_b,
-                const ConvImageViewS8* conv_img) {
+                const uint8_t* prepacked_a,
+                const PrepackedS8B* prepacked_b) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
@@ -964,7 +807,7 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     ParallelFor2D(row_tiles, col_tiles, [&](int64_t rt, int64_t ct) {
       const int64_t i0 = rt * kMC;
       const int64_t j0 = ct * kNC;
-      ComputeTileS8(trans_a, trans_b, m, n, k, a, b, conv_img, c, ep,
+      ComputeTileS8(trans_a, trans_b, m, n, k, a, b, c, ep,
                     kernel, prepacked_a, prepacked_b, i0,
                     std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
     });
@@ -991,11 +834,7 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       colsum = prepacked_b->colsum + j0;
     } else {
       int8_t* buf = AllocS8(scope, nc_pad * kpad);
-      if (conv_img != nullptr) {
-        PackBConvDispatch(kernel, *conv_img, j0, nc, buf, colsum_buf);
-      } else {
-        PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
-      }
+      PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
       b_pack = buf;
       colsum = colsum_buf;
     }
@@ -1030,14 +869,76 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
+// Where value (i, p) of a packed op(A) lives (see pack_s8.h): panel i/mr,
+// k-group p/kr, row run i%mr, byte p%kr (kpad: the panels' depth).
+int64_t PanelOffset(const KernelS8& kn, int64_t kpad, int64_t i, int64_t p) {
+  return (i / kn.mr) * kpad * kn.mr + (p / kn.kr) * kn.mr * kn.kr +
+         (i % kn.mr) * kn.kr + p % kn.kr;
+}
+
+// Column of PackConv's k-group order (c / kr, kh, kw, c % kr) that holds
+// im2col column p = (c, kh, kw) of a conv weight (kk = kernel^2).
+int64_t ConvPackedColumn(int64_t p, int64_t kk, int64_t kr) {
+  const int64_t c = p / kk;
+  return ((c / kr) * kk + p % kk) * kr + c % kr;
+}
+
+// Column sums of a direct conv B, the shift compensation of the VNNI
+// store: column j sums every byte its output pixel's taps read. Each
+// tapped pixel adds the sum of its channels, so per-pixel channel sums
+// (phase plane by phase plane) and then a kernel x kernel box sum per
+// output pixel give them as exact integers.
+void ConvColumnSums(const KernelS8& kn, const ConvImageViewS8& img,
+                    int32_t* colsum) {
+  const int64_t ph = img.padded_h();
+  const int64_t phw = img.phase_w();
+  const int64_t pixels = ph * phw;
+  const int64_t cgs = img.channel_groups();
+  thread_local std::vector<int32_t> pix;
+  pix.resize(static_cast<size_t>(img.phases() * pixels));
+  for (int64_t q = 0; q < img.phases(); ++q) {
+    kn.pixel_sums(img.padded + q * cgs * pixels * img.group, cgs, pixels,
+                  pix.data() + q * pixels);
+  }
+  const int64_t s = img.stride;
+  const int64_t out_w = img.out_w();
+  for (int64_t oh = 0; oh < img.out_h(); ++oh) {
+    int32_t* out = colsum + oh * out_w;
+    std::fill(out, out + out_w, 0);
+    for (int64_t kh = 0; kh < img.kernel; ++kh) {
+      for (int64_t kw = 0; kw < img.kernel; ++kw) {
+        const int32_t* in =
+            pix.data() + ((kw % s) * ph + oh * s + kh) * phw + kw / s;
+        for (int64_t ow = 0; ow < out_w; ++ow) out[ow] += in[ow];
+      }
+    }
+  }
+}
+
+// Gathers the B panel of columns [j, j + cols) that no direct form covers
+// (rows narrower than half a panel, N tails) into the packed layout, zero
+// past cols: the bytes a direct form would have read.
+void GatherConvPanel(const ConvImageViewS8& img, const int32_t* koff,
+                     int64_t groups, int64_t j, int64_t cols, int64_t nr,
+                     int8_t* out) {
+  const int64_t kr = img.group;
+  int64_t col_off[kMaxNR];
+  for (int64_t c = 0; c < cols; ++c) col_off[c] = img.col_offset(j + c);
+  for (int64_t g = 0; g < groups; ++g, out += nr * kr) {
+    const int8_t* src = img.padded + koff[g];
+    for (int64_t c = 0; c < cols; ++c)
+      for (int64_t r = 0; r < kr; ++r) out[c * kr + r] = src[col_off[c] + r];
+    std::fill(out + cols * kr, out + nr * kr, int8_t{0});
+  }
+}
+
 }  // namespace
 
 void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const int8_t* a, const int8_t* b, float* c,
             const GemmS8Epilogue& epilogue, bool parallel) {
   GemmS8Impl(trans_a, trans_b, m, n, k, a, b, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*conv_img=*/nullptr);
+             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr);
 }
 
 PackedS8Weights PackedS8Weights::Pack(int64_t m, int64_t k,
@@ -1062,41 +963,110 @@ void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
   POE_CHECK(!a.empty()) << "GemmS8PackedA on unpacked weights";
   GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_,
              /*a=*/nullptr, b, c, epilogue, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*conv_img=*/nullptr);
+             /*prepacked_b=*/nullptr);
 }
 
-void GemmS8Conv(int64_t m, const int8_t* a, const ConvImageViewS8& img,
-                float* c, const GemmS8Epilogue& epilogue, bool parallel) {
-  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
-             img.depth(), a, /*b=*/nullptr, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &img);
+PackedS8Weights PackedS8Weights::PackConv(int64_t m, int64_t channels,
+                                          int64_t kernel, const int8_t* a) {
+  const KernelS8& kn = PickKernelS8();
+  const int64_t kk = kernel * kernel;
+  PackedS8Weights packed;
+  packed.m_ = m;
+  packed.k_ = (channels + kn.kr - 1) / kn.kr * kn.kr * kk;
+  packed.conv_channels_ = channels;
+  packed.conv_kernel_ = kernel;
+  POE_CHECK(m > 0 && packed.k_ > 0 && packed.k_ <= kMaxK);
+  // Every byte starts as the shifted zero (padding rows and channels), and
+  // each weight lands where Unpack reads it back.
+  packed.data_.assign(
+      static_cast<size_t>((m + kn.mr - 1) / kn.mr * kn.mr * packed.k_),
+      kn.shift);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t p = 0; p < channels * kk; ++p) {
+      const int64_t col = ConvPackedColumn(p, kk, kn.kr);
+      packed.data_[PanelOffset(kn, packed.k_, i, col)] =
+          static_cast<uint8_t>(a[i * channels * kk + p] + kn.shift);
+    }
+  }
+  return packed;
 }
 
 void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
                        float* c, const GemmS8Epilogue& epilogue,
                        bool parallel) {
   POE_CHECK(!a.empty()) << "GemmS8ConvPackedA on unpacked weights";
-  POE_CHECK_EQ(a.k_, img.depth());
-  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
-             /*a=*/nullptr, /*b=*/nullptr, c, epilogue, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, &img);
+  POE_CHECK(a.conv_channels_ == img.channels && a.conv_kernel_ == img.kernel)
+      << "weights were not PackConv'd for this conv geometry";
+  const KernelS8& kn = PickKernelS8();
+  POE_CHECK_EQ(img.group, kn.kr);
+  POE_CHECK_LE(DirectImageElems(img), int64_t{INT32_MAX});
+  const int64_t m = a.m_;
+  const int64_t n = img.cols();
+  const int64_t mr = kn.mr;
+  const int64_t nr = kn.nr;
+  const int64_t half = nr / 2;
+  const int64_t groups = a.k_ / kn.kr;
+  const int64_t out_w = img.out_w();
+  // The k-group offset table and the column sums, built once per call by
+  // this thread; sub-tile workers only read them behind ParallelFor's
+  // barrier (through these pointers, not their own thread_locals).
+  thread_local std::vector<int32_t> koff_buf, colsum_buf;
+  koff_buf.resize(static_cast<size_t>(groups));
+  const int32_t* koff = koff_buf.data();
+  TapOffsets(img, koff_buf.data());
+  colsum_buf.assign(static_cast<size_t>((n + nr - 1) / nr * nr), 0);
+  const int32_t* colsum = colsum_buf.data();
+  if (kn.pixel_sums != nullptr) ConvColumnSums(kn, img, colsum_buf.data());
+
+  // A half panel can be read in place when its columns lie in one output
+  // row; a panel is direct when both halves can.
+  const auto in_row = [&](int64_t j) { return j % out_w + half <= out_w; };
+  const auto panels = [&](int64_t jb0, int64_t jb1) {
+    ScratchScope scope;
+    int8_t* gather = nullptr;
+    int32_t acc[kMaxMR * kMaxNR];
+    for (int64_t jb = jb0; jb < jb1; ++jb) {
+      const int64_t j = jb * nr;
+      const int64_t cols = std::min(nr, n - j);
+      const bool direct = cols == nr && in_row(j) && in_row(j + half);
+      const int8_t* b0 = img.padded + img.col_offset(j);
+      const int8_t* b1 = direct ? img.padded + img.col_offset(j + half) : b0;
+      if (!direct) {
+        if (gather == nullptr) gather = AllocS8(scope, groups * nr * kn.kr);
+        GatherConvPanel(img, koff, groups, j, cols, nr, gather);
+      }
+      for (int64_t ip = 0; ip < m; ip += mr) {
+        const uint8_t* ap = a.data_.data() + ip * a.k_;
+        if (direct) {
+          kn.direct(groups, ap, b0, b1, koff, acc);
+        } else {
+          kn.fn(groups, ap, gather, acc);
+        }
+        StoreTileS8(kn, acc, std::min(mr, m - ip), cols, colsum + j, epilogue,
+                    ip, j, c, n);
+      }
+    }
+  };
+  const int64_t blocks = (n + nr - 1) / nr;
+  if (parallel && NumThreads() > 1 && blocks > 1) {
+    ParallelFor(blocks, panels, /*min_chunk=*/1);
+  } else {
+    panels(0, blocks);
+  }
 }
 
 void PackedS8Weights::Unpack(int8_t* out) const {
   POE_CHECK(!empty()) << "Unpack on empty PackedS8Weights";
   const KernelS8& kernel = PickKernelS8();
-  const int64_t mr = kernel.mr;
-  const int64_t kr = kernel.kr;
-  const int64_t kpad = (k_ + kr - 1) / kr * kr;
-  const uint8_t shift = kernel.shift;
-  // Inverse of the panel layout (see pack_s8.h): value(i, p) lives at
-  // panel (i/mr), k-group (p/kr), row run i%mr, byte p%kr — shifted.
+  const int64_t kpad = (k_ + kernel.kr - 1) / kernel.kr * kernel.kr;
+  const int64_t kk = conv_kernel_ * conv_kernel_;
+  const int64_t k_out = kk == 0 ? k_ : conv_channels_ * kk;
+  // Conv weights' column p first moves to its k-group order.
   for (int64_t i = 0; i < m_; ++i) {
-    const uint8_t* panel = data_.data() + (i / mr) * kpad * mr;
-    const int64_t r = i % mr;
-    for (int64_t p = 0; p < k_; ++p) {
-      const uint8_t byte = panel[(p / kr) * mr * kr + r * kr + (p % kr)];
-      out[i * k_ + p] = static_cast<int8_t>(byte - shift);
+    for (int64_t p = 0; p < k_out; ++p) {
+      const int64_t col = kk == 0 ? p : ConvPackedColumn(p, kk, kernel.kr);
+      out[i * k_out + p] = static_cast<int8_t>(
+          data_[PanelOffset(kernel, kpad, i, col)] - kernel.shift);
     }
   }
 }
@@ -1138,7 +1108,7 @@ void GemmS8PackedB(bool trans_a, int64_t m, const int8_t* a,
   const PrepackedS8B pb{b.data_.data(), b.colsum_.data()};
   GemmS8Impl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, a,
              /*b=*/nullptr, c, epilogue, parallel,
-             /*prepacked_a=*/nullptr, &pb, /*conv_img=*/nullptr);
+             /*prepacked_a=*/nullptr, &pb);
 }
 
 void PackedS8BWeights::Unpack(int8_t* out) const {
@@ -1181,6 +1151,8 @@ void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 }
 
 const char* GemmS8KernelName() { return PickKernelS8().name; }
+
+int64_t GemmS8KGroup() { return PickKernelS8().kr; }
 
 namespace {
 

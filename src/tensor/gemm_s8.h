@@ -54,15 +54,25 @@ class PackedS8Weights {
   PackedS8Weights() = default;
   static PackedS8Weights Pack(int64_t m, int64_t k, const int8_t* a);
 
-  /// Reconstructs the original row-major m x k int8 matrix into `out`
-  /// (m*k entries) — the exact inverse of Pack for this process's kernel.
-  /// Serialization exports through this, so persisted int8 pools stay
-  /// kernel-layout independent without holding a second raw copy of the
-  /// weights in memory.
+  /// Packs conv weights (m x channels*kernel^2, row-major in im2col order
+  /// (c, kh, kw)) for GemmS8ConvPackedA: k is reordered to
+  /// (c / kr, kh, kw, c % kr) for the kernel's k-group kr, with zero
+  /// weights for the channels that pad `channels` up to a multiple of kr,
+  /// so each k-group matches one pixel of the channel-interleaved image.
+  static PackedS8Weights PackConv(int64_t m, int64_t channels,
+                                  int64_t kernel, const int8_t* a);
+
+  /// Reconstructs the row-major int8 matrix Pack or PackConv was given
+  /// into `out` (m x k, or m x channels*kernel^2 in im2col order) — the
+  /// exact inverse for this process's kernel. Serialization exports
+  /// through this, so persisted int8 pools stay kernel-layout independent
+  /// without holding a second raw copy of the weights in memory.
   void Unpack(int8_t* out) const;
 
   bool empty() const { return data_.empty(); }
   int64_t rows() const { return m_; }
+  /// Reduction depth of the panels: k, or for PackConv the padded
+  /// channel count times kernel^2 (the rows of a k-group-ordered im2col).
   int64_t depth() const { return k_; }
   /// Bytes held by the packed panels (the serving footprint of the
   /// weight matrix).
@@ -76,6 +86,7 @@ class PackedS8Weights {
                                 const GemmS8Epilogue&, bool);
   std::vector<uint8_t> data_;  // shift-applied panels, kpad*mr per panel
   int64_t m_ = 0, k_ = 0;
+  int64_t conv_channels_ = 0, conv_kernel_ = 0;  // PackConv geometry
 };
 
 /// GemmS8 with op(A) pre-packed and op(B) = B (k x n, untransposed):
@@ -83,17 +94,13 @@ class PackedS8Weights {
 void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
                    float* c, const GemmS8Epilogue& epilogue, bool parallel);
 
-/// Direct (im2col-free) int8 convolution as GEMM: op(B) is the virtual
-/// im2col matrix of the quantized padded image, gathered while packing
-/// (PackBs8Conv / the kernels' SIMD conv packers). Panel bytes and colsums
-/// are identical to packing the materialized im2col matrix and the int32
-/// accumulation is exact, so outputs are bitwise identical to
-/// GemmS8/GemmS8PackedA over im2col on every kernel tier.
-void GemmS8Conv(int64_t m, const int8_t* a, const ConvImageViewS8& img,
-                float* c, const GemmS8Epilogue& epilogue, bool parallel);
-
-/// GemmS8Conv with the weight operand pre-packed (the int8 conv serving
-/// hot path). Same bitwise guarantee.
+/// Direct (im2col-free) int8 convolution: C (m x img.cols()) =
+/// epilogue(a * B) where B is the virtual im2col matrix of `img`, a
+/// channel-interleaved image with img.group == GemmS8KGroup() (see
+/// conv_direct.h), and `a` came from PackConv with img's channels and
+/// kernel. The micro-kernels read B in place; the int32 accumulation is
+/// exact, so outputs are bitwise identical to GemmS8PackedA over the
+/// im2col matrix on every kernel tier.
 void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
                        float* c, const GemmS8Epilogue& epilogue,
                        bool parallel);
@@ -156,6 +163,10 @@ void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 /// forces a variant ("avx512" selects the VNNI kernel; unsupported values
 /// fall back to auto-detection).
 const char* GemmS8KernelName();
+
+/// The dispatched int8 kernel's k-group (4 for VNNI and scalar, 2 for
+/// AVX2): the channels per pixel of a direct conv image.
+int64_t GemmS8KGroup();
 
 /// The project-wide int8 rounding rule for one value: scale, clamp to
 /// [-127, 127], round half away from zero. QuantizeBufferS8 and the fused

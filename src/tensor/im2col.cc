@@ -28,21 +28,29 @@ ValidSpan ValidOutputColumns(int64_t width, int64_t out_w, int64_t kw,
 
 // Shared unfold over the element type: f32 for training/inference, int8
 // for the quantized serving path (zero padding is exact in both domains).
+// Row (c, kh, kw) goes to ((c / group * kernel_h + kh) * kernel_w + kw) *
+// group + c % group, which is the plain running order for group 1.
 template <typename T>
 void Im2ColT(const T* image, int64_t channels, int64_t height, int64_t width,
              int64_t kernel_h, int64_t kernel_w, int64_t pad, int64_t stride,
-             T* columns) {
+             T* columns, int64_t group) {
   const int64_t out_h = ConvOutSize(height, kernel_h, pad, stride);
   const int64_t out_w = ConvOutSize(width, kernel_w, pad, stride);
   const int64_t out_hw = out_h * out_w;
-  int64_t row = 0;
-  for (int64_t c = 0; c < channels; ++c) {
-    const T* img_c = image + c * height * width;
+  const int64_t padded_channels = (channels + group - 1) / group * group;
+  for (int64_t c = 0; c < padded_channels; ++c) {
     for (int64_t kh = 0; kh < kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < kernel_w; ++kw, ++row) {
+      for (int64_t kw = 0; kw < kernel_w; ++kw) {
+        const int64_t row =
+            ((c / group * kernel_h + kh) * kernel_w + kw) * group + c % group;
+        T* col_row = columns + row * out_hw;
+        if (c >= channels) {
+          std::fill(col_row, col_row + out_hw, T(0));
+          continue;
+        }
+        const T* img_c = image + c * height * width;
         const ValidSpan span = ValidOutputColumns(width, out_w, kw, pad,
                                                   stride);
-        T* col_row = columns + row * out_hw;
         for (int64_t oh = 0; oh < out_h; ++oh) {
           T* dst = col_row + oh * out_w;
           const int64_t ih = oh * stride - pad + kh;
@@ -74,14 +82,14 @@ void Im2Col(const float* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
             int64_t stride, float* columns) {
   Im2ColT(image, channels, height, width, kernel_h, kernel_w, pad, stride,
-          columns);
+          columns, /*group=*/1);
 }
 
 void Im2Col(const int8_t* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
-            int64_t stride, int8_t* columns) {
+            int64_t stride, int8_t* columns, int64_t group) {
   Im2ColT(image, channels, height, width, kernel_h, kernel_w, pad, stride,
-          columns);
+          columns, group);
 }
 
 void Col2Im(const float* columns, int64_t channels, int64_t height,

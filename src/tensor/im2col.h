@@ -4,8 +4,7 @@
 // (tensor/conv_direct.h) reads the GEMM's B operand straight from a
 // zero-padded image view, bitwise identical to im2col + GEMM. What stays
 // on the im2col route is the backward pass (Im2Col re-unfolds the cached
-// input for dW, Col2Im folds dX back), the strided int8 forward, and the
-// POE_CONV_PATH=im2col pin.
+// input for dW, Col2Im folds dX back) and the POE_CONV_PATH=im2col pin.
 //
 // Both transforms work a column-matrix row at a time: for each kernel
 // column kw the in-range output columns form one span [ow_lo, ow_hi), so a
@@ -28,9 +27,12 @@ void Im2Col(const float* image, int64_t channels, int64_t height,
 
 /// Int8 overload for the quantized serving path: unfolds an already
 /// symmetric-quantized image (padding writes quantized zero = 0 exactly).
+/// With group > 1 the rows follow PackedS8Weights::PackConv's k order
+/// (c / group, kh, kw, c % group) and the rows of the channels that pad
+/// `channels` up to a multiple of group are zero.
 void Im2Col(const int8_t* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
-            int64_t stride, int8_t* columns);
+            int64_t stride, int8_t* columns, int64_t group = 1);
 
 /// Inverse accumulation of Im2Col: scatters the column matrix back into the
 /// image gradient (adds into `image_grad`, which the caller must zero).

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 
-#include "tensor/conv_direct.h"
-
 namespace poe {
 
 // The int8 micro-kernels consume op(A) as MR-row panels and op(B) as
@@ -155,62 +153,6 @@ inline void PackBs8(bool trans_b, const int8_t* b, int64_t k, int64_t n,
         int8_t* dst = panel + c * kr;
         for (int64_t g = 0; g < kpad / kr; ++g)
           for (int64_t q = 0; q < kr; ++q) dst[g * group + q] = 0;
-      }
-    }
-  }
-}
-
-/// Packs the full k x [j0, j0+nc) block of the *virtual* im2col matrix of
-/// `img` (row p is tap (c, kh, kw) in Im2Col's order, column j is output
-/// pixel (j / out_w, j % out_w)) into `out` and writes colsum exactly like
-/// PackBs8. This is the portable direct-conv B pack used by the scalar
-/// kernel and by edge panels of the SIMD conv packers; the panel bytes and
-/// colsums are identical to
-/// PackBs8(!trans_b, im2col_matrix, ...), so the int8 GEMM — whose
-/// accumulation is exact integer arithmetic — produces bitwise-identical
-/// output on the direct and im2col paths.
-inline void PackBs8Conv(const ConvImageViewS8& img, int64_t j0, int64_t nc,
-                        int64_t nr, int64_t kr, int8_t* out,
-                        int32_t* colsum) {
-  const int64_t k = img.depth();
-  const int64_t kpad = (k + kr - 1) / kr * kr;
-  const int64_t group = nr * kr;  // bytes per packed k-group
-  const int64_t pw = img.padded_w();
-  const int64_t out_w = img.out_w();
-  const int64_t kk = img.kernel * img.kernel;
-  for (int64_t jp = 0; jp < nc; jp += nr) {
-    const int64_t cols = (nc - jp < nr) ? nc - jp : nr;
-    int8_t* panel = out + (jp / nr) * kpad * nr;
-    int32_t* sums = colsum + jp;
-    for (int64_t c = 0; c < nr; ++c) sums[c] = 0;
-    int8_t* dst = panel;
-    for (int64_t p = 0; p < kpad; p += kr, dst += group) {
-      for (int64_t q = 0; q < kr; ++q) {
-        const int64_t pk = p + q;
-        if (pk >= k) {  // zero-padded k tail
-          for (int64_t c = 0; c < nr; ++c) dst[c * kr + q] = 0;
-          continue;
-        }
-        const int64_t ch = pk / kk;
-        const int64_t rem = pk - ch * kk;
-        const int64_t kh = rem / img.kernel;
-        const int64_t kw = rem - kh * img.kernel;
-        const int8_t* base =
-            img.padded + (ch * img.padded_h() + kh) * pw + kw;
-        int64_t j = j0 + jp;
-        int64_t c = 0;
-        while (c < cols) {
-          const int64_t oh = j / out_w;
-          const int64_t ow = j - oh * out_w;
-          const int64_t len =
-              (cols - c < out_w - ow) ? cols - c : out_w - ow;
-          const int8_t* src = base + oh * pw + ow;
-          for (int64_t t = 0; t < len; ++t, ++c, ++j) {
-            dst[c * kr + q] = src[t];
-            sums[c] += src[t];
-          }
-        }
-        for (int64_t cpad = cols; cpad < nr; ++cpad) dst[cpad * kr + q] = 0;
       }
     }
   }

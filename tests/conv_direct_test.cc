@@ -1,8 +1,8 @@
 // Direct (im2col-free) convolution: the guarantee is bitwise identity
 // with the im2col lowering on every kernel tier, plus sub-tile
 // determinism (thread count never changes output bits). The GEMM-level
-// tests compare GemmConvEx/GemmS8Conv against the same GEMM run over a
-// materialized im2col matrix; the layer-level tests pin POE_CONV_PATH's
+// tests compare GemmConvEx/GemmS8ConvPackedA against the same GEMM run
+// over a materialized im2col matrix; the layer-level tests pin POE_CONV_PATH's
 // programmatic equivalent to each lowering and compare Conv2d outputs.
 // CMake reruns this binary under POE_GEMM_KERNEL=scalar|avx2 and
 // POE_NUM_THREADS=4 so every dispatch tier and the sub-tile parallel
@@ -154,29 +154,32 @@ TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
     GemmS8(false, false, m, cols_n, depth, weight.data(), cols.data(),
            c_ref.data(), ep, /*parallel=*/false);
 
-    const std::vector<int8_t> padded = PadImage(img, g.c, g.h, g.w, g.pad);
+    // The direct operand: the image in the kernel's channel-interleaved
+    // layout, the weights in its k-group order.
     ConvImageViewS8 view;
-    view.padded = g.pad == 0 ? img.data() : padded.data();
     view.channels = g.c;
     view.height = g.h;
     view.width = g.w;
     view.kernel = g.kernel;
     view.pad = g.pad;
+    view.group = GemmS8KGroup();
+    std::vector<int8_t> layout(static_cast<size_t>(DirectImageElems(view)));
+    FillDirectImage(img.data(), view, layout.data());
+    view.padded = layout.data();
+    PackedS8Weights packed =
+        PackedS8Weights::PackConv(m, g.c, g.kernel, weight.data());
+    std::vector<int8_t> unpacked(weight.size());
+    packed.Unpack(unpacked.data());
+    ASSERT_EQ(unpacked, weight) << "Unpack must return the im2col order";
 
     for (bool parallel : {false, true}) {
       std::vector<float> c_direct(static_cast<size_t>(m * cols_n), -7.0f);
-      GemmS8Conv(m, weight.data(), view, c_direct.data(), ep, parallel);
+      GemmS8ConvPackedA(packed, view, c_direct.data(), ep, parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_direct.data(),
                                c_ref.size() * sizeof(float)))
           << "c=" << g.c << " h=" << g.h << " k=" << g.kernel
           << " pad=" << g.pad << " parallel=" << parallel;
     }
-
-    PackedS8Weights packed = PackedS8Weights::Pack(m, depth, weight.data());
-    std::vector<float> c_packed(static_cast<size_t>(m * cols_n));
-    GemmS8ConvPackedA(packed, view, c_packed.data(), ep, /*parallel=*/true);
-    ASSERT_EQ(0, std::memcmp(c_ref.data(), c_packed.data(),
-                             c_ref.size() * sizeof(float)));
   }
 }
 
@@ -394,6 +397,107 @@ TEST(ConvDirectLayerTest, PackFreeBitwiseMatchesIm2ColGrid) {
               check(conv.ForwardFusedRelu(x), want_infer, "inference");
               conv.Prepack(ServingPrecision::kFloat32);
               check(conv.ForwardFusedRelu(x), want_infer, "prepacked");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The filled int8 image against its definition: lane r of pixel
+// (q, cg, y, t) holds channel cg * group + r at image row y - pad and
+// column t * stride + q - pad, and zero outside the image or past the last
+// channel. `buf` starts as garbage, so every byte must be written.
+void ExpectDirectLayoutS8(const std::vector<int8_t>& img,
+                          const ConvImageViewS8& v) {
+  std::vector<int8_t> buf(static_cast<size_t>(DirectImageElems(v)),
+                          int8_t{0x5a});
+  FillDirectImage(img.data(), v, buf.data());
+  size_t at = 0;
+  for (int64_t q = 0; q < v.phases(); ++q)
+    for (int64_t cg = 0; cg < v.channel_groups(); ++cg)
+      for (int64_t y = 0; y < v.padded_h(); ++y)
+        for (int64_t t = 0; t < v.phase_w(); ++t)
+          for (int64_t r = 0; r < v.group; ++r, ++at) {
+            const int64_t c = cg * v.group + r;
+            const int64_t iy = y - v.pad;
+            const int64_t ix = t * v.stride + q - v.pad;
+            const bool inside = c < v.channels && iy >= 0 &&
+                                iy < v.height && ix >= 0 && ix < v.width;
+            const int8_t want =
+                inside ? img[(c * v.height + iy) * v.width + ix] : 0;
+            ASSERT_EQ(buf[at], want)
+                << "q=" << q << " c=" << c << " y=" << y << " t=" << t;
+          }
+}
+
+// The int8 twin of PackFreeBitwiseMatchesIm2ColGrid: the pack-free int8
+// path (channel-interleaved image, k-group-ordered weights, in-place
+// direct forms, gathered panels, box-summed column sums) against the
+// im2col pin over stride 1 and 2, kernel 1 and 3, pad 0 and 1, output rows
+// 32, 16 and 8 wide (direct forms) and 7 and 5 wide (gathered panels),
+// input channels that do (16, 32) and do not (3, 13) fill the kernel's
+// channel groups, output channels that do and do not fill a register tile,
+// batches 1 and 3, calibrated and dynamic activation scales. Each case
+// also checks the filled image of its first input byte for byte. CMake
+// reruns it on every kernel tier and at 4 workers.
+TEST(ConvDirectLayerTest, PackFreeInt8BitwiseMatchesIm2ColGrid) {
+  int64_t case_index = 0;
+  for (int64_t stride : {1, 2}) {
+    for (int64_t kernel : {1, 3}) {
+      for (int64_t pad : {0, 1}) {
+        for (int64_t out_w : {32, 16, 8, 7, 5}) {
+          for (int64_t in_c : {3, 13, 16, 32}) {
+            for (int64_t out_c : {3, 16, 17, 32}) {
+              const int64_t batch = case_index++ % 2 == 0 ? 1 : 3;
+              const int64_t out_h = 9;  // full panels and an N tail
+              const int64_t in_w = (out_w - 1) * stride + kernel - 2 * pad;
+              const int64_t in_h = (out_h - 1) * stride + kernel - 2 * pad;
+              Rng rng(static_cast<uint64_t>(case_index));
+              Conv2d calibrated(in_c, out_c, kernel, stride, pad, rng,
+                                /*bias=*/true);
+              Conv2d dynamic(in_c, out_c, kernel, stride, pad, rng);
+              Tensor x = Tensor::Randn({batch, in_c, in_h, in_w}, rng);
+              calibrated.BeginActivationCalibration();
+              calibrated.Forward(x, /*training=*/false);
+              calibrated.FinishActivationCalibration();
+              calibrated.PrepareInt8Serving();
+              dynamic.PrepareInt8Serving();
+              for (Conv2d* conv : {&calibrated, &dynamic}) {
+                Tensor want, want_relu;
+                {
+                  ScopedConvPath pin(ConvPath::kIm2Col);
+                  want = conv->Forward(x, /*training=*/false);
+                  want_relu = conv->ForwardFusedRelu(x);
+                }
+                const Tensor got = conv->Forward(x, /*training=*/false);
+                const Tensor got_relu = conv->ForwardFusedRelu(x);
+                ASSERT_EQ(got.shape(), want.shape());
+                ASSERT_TRUE(
+                    std::memcmp(got.data(), want.data(),
+                                got.numel() * sizeof(float)) == 0 &&
+                    std::memcmp(got_relu.data(), want_relu.data(),
+                                got.numel() * sizeof(float)) == 0)
+                    << (conv == &calibrated ? "calibrated" : "dynamic")
+                    << ": stride=" << stride << " kernel=" << kernel
+                    << " pad=" << pad << " out_w=" << out_w
+                    << " in_c=" << in_c << " out_c=" << out_c
+                    << " batch=" << batch;
+              }
+              if (kernel == 1 && stride == 1 && pad == 0) continue;
+              ConvImageViewS8 view;
+              view.channels = in_c;
+              view.height = in_h;
+              view.width = in_w;
+              view.kernel = kernel;
+              view.pad = pad;
+              view.stride = stride;
+              view.group = GemmS8KGroup();
+              std::vector<int8_t> img(static_cast<size_t>(in_c * in_h * in_w));
+              QuantizeBufferS8(x.data(), static_cast<int64_t>(img.size()),
+                               32.0f, img.data());
+              ExpectDirectLayoutS8(img, view);
             }
           }
         }

@@ -1,13 +1,16 @@
-// The wire answers of a served pool against an independent oracle, at
-// the geometry of the interactive f32 serving benchmark: a WRN-16 base-16
-// pool of 20 tasks x 5 classes (expert ks 0.25, 32x32x3 inputs) saved to
-// disk, loaded and served by NetServer on 127.0.0.1 with 3 inference
-// workers, and driven by 2 client threads that keep 16 one-image f32
-// requests over 24 composites outstanding. Every OK response must equal,
-// bitwise, TaskModel::Logits from a separately loaded copy of the pool
-// that is never prepacked, and the server must complete every request it
-// admits. Fused batches, trunk sharing across models, prepacked weights
-// and the direct conv path all sit between the two answers.
+// The wire answers of a served pool against an independent oracle. A
+// WRN-16 base-16 pool of 20 tasks x 5 classes (expert ks 0.25, 32x32x3
+// inputs) is saved to disk, loaded and served by NetServer on 127.0.0.1
+// with 3 inference workers, and driven by 2 client threads in closed
+// loops. Every OK response must equal, bitwise, TaskModel::Logits from a
+// separately loaded copy of the pool that is never prepacked, and the
+// server must complete every request it admits. Fused batches, trunk
+// sharing across models, prepacked weights and the direct conv path all
+// sit between the two answers. Two geometries: the interactive f32
+// serving benchmark (16 one-image requests outstanding over 24
+// composites), and the bulk int8 one (a calibrated int8 pool, 32-image
+// requests for size-2 composites, 4 outstanding), whose oracle runs the
+// im2col lowering.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -31,6 +34,7 @@
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "serve/inference_server.h"
+#include "tensor/conv_direct.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -41,11 +45,7 @@ constexpr int kClassesPerTask = 5;
 constexpr double kExpertKs = 0.25;
 constexpr int64_t kSide = 32;
 constexpr int64_t kChannels = 3;
-constexpr int kComposites = 24;
-constexpr int kInputs = 8;
 constexpr int kClients = 2;
-constexpr int kWindow = 8;  // per client: 16 outstanding in all
-constexpr int kRequestsPerClient = 160;
 
 ExpertPool RandomWrn16Pool(uint64_t seed) {
   Rng rng(seed);
@@ -69,14 +69,15 @@ ExpertPool RandomWrn16Pool(uint64_t seed) {
                     std::move(library), std::move(experts));
 }
 
-// 24 distinct composites of 1-4 tasks (sizes cycle 1, 2, 3, 4).
-std::vector<std::vector<int>> RandomComposites(Rng& rng) {
+// Distinct composites of the given sizes.
+std::vector<std::vector<int>> RandomComposites(const std::vector<int>& sizes,
+                                               Rng& rng) {
   std::vector<std::vector<int>> out;
-  while (static_cast<int>(out.size()) < kComposites) {
+  while (out.size() < sizes.size()) {
     std::vector<int> tasks(kTasks);
     for (int t = 0; t < kTasks; ++t) tasks[t] = t;
     rng.Shuffle(tasks);
-    tasks.resize(1 + out.size() % 4);
+    tasks.resize(sizes[out.size()]);
     std::sort(tasks.begin(), tasks.end());
     if (std::find(out.begin(), out.end(), tasks) == out.end()) {
       out.push_back(tasks);
@@ -97,24 +98,33 @@ struct ClientResult {
   std::string error;  // transport failure or first mismatch
 };
 
-TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
+// One serving run: `pool` saved and served, `requests_per_client` jobs per
+// client over random composites of `sizes` and `num_inputs` random
+// batches of `rows` images, `window` outstanding per client. The oracle
+// answers every (composite, input) pair first, from its own load of the
+// file, queried and never prepacked, under `oracle_path`.
+void ServeAndCheckAgainstOracle(const ExpertPool& pool,
+                                const std::vector<int>& sizes,
+                                int num_inputs, int64_t rows, int window,
+                                int requests_per_client,
+                                ConvPath oracle_path) {
   const std::string path = ::testing::TempDir() + "/wire_oracle_" +
                            std::to_string(::getpid()) + ".poe";
-  ASSERT_TRUE(RandomWrn16Pool(/*seed=*/7).Save(path).ok());
+  ASSERT_TRUE(pool.Save(path).ok());
 
   Rng rng(8);
-  const std::vector<std::vector<int>> composites = RandomComposites(rng);
+  const std::vector<std::vector<int>> composites =
+      RandomComposites(sizes, rng);
   std::vector<Tensor> inputs;
-  for (int i = 0; i < kInputs; ++i) {
-    inputs.push_back(Tensor::Randn({1, kChannels, kSide, kSide}, rng));
+  for (int i = 0; i < num_inputs; ++i) {
+    inputs.push_back(Tensor::Randn({rows, kChannels, kSide, kSide}, rng));
   }
-  std::vector<Job> jobs(kClients * kRequestsPerClient);
+  std::vector<Job> jobs(kClients * requests_per_client);
   for (Job& job : jobs) {
-    job.composite = static_cast<int>(rng.NextInt(kComposites));
-    job.input = static_cast<int>(rng.NextInt(kInputs));
+    job.composite = static_cast<int>(rng.NextInt(composites.size()));
+    job.input = static_cast<int>(rng.NextInt(num_inputs));
   }
 
-  // The oracle: its own load of the file, queried and never prepacked.
   std::map<std::pair<int, int>, Tensor> reference;
   std::vector<std::vector<int>> classes;
   {
@@ -127,12 +137,15 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
       models.push_back(std::move(m).ValueOrDie());
       classes.push_back(models.back().global_classes());
     }
+    const ConvPath served_path = ConvPathChoice();
+    SetConvPath(oracle_path);
     for (const Job& job : jobs) {
       const auto key = std::make_pair(job.composite, job.input);
       if (reference.count(key) == 0) {
         reference[key] = models[job.composite].Logits(inputs[job.input]);
       }
     }
+    SetConvPath(served_path);
   }
 
   auto served = ExpertPool::Load(path);
@@ -149,7 +162,7 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
   NetServer net(&server, nopts);
   ASSERT_TRUE(net.Start().ok());
 
-  // One closed loop per client: keep kWindow requests outstanding, send
+  // One closed loop per client: keep `window` requests outstanding, send
   // the next as each response arrives, then drain.
   auto drive = [&](int client_id, ClientResult* out) {
     NetClient client;
@@ -161,7 +174,7 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
     std::unordered_map<uint64_t, const Job*> inflight;
     int sent = 0;
     auto send = [&]() -> bool {
-      const Job& job = jobs[client_id * kRequestsPerClient + sent++];
+      const Job& job = jobs[client_id * requests_per_client + sent++];
       auto id = client.Send(composites[job.composite], inputs[job.input]);
       if (!id.ok()) {
         out->error = id.status().ToString();
@@ -170,7 +183,7 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
       inflight[id.ValueOrDie()] = &job;
       return true;
     };
-    for (int w = 0; w < kWindow; ++w) {
+    for (int w = 0; w < window; ++w) {
       if (!send()) return;
     }
     while (!inflight.empty()) {
@@ -206,7 +219,7 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
           }
         }
       }
-      if (sent < kRequestsPerClient && !send()) return;
+      if (sent < requests_per_client && !send()) return;
     }
   };
   std::vector<ClientResult> results(kClients);
@@ -225,10 +238,35 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
     EXPECT_EQ(r.not_ok, 0);
     ok += r.ok;
   }
-  EXPECT_EQ(ok, kClients * kRequestsPerClient);
+  EXPECT_EQ(ok, kClients * requests_per_client);
   const ServeStats stats = server.stats();
   EXPECT_EQ(stats.submitted, stats.completed);
   EXPECT_EQ(stats.completed, ok);
+}
+
+// interactive_f32: 2 clients x 8 outstanding one-image requests over 24
+// composites of 1-4 tasks.
+TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
+  std::vector<int> sizes;
+  for (int i = 0; i < 24; ++i) sizes.push_back(1 + i % 4);
+  ServeAndCheckAgainstOracle(RandomWrn16Pool(/*seed=*/7), sizes,
+                             /*num_inputs=*/8, /*rows=*/1, /*window=*/8,
+                             /*requests_per_client=*/160, ConvPathChoice());
+}
+
+// bulk_int8: a calibrated int8 pool, 2 clients x 2 outstanding 32-image
+// requests over 4 composites of 2 tasks; the oracle runs the im2col
+// lowering, the server the pack-free direct one.
+TEST(NetWireOracleTest, EveryOkInt8ResponseEqualsTheIm2ColOracleBitwise) {
+  ExpertPool pool = RandomWrn16Pool(/*seed=*/9);
+  Rng rng(10);
+  ASSERT_TRUE(pool.CalibrateActivations(
+                      Tensor::Randn({64, kChannels, kSide, kSide}, rng))
+                  .ok());
+  ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ServeAndCheckAgainstOracle(pool, std::vector<int>(4, 2), /*num_inputs=*/4,
+                             /*rows=*/32, /*window=*/2,
+                             /*requests_per_client=*/12, ConvPath::kIm2Col);
 }
 
 }  // namespace

@@ -59,6 +59,9 @@ CROSS_RATIOS = {
     "direct_vs_im2col/ConvWrnInt8/64": (
         "BM_ConvWrnInt8Calibrated/64/64/32/1/3",
         "BM_ConvWrnDirectInt8/64/64/32/1/3"),
+    "direct_vs_im2col/ConvWrnInt8Stride2/16": (
+        "BM_ConvWrnInt8Calibrated/16/32/32/2/3",
+        "BM_ConvWrnDirectInt8/16/32/32/2/3"),
 }
 
 
