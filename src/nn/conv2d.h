@@ -72,6 +72,9 @@ class Conv2d : public Module {
   void CollectQuantizable(std::vector<Module*>* out) override {
     out->push_back(this);
   }
+  bool CouplesRows() override {
+    return observe_act_ || (int8_serving_ && !(act_scale_ > 0.0f));
+  }
   Result<Int8WeightState> ExportInt8State() const override;
   Status AdoptInt8State(Int8WeightState state) override;
 

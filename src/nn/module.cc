@@ -67,6 +67,15 @@ void Module::CollectQuantizable(std::vector<Module*>* out) {
   for (Module* child : children) child->CollectQuantizable(out);
 }
 
+bool Module::CouplesRows() {
+  std::vector<Module*> children;
+  CollectChildren(&children);
+  for (Module* child : children) {
+    if (child->CouplesRows()) return true;
+  }
+  return false;
+}
+
 int64_t HeldStateBytes(Module& module) {
   int64_t bytes = module.Int8WeightBytes() + module.PackedWeightBytes();
   for (Parameter* p : module.Parameters()) bytes += p->value.nbytes();

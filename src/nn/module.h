@@ -125,6 +125,14 @@ class Module {
   /// traversal order — the layers whose int8 state serialization walks.
   virtual void CollectQuantizable(std::vector<Module*>* out);
 
+  /// True when the inference forward couples the rows of a batch, so it
+  /// must see the whole batch in one call: a leaf serving int8 with a
+  /// dynamic activation scale (the max-abs of the whole input), or one
+  /// observing activations for calibration (unsynchronized per-call
+  /// state). Sequential runs row passes only when this is false.
+  /// Containers recurse; Conv2d and Linear override.
+  virtual bool CouplesRows();
+
   /// Leaf hooks for int8 pool persistence. Export snapshots the layer's
   /// quantized weights (FailedPrecondition unless int8-serving); Adopt
   /// installs a snapshot into a still-f32 layer — quantized values and

@@ -12,6 +12,18 @@
 namespace poe {
 
 /// Chains modules; Forward applies them in order, Backward in reverse.
+///
+/// Inference runs depth first: the batch is cut into passes of a few rows,
+/// each pass goes through every module, and its output rows are copied
+/// into the batch output. A pass's activations stay in one core's cache,
+/// where a whole batch's (2 MiB per block at b32, 32x32) would stream
+/// from L3. The passes are dealt to the worker pool, whose nested calls
+/// inside the modules then run inline. Every inference module is row-
+/// independent — convs and pooling work per image, BN is a per-channel
+/// affine, GEMM rows accumulate alone — so the output is bitwise that of
+/// the whole-batch loop. That loop still serves training, a batch no
+/// larger than one pass (batch 1 splits its convs' GEMM tiles across the
+/// workers instead), and any module tree that CouplesRows().
 class Sequential : public Module {
  public:
   Sequential() = default;
@@ -35,6 +47,11 @@ class Sequential : public Module {
   const Module* at(size_t i) const { return modules_.at(i).get(); }
 
  private:
+  /// The module loop: whole batch, or one row pass.
+  Tensor ForwardModules(const Tensor& input, bool training);
+  /// Inference over `input` in passes of `rows` rows.
+  Tensor ForwardInRowPasses(const Tensor& input, int64_t rows);
+
   std::vector<ModulePtr> modules_;
 };
 

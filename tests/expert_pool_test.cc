@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -214,6 +215,84 @@ std::string ReadFileBytes(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return std::string(std::istreambuf_iterator<char>(in),
                      std::istreambuf_iterator<char>());
+}
+
+// Sequential's row passes must leave batch-coupled trees whole. A dynamic
+// int8 activation scale is the max-abs of the whole input: per-pass
+// scales would change the logits.
+TEST(RowPassGuardTest, DynamicScaleInt8MatchesWholeBatchChain) {
+  Rng rng(71);
+  std::shared_ptr<Sequential> trunk =
+      BuildLibraryPart(TinyLibraryConfig(), rng);
+  trunk->PrepareInt8Serving();
+  ASSERT_TRUE(trunk->CouplesRows());
+  const Tensor x = Tensor::Randn({32, 3, 8, 8}, rng);
+  const Tensor want = testutil::WholeBatchChain(*trunk, x);
+  const Tensor got = trunk->Forward(x, /*training=*/false);
+  ASSERT_EQ(want.shape(), got.shape());
+  EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                           sizeof(float) * want.numel()));
+}
+
+std::vector<float> StaticScales(Module& module) {
+  std::vector<Module*> leaves;
+  module.CollectQuantizable(&leaves);
+  std::vector<float> scales;
+  for (Module* leaf : leaves) scales.push_back(leaf->static_act_scale());
+  return scales;
+}
+
+// Calibration observes every layer's input max-abs in a plain member, so
+// the observing forwards must stay whole-batch: row passes dealt to the
+// pool would race on it (the _mt4 twin runs under TSan in CI). The scales
+// and the saved int8 pool must equal those of a whole-batch calibration,
+// which no thread count changes.
+TEST_F(ExpertPoolTest, CalibrationMatchesWholeBatchChain) {
+  const std::string stem = ::testing::TempDir() + "/calibrate_" +
+                           std::to_string(::getpid());
+  const std::string f32_path = stem + "_f32.poe";
+  ASSERT_TRUE(pool_->Save(f32_path).ok());
+  auto loaded_a = ExpertPool::Load(f32_path);
+  auto loaded_b = ExpertPool::Load(f32_path);
+  ASSERT_TRUE(loaded_a.ok() && loaded_b.ok());
+  ExpertPool a = std::move(loaded_a).ValueOrDie();
+  ExpertPool b = std::move(loaded_b).ValueOrDie();
+
+  Rng rng(72);
+  const Tensor samples = Tensor::Randn({32, 3, 6, 6}, rng);
+  ASSERT_TRUE(a.CalibrateActivations(samples).ok());
+
+  b.library()->BeginActivationCalibration();
+  for (int t = 0; t < b.num_experts(); ++t) {
+    b.expert(t)->BeginActivationCalibration();
+  }
+  const Tensor features = testutil::WholeBatchChain(*b.library(), samples);
+  for (int t = 0; t < b.num_experts(); ++t) {
+    testutil::WholeBatchChain(*b.expert(t), features);
+  }
+  b.library()->FinishActivationCalibration();
+  for (int t = 0; t < b.num_experts(); ++t) {
+    b.expert(t)->FinishActivationCalibration();
+  }
+
+  EXPECT_EQ(StaticScales(*a.library()), StaticScales(*b.library()));
+  for (int t = 0; t < a.num_experts(); ++t) {
+    EXPECT_EQ(StaticScales(*a.expert(t)), StaticScales(*b.expert(t)))
+        << "expert " << t;
+  }
+  ASSERT_TRUE(a.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ASSERT_TRUE(b.SetServingPrecision(ServingPrecision::kInt8).ok());
+  const std::string a_path = stem + "_a.poe";
+  const std::string b_path = stem + "_b.poe";
+  ASSERT_TRUE(a.Save(a_path).ok());
+  ASSERT_TRUE(b.Save(b_path).ok());
+  const std::string bytes_a = ReadFileBytes(a_path);
+  EXPECT_FALSE(bytes_a.empty());
+  EXPECT_TRUE(bytes_a == ReadFileBytes(b_path))
+      << "calibrated int8 pools differ";
+  std::remove(f32_path.c_str());
+  std::remove(a_path.c_str());
+  std::remove(b_path.c_str());
 }
 
 // Preprocess at a size where every training pass has work for several

@@ -6,6 +6,8 @@
 #include "data/synthetic.h"
 #include "distill/trainer.h"
 #include "models/wrn.h"
+#include "nn/activations.h"
+#include "nn/sequential.h"
 
 namespace poe {
 namespace testutil {
@@ -53,6 +55,24 @@ inline TrainOptions FastTrainOptions(int epochs = 4) {
   opts.lr = 0.05f;
   opts.seed = 5;
   return opts;
+}
+
+/// The whole-batch inference loop, the reference for Sequential's row
+/// passes: each module sees the full batch, with `X -> ReLU` pairs
+/// collapsed into X's fused forward as Sequential does.
+inline Tensor WholeBatchChain(Sequential& seq, const Tensor& input) {
+  Tensor x = input;
+  for (size_t i = 0; i < seq.size(); ++i) {
+    Module* m = seq.at(i);
+    if (i + 1 < seq.size() && m->CanFuseRelu() &&
+        dynamic_cast<const ReLU*>(seq.at(i + 1)) != nullptr) {
+      x = m->ForwardFusedRelu(x);
+      ++i;
+      continue;
+    }
+    x = m->Forward(x, /*training=*/false);
+  }
+  return x;
 }
 
 }  // namespace testutil

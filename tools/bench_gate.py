@@ -31,6 +31,7 @@ pattern-matched, so they cannot be silently dropped.
 
 import argparse
 import json
+import statistics
 import sys
 
 FAIL_FACTOR = 2.0  # ratio collapsed to < baseline/2 -> hard failure
@@ -66,16 +67,17 @@ CROSS_RATIOS = {
 
 
 def load_benchmark_times(path):
-    """name -> real_time (ns) from a google-benchmark JSON file."""
+    """name -> median real_time (ns) over a google-benchmark JSON file's
+    iteration runs: one per --benchmark_repetitions repetition, so a
+    single noisy repetition cannot move a ratio."""
     with open(path) as f:
         data = json.load(f)
-    times = {}
+    runs = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
             continue
-        name = bench["name"]
-        times[name] = float(bench["real_time"])
-    return times
+        runs.setdefault(bench["name"], []).append(float(bench["real_time"]))
+    return {name: statistics.median(times) for name, times in runs.items()}
 
 
 def compute_ratios(scalar_path, simd_path):
