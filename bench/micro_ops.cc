@@ -1,6 +1,9 @@
 // Microbenchmarks of the tensor/NN substrate (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -8,6 +11,7 @@
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/ops.h"
+#include "util/crc32c.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -423,6 +427,36 @@ void BM_LinearForwardInt8Prepacked(benchmark::State& state) {
   state.SetLabel(GemmS8KernelName());
 }
 BENCHMARK(BM_LinearForwardInt8Prepacked);
+
+// CRC32C over a 1-image f32 request payload (12,288 bytes) and a whole
+// bulk_int8 request frame (393,292 bytes): the client seals each body and
+// the server folds it in as chunks arrive. BM_Crc32cPortable is the byte
+// table the dispatched path must match, for the rate ratio.
+std::vector<uint8_t> CrcInput(int64_t n) {
+  Rng rng(7);
+  std::vector<uint8_t> bytes(static_cast<size_t>(n));
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return bytes;
+}
+
+void BM_Crc32c(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = CrcInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32c(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(12288)->Arg(393292);
+
+void BM_Crc32cPortable(benchmark::State& state) {
+  const std::vector<uint8_t> bytes = CrcInput(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        Crc32cExtendPortable(0, bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32cPortable)->Arg(12288)->Arg(393292);
 
 }  // namespace
 }  // namespace poe

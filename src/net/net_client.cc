@@ -170,8 +170,12 @@ Result<WireResponse> NetClient::Receive() {
   uint8_t hbuf[kWireHeaderBytes];
   POE_RETURN_NOT_OK(ReadFull(hbuf, sizeof(hbuf)));
   WireHeader header;
-  POE_RETURN_NOT_OK(DecodeHeader(hbuf, sizeof(hbuf), kWireTypeResponse,
-                                 kDefaultMaxBodyBytes, &header));
+  const Status decoded = DecodeHeader(hbuf, sizeof(hbuf), kWireTypeResponse,
+                                      kDefaultMaxBodyBytes, &header);
+  if (!decoded.ok()) {
+    Close();  // as in Call: the stream is no longer frame-aligned
+    return decoded;
+  }
   std::vector<uint8_t> body(header.body_len);
   POE_RETURN_NOT_OK(ReadFull(body.data(), body.size()));
   if (Crc32c(body.data(), body.size()) != header.body_crc) {

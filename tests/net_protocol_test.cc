@@ -2,10 +2,16 @@
 // bit-flipped, and garbage frames must answer with a clean protocol
 // error (or silently close when the header is not even ours), never
 // corrupt state, hang a request, or stop serving other connections.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -257,6 +263,109 @@ TEST_F(NetProtocolTest, GarbageFloodNeverWedgesTheServer) {
   WaitForProtocolErrors(*net_, 4);
   EXPECT_EQ(0, server_->stats().submitted);
   ExpectStillHealthy(*net_);
+}
+
+// Writes `frame` in pieces of 1, 3, 7, 13 and 4093 bytes, repeated until
+// it is all sent, pausing after each so the server's recv() sees each
+// piece as its own chunk: payload chunks then start and end off the
+// 8-byte steps of the hardware CRC.
+void SendDribbled(NetClient& client, const std::vector<uint8_t>& frame) {
+  static constexpr size_t kPieces[] = {1, 3, 7, 13, 4093};
+  size_t pos = 0;
+  for (size_t i = 0; pos < frame.size(); ++i) {
+    const size_t len =
+        std::min(kPieces[i % std::size(kPieces)], frame.size() - pos);
+    ASSERT_TRUE(client.SendRaw(frame.data() + pos, len).ok());
+    pos += len;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+}
+
+TEST_F(NetProtocolTest, DribbledFrameServesTheSameLogitsAsWhole) {
+  // 16 rows: a 7 KB frame, so the payload takes small pieces after the
+  // 4093-byte one.
+  const Tensor input = MakeInput(16, 63);
+  const auto frame = [&](uint64_t id) {
+    return EncodeRequestFrame(id, {0, 1}, input, /*deadline_ms=*/0.0,
+                              WirePrecision::kAny);
+  };
+  NetClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", net_->port()).ok());
+  const std::vector<uint8_t> first = frame(1);
+  ASSERT_TRUE(client.SendRaw(first.data(), first.size()).ok());
+  auto whole = client.Receive();
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  ASSERT_TRUE(whole.ValueOrDie().status.ok());
+
+  SendDribbled(client, frame(2));
+  auto dribbled = client.Receive();
+  ASSERT_TRUE(dribbled.ok()) << dribbled.status().ToString();
+  ASSERT_TRUE(dribbled.ValueOrDie().status.ok())
+      << dribbled.ValueOrDie().status.ToString();
+  EXPECT_EQ(2u, dribbled.ValueOrDie().request_id);
+  const Tensor& a = whole.ValueOrDie().logits;
+  const Tensor& b = dribbled.ValueOrDie().logits;
+  ASSERT_EQ(a.shape(), b.shape());
+  EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)));
+  EXPECT_EQ(0, net_->stats().protocol_errors);
+
+  // The same pieces with one payload bit flipped must fail the folded CRC.
+  std::vector<uint8_t> flipped = frame(3);
+  flipped[flipped.size() - 1000] ^= 0x04;
+  SendDribbled(client, flipped);
+  auto r = client.Receive();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(3u, r.ValueOrDie().request_id);
+  EXPECT_EQ(StatusCode::kCorruption, r.ValueOrDie().status.code());
+  WaitForProtocolErrors(*net_, 1);
+  ExpectStillHealthy(*net_);
+}
+
+// A bad response header leaves the stream unaligned, so Receive must drop
+// the connection rather than read the next frame's body as a header.
+TEST(NetClientTest, ReceiveClosesOnABadResponseHeader) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(0, ::bind(listener, reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)));
+  ASSERT_EQ(0, ::listen(listener, 1));
+  ASSERT_EQ(0, ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                             &addr_len));
+
+  // A header with a bad magic, then a well-formed response frame.
+  const std::vector<uint8_t> valid =
+      EncodeErrorFrame(5, Status::Unavailable("busy"));
+  std::vector<uint8_t> bad_header(valid.begin(),
+                                  valid.begin() + kWireHeaderBytes);
+  bad_header[0] ^= 0xFF;
+  std::thread server([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    ::send(fd, bad_header.data(), bad_header.size(), MSG_NOSIGNAL);
+    ::send(fd, valid.data(), valid.size(), MSG_NOSIGNAL);
+    char sink = 0;
+    ::recv(fd, &sink, 1, 0);  // until the client hangs up
+    ::close(fd);
+  });
+
+  // No ASSERT until the server thread is joined.
+  NetClient client;
+  const Status connected = client.Connect("127.0.0.1", ntohs(addr.sin_port));
+  EXPECT_TRUE(connected.ok()) << connected.ToString();
+  if (connected.ok()) {
+    EXPECT_FALSE(client.Receive().ok());
+    EXPECT_FALSE(client.connected());
+    EXPECT_EQ(StatusCode::kFailedPrecondition,
+              client.Receive().status().code());
+  }
+  client.Close();
+  ::shutdown(listener, SHUT_RDWR);  // wakes accept() if nobody connected
+  server.join();
+  ::close(listener);
 }
 
 // --- deadline edge cases on the wire ---
