@@ -18,7 +18,7 @@ ClusterNode::ClusterNode(ExpertPool pool, MembershipView initial,
       // The service is constructed on the FULL pool — its generation
       // fingerprints every master — and only Start() sheds non-owned
       // masters afterwards. Shedding first would fingerprint null modules.
-      service_(std::move(pool), options_.cache_capacity, options_.precision),
+      service_(std::move(pool), kClusterCacheCapacity),
       server_(&service_, options_.serve) {}
 
 ClusterNode::~ClusterNode() { Stop(); }

@@ -53,6 +53,8 @@ namespace poe {
 
 /// Consecutive failed pings before a peer is declared OFFLINE.
 inline constexpr int kPingFailuresBeforeOffline = 2;
+/// Assembled-model cache entries per node.
+inline constexpr size_t kClusterCacheCapacity = 64;
 
 struct ClusterNodeOptions {
   int node_id = 0;
@@ -61,15 +63,15 @@ struct ClusterNodeOptions {
   /// explicit loop) leaves gossip to manual GossipOnce() calls.
   double gossip_interval_ms = 250.0;
   bool start_gossip = false;
-  /// Serving-stack knobs, passed through unchanged.
-  size_t cache_capacity = 64;
-  ServingPrecision precision = ServingPrecision::kFloat32;
+  /// Inference-server knobs, passed through unchanged.
   InferenceServer::Options serve;
 };
 
 class ClusterNode : public PeerEndpoint {
  public:
   /// `initial` must list this node (options.node_id) among its members.
+  /// The node serves at `pool`'s precision: an int8 node is one over an
+  /// int8 pool.
   ClusterNode(ExpertPool pool, MembershipView initial,
               ClusterNodeOptions options);
   ~ClusterNode() override;

@@ -153,6 +153,10 @@ Status DecodeViewBody(const uint8_t* data, size_t len, MembershipView* view) {
       return Status::InvalidArgument("membership view carries unknown state " +
                                      std::to_string(state));
     }
+    if (port < 1 || port > kMaxPort) {
+      return Status::InvalidArgument("membership view carries port " +
+                                     std::to_string(port));
+    }
     node.node_id = id;
     node.port = port;
     node.state = static_cast<NodeState>(state);

@@ -4,37 +4,26 @@
 #include <utility>
 
 #include "util/fault.h"
-#include "util/logging.h"
 #include "util/stopwatch.h"
 
 namespace poe {
 
 namespace {
 
-// Service precision policy runs BEFORE the pool becomes generation 1, so
-// the facade's fingerprints (and its serving-precision invariant) see the
-// pool's actual serving form.
-ExpertPool PrepareInitialPool(ExpertPool pool, ServingPrecision precision) {
-  // kFloat32 leaves the pool at whatever precision it already serves
-  // (an already-converted int8 pool stays int8); kInt8 converts now.
-  if (precision != ServingPrecision::kFloat32) {
-    const Status status = pool.SetServingPrecision(precision);
-    POE_CHECK(status.ok()) << status.ToString();
-  }
-  // Pack once, serve many: the library trunk's persistent GEMM panels are
-  // built here; expert branches prepack lazily at store acquisition.
+// Pack once, serve many: the library trunk's persistent GEMM panels are
+// built here, before the pool becomes generation 1; expert branches
+// prepack lazily at store acquisition.
+ExpertPool PrepareInitialPool(ExpertPool pool) {
   pool.PrepackForServing();
   return pool;
 }
 
 }  // namespace
 
-ModelQueryService::ModelQueryService(ExpertPool pool, size_t cache_capacity,
-                                     ServingPrecision precision,
-                                     int cache_shards)
-    : versioned_(PrepareInitialPool(std::move(pool), precision)),
+ModelQueryService::ModelQueryService(ExpertPool pool, size_t cache_capacity)
+    : versioned_(PrepareInitialPool(std::move(pool))),
       cache_(ShardedModelCache::Options{
-          cache_capacity, cache_shards,
+          cache_capacity, kCacheShards,
           // Charge each resident composite its PRIVATE-copy bytes; the
           // expert store's referenced bytes are the deduplicated truth
           // and serve_stats() reports the difference as what expert-level

@@ -38,16 +38,14 @@ namespace poe {
 /// validate hook on its first would-be hit.
 class ModelQueryService {
  public:
-  /// `cache_capacity` = 0 disables the assembled-model cache. `precision`
-  /// = kInt8 converts the pool to dequant-free int8 serving up front, so
-  /// every assembled model runs the quantized inference path; kFloat32
-  /// (default) leaves the pool at whatever precision it already serves.
-  /// `cache_shards` partitions the cache's key space (>= 1; more shards =
-  /// less lock contention, slightly coarser global LRU).
-  explicit ModelQueryService(
-      ExpertPool pool, size_t cache_capacity = 0,
-      ServingPrecision precision = ServingPrecision::kFloat32,
-      int cache_shards = 8);
+  /// Lock shards of the assembled-model cache's key space.
+  static constexpr int kCacheShards = 8;
+
+  /// `cache_capacity` = 0 disables the assembled-model cache. The service
+  /// serves at the pool's own precision: an int8 service is one over a
+  /// pool that already ran `SetServingPrecision(kInt8)` (or was loaded
+  /// from an int8 pool file).
+  explicit ModelQueryService(ExpertPool pool, size_t cache_capacity = 0);
 
   /// Builds M(Q) for the composite task. Task ids are canonicalized
   /// (sorted, deduplicated): order and repeats do not affect which cache

@@ -115,8 +115,8 @@ class VersionedPool {
   ///
   /// Precision policy: serving precision is an invariant of the facade.
   /// An f32 `next` arriving while the current generation serves int8 is
-  /// converted (same path as ModelQueryService's constructor); an int8
-  /// `next` arriving while current serves f32 is rejected with
+  /// converted with ExpertPool::SetServingPrecision; an int8 `next`
+  /// arriving while current serves f32 is rejected with
   /// FailedPrecondition (int8 conversion is irreversible, so the facade
   /// cannot go back — and transports pin the precision at startup).
   ///

@@ -37,6 +37,10 @@ NetClient::~NetClient() { Close(); }
 
 Status NetClient::Connect(const std::string& host, int port) {
   if (fd_ >= 0) return Status::FailedPrecondition("already connected");
+  if (port < 1 || port > kMaxPort) {
+    return Status::InvalidArgument("port out of range: " +
+                                   std::to_string(port));
+  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));

@@ -137,6 +137,10 @@ Status NetServer::Start() {
   if (running_.load(std::memory_order_acquire) || !workers_.empty()) {
     return Status::FailedPrecondition("net server already started");
   }
+  if (options_.port < 0 || options_.port > kMaxPort) {
+    return Status::InvalidArgument("listen port out of range: " +
+                                   std::to_string(options_.port));
+  }
   pool_precision_ = server_->stats().precision;
 
   listen_fd_ =

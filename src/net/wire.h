@@ -90,6 +90,9 @@ inline constexpr int kMaxWireTasks = 4096;
 /// Default body-size bound (NetServer::Options can lower it). 64 MiB
 /// bounds a request at ~16M f32 elements - far beyond any sane batch.
 inline constexpr uint32_t kDefaultMaxBodyBytes = 64u << 20;
+/// Largest TCP port. A port a client dials or a membership view names is
+/// in 1..kMaxPort; a listener may also ask for 0 (kernel-assigned).
+inline constexpr int kMaxPort = 65535;
 
 /// Returns the 4 magic bytes 'P','O','E','1' as a little-endian u32.
 uint32_t WireMagic();

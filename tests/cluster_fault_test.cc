@@ -97,6 +97,24 @@ TEST(PeerRpcCodecTest, NodeCountBeyondTheBodyIsInvalidArgument) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(PeerRpcCodecTest, NodePortOutsideTcpRangeIsInvalidArgument) {
+  // A gossiped port is dialed as given: one that does not fit 16 bits
+  // would reach some other port, so the whole view is refused.
+  for (int port : {70000, -1}) {
+    MembershipView view;
+    view.epoch = 3;
+    view.nodes.push_back({0, "127.0.0.1", 9100, NodeState::kOnline});
+    view.nodes.push_back({1, "127.0.0.1", port, NodeState::kOnline});
+    const std::vector<uint8_t> frame = EncodeViewFrame(1, kWireTypePing, view);
+    MembershipView decoded;
+    EXPECT_EQ(DecodeViewBody(frame.data() + kWireHeaderBytes,
+                             frame.size() - kWireHeaderBytes, &decoded)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << port;
+  }
+}
+
 TEST(PeerRpcCodecTest, FetchReplyCarriesStatusAndPayload) {
   const std::vector<uint8_t> ok_frame =
       EncodeFetchExpertReplyFrame(9, Status::OK(), "payload-bytes");

@@ -60,13 +60,22 @@ MembershipView ViewOf(int num_nodes) {
   return view;
 }
 
+/// BuildPool() with static activation scales, converted to int8 serving.
+ExpertPool BuildInt8Pool() {
+  ExpertPool pool = BuildPool();
+  EXPECT_TRUE(pool.CalibrateActivations(MakeInput(8, 23)).ok());
+  EXPECT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  return pool;
+}
+
 std::unique_ptr<ClusterNode> MakeNode(int id, int num_nodes, int replication,
-                                      LoopbackTransport& transport) {
+                                      LoopbackTransport& transport,
+                                      ExpertPool pool = BuildPool()) {
   ClusterNodeOptions options;
   options.node_id = id;
   options.placement.replication = replication;
   options.serve.num_workers = 2;
-  auto node = std::make_unique<ClusterNode>(BuildPool(), ViewOf(num_nodes),
+  auto node = std::make_unique<ClusterNode>(std::move(pool), ViewOf(num_nodes),
                                             std::move(options));
   node->SetTransport(&transport);
   transport.Register(id, node.get());
@@ -130,6 +139,49 @@ TEST(ClusterTest, QueriesFetchMissingExpertsFromPeersAndCacheThem) {
   // Re-querying hits the flight cache: no new fetch traffic.
   ASSERT_TRUE(node0->service().Query(all).ok());
   EXPECT_EQ(node0->stats().remote_fetch_requests, s0.remote_fetch_requests);
+}
+
+// A node serves at its pool's precision, so an int8 cluster is a cluster
+// over an int8 pool: experts fetched from a peer arrive as int8 sections
+// and answer int8, bitwise as one process over the same pool does.
+TEST(ClusterTest, Int8PoolServesFetchedExpertsAsOneProcessDoes) {
+  LoopbackTransport transport;
+  auto node0 = MakeNode(0, 2, /*replication=*/1, transport, BuildInt8Pool());
+  auto node1 = MakeNode(1, 2, /*replication=*/1, transport, BuildInt8Pool());
+  ModelQueryService reference_service(BuildInt8Pool(), 8);
+  InferenceServer reference(&reference_service, {});
+
+  const std::vector<std::vector<int>> composites = {{0, 1, 2}, {0}, {1, 2}};
+  int i = 0;
+  for (ClusterNode* node : {node0.get(), node1.get()}) {
+    ASSERT_GT(node->stats().experts_nonresident, 0);
+    for (const std::vector<int>& tasks : composites) {
+      // Solo requests: each is its own batch on both sides.
+      const Tensor input = MakeInput(2, 700 + i++);
+      PoolRequest request;
+      request.task_ids = tasks;
+      request.input = input.Clone();
+      const InferenceResponse got =
+          node->server().Submit(std::move(request)).get();
+      PoolRequest solo;
+      solo.task_ids = tasks;
+      solo.input = input.Clone();
+      const InferenceResponse want = reference.Submit(std::move(solo)).get();
+      ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+      ASSERT_TRUE(want.status.ok()) << want.status.ToString();
+      EXPECT_EQ(got.precision, ServingPrecision::kInt8);
+      EXPECT_EQ(got.degraded_branches, 0);
+      EXPECT_FALSE(got.trunk_degraded);
+      EXPECT_EQ(got.global_classes, want.global_classes);
+      ASSERT_EQ(got.logits.numel(), want.logits.numel());
+      EXPECT_EQ(std::memcmp(got.logits.data(), want.logits.data(),
+                            sizeof(float) * got.logits.numel()),
+                0);
+    }
+    EXPECT_GT(node->stats().remote_fetch_ok, 0);
+    EXPECT_EQ(node->stats().experts_nonresident, 0);
+    ExpectFetchIdentities(*node);
+  }
 }
 
 TEST(ClusterTest, FetchFallsBackToTheReplicaOwnerWhenThePrimaryIsDown) {

@@ -242,7 +242,9 @@ TEST(ExpertStoreServiceTest, PoolCopiesGetIndependentStoresOverSharedMasters) {
 
 TEST(ExpertStoreServiceTest, Int8PoolReportsInt8ExpertBytes) {
   ModelQueryService f32(BuildPool(), 4);
-  ModelQueryService i8(BuildPool(), 4, ServingPrecision::kInt8);
+  ExpertPool i8_pool = BuildPool();
+  ASSERT_TRUE(i8_pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ModelQueryService i8(std::move(i8_pool), 4);
   auto mf = f32.Query({0, 1}).ValueOrDie();
   auto mi = i8.Query({0, 1}).ValueOrDie();
   ServeStats sf = f32.serve_stats();

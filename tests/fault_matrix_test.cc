@@ -91,8 +91,7 @@ bool IsExpectedServingStatus(const Status& s) {
 
 void RunServingLoad(const FaultCase& fc, uint64_t seed) {
   SCOPED_TRACE(std::string(fc.name) + " seed " + std::to_string(seed));
-  ModelQueryService service(MakePool(), /*cache_capacity=*/3,
-                            ServingPrecision::kFloat32, /*cache_shards=*/2);
+  ModelQueryService service(MakePool(), /*cache_capacity=*/3);
   InferenceServer::Options opts;
   opts.num_workers = 2;
   opts.queue_capacity = 32;

@@ -447,7 +447,9 @@ TEST(InferenceServerTest, TrunkFusedInt8MatchesSoloWhenScalesAgree) {
   // Identical input rows across requests for different models pin exactly
   // that: same trunk input scale, and each head sees the same feature
   // rows solo as fused.
-  ModelQueryService service(BuildPool(), 8, ServingPrecision::kInt8);
+  ExpertPool pool = BuildPool();
+  ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ModelQueryService service(std::move(pool), 8);
   InferenceServer::Options opts;
   opts.num_workers = 1;
   InferenceServer server(&service, opts);

@@ -222,8 +222,8 @@ TEST(Int8QueryServiceTest, ServesInt8AndReportsFootprint) {
       ExpertPool::Preprocess(ModelLogits(oracle), data, cfg, rng);
   const int64_t f32_bytes = pool.ServingBytes();
 
-  ModelQueryService service(std::move(pool), /*cache_capacity=*/4,
-                            ServingPrecision::kInt8);
+  ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ModelQueryService service(std::move(pool), /*cache_capacity=*/4);
   ServeStats stats = service.serve_stats();
   EXPECT_EQ(stats.precision, ServingPrecision::kInt8);
   EXPECT_GT(stats.pool_bytes, 0);

@@ -97,8 +97,9 @@ TEST(NetLoopbackTest, F32LogitsBitwiseIdenticalToInProcessSubmit) {
 }
 
 TEST(NetLoopbackTest, Int8LogitsBitwiseIdenticalToInProcessSubmit) {
-  ModelQueryService service(BuildPool(), /*cache_capacity=*/8,
-                            ServingPrecision::kInt8);
+  ExpertPool pool = BuildPool();
+  ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ModelQueryService service(std::move(pool), /*cache_capacity=*/8);
   InferenceServer server(&service, {});
   auto net = StartNet(&server);
 

@@ -368,6 +368,25 @@ TEST(NetClientTest, ReceiveClosesOnABadResponseHeader) {
   ::close(listener);
 }
 
+// A port is dialed or bound as given, never cut to 16 bits: the
+// fixture's port plus 65536 must not reach the fixture's server.
+TEST_F(NetProtocolTest, OutOfRangePortsAreInvalidArgument) {
+  for (int port : {net_->port() + 65536, 70000, -1, 0}) {
+    NetClient client;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              client.Connect("127.0.0.1", port).code())
+        << port;
+    EXPECT_FALSE(client.connected());
+  }
+  for (int port : {70000, -1}) {
+    NetServer::Options options;
+    options.port = port;
+    NetServer net(server_.get(), options);
+    EXPECT_EQ(StatusCode::kInvalidArgument, net.Start().code()) << port;
+  }
+  ExpectStillHealthy(*net_);
+}
+
 // --- deadline edge cases on the wire ---
 
 TEST_F(NetProtocolTest, WireDeadlineZeroMeansNoDeadlineNotBornExpired) {

@@ -108,8 +108,7 @@ TEST(QueryServiceTest, CacheHitLogitsMatchFreshAssemblyBitwise) {
 }
 
 TEST(QueryServiceTest, ServeStatsExposeShardsAndReconcile) {
-  ModelQueryService service(BuildPool(), 4, ServingPrecision::kFloat32,
-                            /*cache_shards=*/4);
+  ModelQueryService service(BuildPool(), 4);
   service.Query({0}).ValueOrDie();
   service.Query({0}).ValueOrDie();
   service.Query({1}).ValueOrDie();
@@ -118,7 +117,8 @@ TEST(QueryServiceTest, ServeStatsExposeShardsAndReconcile) {
   EXPECT_EQ(stats.cache_hits, 1);
   EXPECT_EQ(stats.cache_misses, 2);
   EXPECT_EQ(stats.coalesced, 0);
-  EXPECT_EQ(static_cast<int>(stats.shards.size()), 4);
+  EXPECT_EQ(static_cast<int>(stats.shards.size()),
+            ModelQueryService::kCacheShards);
   int64_t shard_hits = 0, shard_misses = 0, shard_size = 0;
   for (const auto& s : stats.shards) {
     shard_hits += s.hits;

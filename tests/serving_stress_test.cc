@@ -81,8 +81,7 @@ TEST(ServingStressTest, ConcurrentMixedWorkloadKeepsEveryInvariant) {
   constexpr int kPerThread = 250;
   constexpr size_t kCapacity = 3;  // well under the 7 distinct keys: churn
 
-  ModelQueryService service(BuildPool(), kCapacity,
-                            ServingPrecision::kFloat32, /*cache_shards=*/4);
+  ModelQueryService service(BuildPool(), kCapacity);
   const PoolGenerationHandle gen = service.PinGeneration();
   const ClassHierarchy& hierarchy = gen->pool.hierarchy();
   std::atomic<int> failures{0};
@@ -162,7 +161,7 @@ TEST(ServingStressTest, ConcurrentMixedWorkloadKeepsEveryInvariant) {
 // resolves exactly once, the counters reconcile, and every OK response is
 // bitwise the solo forward of a fresh assembly of its task set.
 void RunServerUnderConcurrentClients(int num_workers) {
-  ModelQueryService service(BuildPool(), 4, ServingPrecision::kFloat32, 4);
+  ModelQueryService service(BuildPool(), 4);
   InferenceServer::Options opts;
   opts.num_workers = num_workers;
   opts.queue_capacity = 16;

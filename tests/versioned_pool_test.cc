@@ -231,8 +231,9 @@ TEST(QueryServiceUpgradeTest, NoopUpgradeIsBitwiseIdenticalInt8) {
   }
   auto first = ExpertPool::Load(path);
   ASSERT_TRUE(first.ok());
-  ModelQueryService service(std::move(first).ValueOrDie(), 8,
-                            ServingPrecision::kInt8);
+  ExpertPool first_pool = std::move(first).ValueOrDie();
+  ASSERT_TRUE(first_pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+  ModelQueryService service(std::move(first_pool), 8);
   Rng rng(7);
   Tensor probe = Tensor::Randn({2, 3, 6, 6}, rng);
   Tensor logits_before = service.Query({0, 1}).ValueOrDie()->Logits(probe);

@@ -258,28 +258,6 @@ int CmdQuery(const ParsedArgs& a) {
   return 0;
 }
 
-int CmdBench(const ParsedArgs& a) {
-  auto loaded = LoadPoolOrComplain(a.pos[0]);
-  if (!loaded.ok()) return 1;
-  const int num_queries = a.IntPos(1, 100);
-  ModelQueryService service(std::move(loaded).ValueOrDie(),
-                            /*cache_capacity=*/32);
-  const int n = service.PinGeneration()->pool.num_experts();
-  Rng rng(99);
-  for (int q = 0; q < num_queries; ++q) {
-    const int nq = 1 + static_cast<int>(rng.NextInt(std::min(4, n)));
-    std::vector<int> all(n);
-    for (int i = 0; i < n; ++i) all[i] = i;
-    rng.Shuffle(all);
-    service.Query(std::vector<int>(all.begin(), all.begin() + nq));
-  }
-  const ServeStats stats = service.serve_stats();
-  std::printf("%lld queries: avg %.3fms, max %.3fms, cache hits %lld\n",
-              static_cast<long long>(stats.queries), stats.avg_ms,
-              stats.max_ms, static_cast<long long>(stats.cache_hits));
-  return 0;
-}
-
 /// One inference worker per core the net event loops leave free.
 int MachineInferenceWorkers(int net_loops) {
   return InferenceWorkersFor(
@@ -294,110 +272,6 @@ void PrintServeThreads(int workers, int net_loops) {
               workers, workers == 1 ? "" : "s", net_loops,
               net_loops == 1 ? "" : "s", NumThreads());
   std::fflush(stdout);
-}
-
-int CmdServeBench(const ParsedArgs& a) {
-  auto loaded = LoadPoolOrComplain(a.pos[0]);
-  if (!loaded.ok()) return 1;
-  const int clients = a.IntPos(1, 4);
-  const int queries_per_client = a.IntPos(2, 100);
-  ModelQueryService service(std::move(loaded).ValueOrDie(),
-                            /*cache_capacity=*/32,
-                            ServingPrecision::kFloat32, /*cache_shards=*/8);
-  InferenceServer::Options opts;
-  opts.num_workers = MachineInferenceWorkers(/*net_loops=*/0);
-  opts.queue_capacity = 256;
-  InferenceServer server(&service, opts);
-  const int n = service.PinGeneration()->pool.num_experts();
-
-  std::printf("serving %d clients x %d queries (%d experts, 8 shards, %d "
-              "workers)...\n",
-              clients, queries_per_client, n, opts.num_workers);
-  Stopwatch wall;
-  // Backpressure (ResourceExhausted) is expected under load; any other
-  // failed query is a wrong answer and fails the run.
-  std::atomic<int64_t> failed{0};
-  std::vector<std::thread> threads;
-  for (int c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      Rng rng(77 + c);
-      for (int q = 0; q < queries_per_client; ++q) {
-        const int nq = 1 + static_cast<int>(rng.NextInt(std::min(4, n)));
-        std::vector<int> all(n);
-        for (int i = 0; i < n; ++i) all[i] = i;
-        rng.Shuffle(all);
-        InferenceRequest req;
-        req.task_ids.assign(all.begin(), all.begin() + nq);
-        req.input = Tensor::Randn({1, 3, 8, 8}, rng);
-        InferenceResponse res = server.Submit(std::move(req)).get();
-        if (!res.status.ok() &&
-            res.status.code() != StatusCode::kResourceExhausted) {
-          failed.fetch_add(1);
-          std::fprintf(stderr, "query failed: %s\n",
-                       res.status.ToString().c_str());
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const double total_s = wall.ElapsedSeconds();
-  server.Shutdown();
-
-  ServeStats stats = server.stats();
-  std::printf("%lld requests in %.2fs (%.0f qps end-to-end), %lld rejected "
-              "at submission\n",
-              static_cast<long long>(stats.submitted), total_s,
-              stats.completed / total_s,
-              static_cast<long long>(stats.rejected));
-  std::printf("latency p50=%.3fms p95=%.3fms p99=%.3fms max=%.3fms\n",
-              stats.p50_ms, stats.p95_ms, stats.p99_ms, stats.max_ms);
-  std::printf("cache: %lld hits / %lld assemblies / %lld coalesced "
-              "(hit rate %.1f%%), %lld fused batches avg %.1f req\n",
-              static_cast<long long>(stats.cache_hits),
-              static_cast<long long>(stats.cache_misses),
-              static_cast<long long>(stats.coalesced),
-              100 * stats.overall_hit_rate(),
-              static_cast<long long>(stats.batches), stats.avg_batch());
-  std::printf("experts: %lld branch hits / %lld materializations, "
-              "%lld referenced (%s), shared_bytes_saved %lld\n",
-              static_cast<long long>(stats.expert_hits),
-              static_cast<long long>(stats.expert_misses),
-              static_cast<long long>(stats.experts_referenced),
-              TablePrinter::HumanBytes(stats.referenced_expert_bytes).c_str(),
-              static_cast<long long>(stats.shared_bytes_saved));
-  std::printf("dedup: resident composites charge %s as private copies vs "
-              "%s deduplicated (saves %s); trunk-fused %lld batches / "
-              "%lld rows\n",
-              TablePrinter::HumanBytes(stats.resident_model_bytes).c_str(),
-              TablePrinter::HumanBytes(stats.trunk_bytes +
-                                       stats.referenced_expert_bytes)
-                  .c_str(),
-              TablePrinter::HumanBytes(stats.resident_dedup_saved_bytes())
-                  .c_str(),
-              static_cast<long long>(stats.trunk_fused_batches),
-              static_cast<long long>(stats.trunk_fused_rows));
-  TablePrinter table({"Shard", "Hits", "Misses", "Coalesced", "Evicted",
-                      "Resident", "HitRate"});
-  for (size_t s = 0; s < stats.shards.size(); ++s) {
-    const CacheShardStats& shard = stats.shards[s];
-    char rate[16];
-    std::snprintf(rate, sizeof(rate), "%.1f%%", 100 * shard.hit_rate());
-    table.AddRow({std::to_string(s), std::to_string(shard.hits),
-                  std::to_string(shard.misses),
-                  std::to_string(shard.coalesced),
-                  std::to_string(shard.evictions),
-                  std::to_string(shard.size), rate});
-  }
-  std::printf("%s", table.ToString().c_str());
-  std::printf("precision: %s, pool weight bytes: %lld\n",
-              stats.precision == ServingPrecision::kInt8 ? "int8" : "f32",
-              static_cast<long long>(stats.pool_bytes));
-  if (failed > 0) {
-    std::fprintf(stderr, "serve-bench FAILED: %lld queries failed\n",
-                 static_cast<long long>(failed.load()));
-    return 1;
-  }
-  return 0;
 }
 
 int CmdFsck(const ParsedArgs& a) {
@@ -566,15 +440,17 @@ int CmdNetServe(const ParsedArgs& a) {
               static_cast<long long>(s.rejected),
               static_cast<long long>(s.deadline_expired));
   std::printf("generation %llu (%lld swapped), %lld cache keys invalidated, "
-              "%lld stale-generation pins\n",
+              "%lld stale-generation pins, %lld assembly retries\n",
               static_cast<unsigned long long>(s.generation),
               static_cast<long long>(s.generations_swapped),
               static_cast<long long>(s.cache_keys_invalidated),
-              static_cast<long long>(s.stale_generation_queries));
+              static_cast<long long>(s.stale_generation_queries),
+              static_cast<long long>(s.assembly_retries));
   return 0;
 }
 
-/// Parses "host:port" (or a bare port, host defaulting to 127.0.0.1).
+/// Parses "host:port" (or a bare port, host defaulting to 127.0.0.1);
+/// false for a port outside 1..65535.
 bool ParseHostPort(const std::string& target, std::string* host, int* port) {
   *host = "127.0.0.1";
   const size_t colon = target.rfind(':');
@@ -584,7 +460,7 @@ bool ParseHostPort(const std::string& target, std::string* host, int* port) {
     *host = target.substr(0, colon);
     *port = std::atoi(target.c_str() + colon + 1);
   }
-  return *port > 0;
+  return *port >= 1 && *port <= kMaxPort;
 }
 
 int CmdNetQuery(const ParsedArgs& a) {
@@ -798,8 +674,8 @@ int CmdNetLoad(const ParsedArgs& a) {
 
 /// Parses `--nodes=id:port[,...]` (host 127.0.0.1) or `id:host:port`.
 /// Every node starts ONLINE; the state machine takes over from there.
-/// Port 0 is refused: peers in other processes could never learn an
-/// ephemeral port.
+/// Ports outside 1..65535 are refused, 0 included: peers in other
+/// processes could never learn an ephemeral port.
 bool ParseClusterNodes(const std::string& spec,
                        std::vector<NodeInfo>* nodes) {
   std::string entry;
@@ -824,7 +700,7 @@ bool ParseClusterNodes(const std::string& spec,
     node.node_id = std::atoi(fields[0].c_str());
     node.host = fields.size() == 3 ? fields[1] : "127.0.0.1";
     node.port = std::atoi(fields.back().c_str());
-    if (node.port <= 0) return false;
+    if (node.port < 1 || node.port > kMaxPort) return false;
     node.state = NodeState::kOnline;
     nodes->push_back(node);
     entry.clear();
@@ -861,7 +737,7 @@ int CmdClusterServe(const ParsedArgs& a) {
   if (!ParseClusterNodes(a.flags.at("nodes"), &members)) {
     std::fprintf(stderr,
                  "cluster serve: bad --nodes spec '%s' (want "
-                 "id:port or id:host:port, port > 0)\n",
+                 "id:port or id:host:port, port 1..65535)\n",
                  a.flags.at("nodes").c_str());
     return 2;
   }
@@ -1082,17 +958,9 @@ const std::vector<CommandSpec>& Commands() {
       {"query", "<pool.poe> <task,task,...>",
        "assemble the task-specific model and report size/latency", 2, 2,
        {}, CmdQuery},
-      {"bench", "<pool.poe> [num_queries]",
-       "measure service-phase latency over random composite queries", 1, 2,
-       {}, CmdBench},
       {"calibrate", "<pool.poe> <out.poe> [num_samples] [hw]",
        "record static activation scales and save a packed int8 pool", 2, 4,
        {}, CmdCalibrate},
-      {"serve-bench", "<pool.poe> [clients] [queries_per_client]",
-       "drive the concurrent serving runtime and print ServeStats; exit 1 "
-       "when a query fails with a status other than resource_exhausted",
-       1, 3,
-       {}, CmdServeBench},
       {"fsck", "<pool.poe>",
        "verify the pool file's section CRCs and commit footer", 1, 1,
        {}, CmdFsck},
