@@ -168,8 +168,7 @@ BENCHMARK(BM_ConvWrnInt8)
     ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
 
 // Int8 conv with a static calibrated activation scale: the per-forward
-// max-abs pass over the input disappears (the fused quantizing im2col
-// already removed the separate quantization pass). Rates compare
+// max-abs pass over the input disappears. Rates compare
 // row-for-row against BM_ConvWrnInt8. Pinned to the im2col lowering so it
 // stays the baseline BM_ConvWrnDirectInt8 is gated against.
 void BM_ConvWrnInt8Calibrated(benchmark::State& state) {

@@ -1,23 +1,19 @@
-// Pool persistence and evolution: save a preprocessed pool, detect file
-// corruption, reload, and hot-add an expert for a brand-new primitive task
-// without touching existing experts (extension feature).
+// Pool persistence: save a preprocessed pool, detect file corruption,
+// reload, and answer queries from the reloaded pool.
 #include <cstdio>
 #include <fstream>
 
 #include "core/expert_pool.h"
 #include "core/serialization.h"
 #include "data/synthetic.h"
-#include "distill/specialize.h"
 #include "eval/metrics.h"
 #include "util/rng.h"
 
 using namespace poe;
 
 int main() {
-  // Dataset with 5 primitive tasks; the pool is first built over 4 of
-  // them, task 4 arrives "later".
   SyntheticDataConfig dc;
-  dc.num_tasks = 5;
+  dc.num_tasks = 4;
   dc.classes_per_task = 3;
   dc.train_per_class = 32;
   dc.test_per_class = 10;
@@ -39,28 +35,16 @@ int main() {
   std::printf("oracle test accuracy: %.1f%%\n",
               100 * EvaluateAccuracy(ModelLogits(oracle), data.test));
 
-  // Build a pool over the first 4 tasks only.
-  SyntheticDataset initial = data;
-  initial.hierarchy =
-      ClassHierarchy::FromTasks({data.hierarchy.task_classes(0),
-                                 data.hierarchy.task_classes(1),
-                                 data.hierarchy.task_classes(2),
-                                 data.hierarchy.task_classes(3)})
-          .ValueOrDie();
-  // The library student still covers ALL oracle classes.
   PoeBuildConfig build;
   build.library_config = oracle_cfg;
   build.library_config.kc = 1.0;
   build.library_config.ks = 1.0;
-  build.library_config.num_classes = data.hierarchy.num_classes();
   build.expert_ks = 0.25;
   build.library_options = opts;
   build.expert_options = opts;
-  // Keep only samples of the first 4 tasks? No - CKD deliberately uses all
-  // data, including out-of-distribution samples (Section 4.1).
-  std::printf("preprocessing pool over 4 of 5 primitive tasks...\n");
+  std::printf("preprocessing pool over 4 primitive tasks...\n");
   ExpertPool pool =
-      ExpertPool::Preprocess(ModelLogits(oracle), initial, build, rng);
+      ExpertPool::Preprocess(ModelLogits(oracle), data, build, rng);
 
   const std::string path = "/tmp/persistence_pool.poe";
   Status s = pool.Save(path);
@@ -81,17 +65,11 @@ int main() {
                 r.status().ToString().c_str());
   }
 
-  // Reload the good file and hot-add the 5th task.
   ExpertPool reloaded = ExpertPool::Load(path).ValueOrDie();
   std::printf("reloaded pool: %d experts\n", reloaded.num_experts());
-  s = reloaded.AddExpert(ModelLogits(oracle), data.train,
-                         data.hierarchy.task_classes(4), opts, CkdOptions{},
-                         rng);
-  std::printf("hot-added expert for task 4: %s\n", s.ToString().c_str());
 
-  // Query single tasks and a composite task spanning old + new knowledge.
-  for (const std::vector<int>& q :
-       {std::vector<int>{1}, {4}, {1, 4}}) {
+  // Query single tasks and a composite task from the reloaded pool.
+  for (const std::vector<int>& q : {std::vector<int>{1}, {3}, {1, 3}}) {
     TaskModel model = reloaded.Query(q).ValueOrDie();
     Dataset test = FilterClasses(
         data.test, data.hierarchy.CompositeClasses(q), true);
@@ -99,14 +77,7 @@ int main() {
     std::printf("task {");
     for (size_t i = 0; i < q.size(); ++i)
       std::printf("%s%d", i ? "," : "", q[i]);
-    std::printf("} accuracy after hot-add: %.1f%%\n",
-                100 * EvaluateAccuracy(fn, test));
+    std::printf("} accuracy: %.1f%%\n", 100 * EvaluateAccuracy(fn, test));
   }
-
-  // Existing experts were untouched: re-save and verify determinism.
-  const std::string path2 = "/tmp/persistence_pool_v2.poe";
-  s = reloaded.Save(path2);
-  std::printf("saved extended pool (%d experts) to %s: %s\n",
-              reloaded.num_experts(), path2.c_str(), s.ToString().c_str());
   return 0;
 }

@@ -66,8 +66,8 @@ ExpertPool ExpertPool::Preprocess(const LogitFn& oracle,
                                   const PoeBuildConfig& config, Rng& rng,
                                   PoeBuildStats* stats) {
   // The library student is a generic model over the oracle's class set;
-  // the pool's hierarchy may cover a subset of those classes (experts can
-  // be hot-added later), but never classes the oracle does not know.
+  // the pool's hierarchy may cover a subset of those classes, but never
+  // classes the oracle does not know.
   POE_CHECK_GE(config.library_config.num_classes,
                data.hierarchy.num_classes())
       << "library student must cover at least the hierarchy's classes";
@@ -219,39 +219,6 @@ int64_t ExpertPool::ServingBytes() const {
 
 std::shared_ptr<Sequential> ExpertPool::expert(int task_id) const {
   return store_->module(task_id);
-}
-
-Status ExpertPool::AddExpert(const LogitFn& oracle, const Dataset& full_train,
-                             const std::vector<int>& new_classes,
-                             const TrainOptions& options,
-                             const CkdOptions& ckd, Rng& rng) {
-  if (new_classes.empty()) {
-    return Status::InvalidArgument("new primitive task must be non-empty");
-  }
-  if (precision_ == ServingPrecision::kInt8) {
-    return Status::FailedPrecondition(
-        "cannot extend an int8-serving pool: expert extraction needs f32");
-  }
-  // Extend the hierarchy; FromTasks re-validates the partition.
-  std::vector<std::vector<int>> tasks;
-  for (int t = 0; t < hierarchy_.num_tasks(); ++t) {
-    tasks.push_back(hierarchy_.task_classes(t));
-  }
-  tasks.push_back(new_classes);
-  auto extended = ClassHierarchy::FromTasks(std::move(tasks));
-  if (!extended.ok()) return extended.status();
-
-  WrnConfig expert_cfg = library_config_;
-  expert_cfg.ks = expert_ks_;
-  expert_cfg.num_classes = static_cast<int>(new_classes.size());
-  auto head =
-      BuildExpertPart(expert_cfg, library_config_.conv3_channels(), rng);
-  TrainCkdExpert(oracle, *library_, *head, full_train, new_classes, options,
-                 ckd);
-
-  hierarchy_ = std::move(extended).ValueOrDie();
-  store_->AddExpert(std::move(head), new_classes, expert_cfg);
-  return Status::OK();
 }
 
 Status ExpertPool::Save(const std::string& path) const {

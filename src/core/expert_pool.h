@@ -65,9 +65,8 @@ class ExpertPool {
              std::vector<std::shared_ptr<Sequential>> experts);
 
   /// Copies share the master modules (weights are never duplicated) but
-  /// get their OWN expert store: per-copy sharing accounting, and an
-  /// AddExpert on one copy cannot desync another copy's hierarchy from
-  /// its expert count. Moves keep the store.
+  /// get their OWN expert store, so sharing accounting is per copy. Moves
+  /// keep the store.
   ExpertPool(const ExpertPool& other);
   ExpertPool& operator=(const ExpertPool& other);
   ExpertPool(ExpertPool&&) = default;
@@ -96,7 +95,7 @@ class ExpertPool {
   /// per-output-channel scales and releases their f32 storage, so every
   /// subsequently assembled model serves dequant-free; the conversion is
   /// irreversible (going back to kFloat32 fails) and the pool can no
-  /// longer be trained or extended. Save still works: int8 pools persist
+  /// longer be trained. Save still works: int8 pools persist
   /// their quantized form directly.
   Status SetServingPrecision(ServingPrecision precision);
   ServingPrecision serving_precision() const { return precision_; }
@@ -137,14 +136,6 @@ class ExpertPool {
 
   /// Architecture of expert `task_id` (WRN conv4 group + head).
   WrnConfig ExpertConfig(int task_id) const;
-
-  /// Extends the pool with a new primitive task extracted from the oracle
-  /// (extension feature: hot-adding knowledge without touching existing
-  /// experts). `new_classes` are global class ids not yet covered.
-  Status AddExpert(const LogitFn& oracle, const Dataset& full_train,
-                   const std::vector<int>& new_classes,
-                   const TrainOptions& options, const CkdOptions& ckd,
-                   Rng& rng);
 
   /// Persistence (versioned binary format, checksummed).
   Status Save(const std::string& path) const;

@@ -60,20 +60,6 @@ struct ExpertBranch {
 /// signal (see ExpertStore lifecycle above).
 using ExpertBranchHandle = std::shared_ptr<const ExpertBranch>;
 
-/// Builds a store-less branch handle (tests and ablation benches compose
-/// models from modules they trained themselves).
-inline ExpertBranchHandle MakeAdHocBranch(std::shared_ptr<Sequential> head,
-                                          std::vector<int> classes,
-                                          WrnConfig config) {
-  ExpertBranch b;
-  b.head = std::move(head);
-  b.classes = std::move(classes);
-  b.config = config;
-  b.precision = b.head->Int8WeightBytes() > 0 ? ServingPrecision::kInt8
-                                              : ServingPrecision::kFloat32;
-  return std::make_shared<const ExpertBranch>(std::move(b));
-}
-
 /// Counters of the expert-sharing layer. Reconcile by construction:
 ///   expert_hits + expert_misses == total Acquire() calls that succeeded
 /// and shared_bytes_saved is exactly the sum of the hit experts' bytes —
@@ -129,7 +115,7 @@ class ExpertStore {
   /// A store over the SAME master modules but with fresh sharing state:
   /// no live branches, zeroed counters. ExpertPool's copy constructor
   /// uses this so each pool copy (each service) gets independent
-  /// accounting and an AddExpert on one copy cannot desync another.
+  /// accounting.
   std::unique_ptr<ExpertStore> Clone() const;
 
   /// Returns the (shared) branch for `task_id`, materializing it if no
@@ -175,8 +161,9 @@ class ExpertStore {
   ServingPrecision serving_precision() const;
 
   int num_experts() const;
-  /// By value: slots_ may grow (AddExpert) after the lock is released, so
-  /// references into it would not be stable.
+  /// By value: the slot set is fixed once the pool is built, but
+  /// ReleaseMaster, AdoptMaster and a remote fetch replace slot.module
+  /// after the lock is released.
   std::shared_ptr<Sequential> module(int task_id) const;
   std::vector<int> classes(int task_id) const;
 

@@ -169,9 +169,8 @@ const char* GemmS8KernelName();
 int64_t GemmS8KGroup();
 
 /// The project-wide int8 rounding rule for one value: scale, clamp to
-/// [-127, 127], round half away from zero. QuantizeBufferS8 and the fused
-/// quantizing im2col both apply exactly this, so quantize-then-gather and
-/// gather-then-quantize produce bitwise identical columns.
+/// [-127, 127], round half away from zero. QuantizeBufferS8 applies
+/// exactly this on every path, so its SIMD and scalar loops agree bitwise.
 inline int8_t QuantizeOneS8(float v, float inv_scale) {
   v *= inv_scale;
   // min-first clamp order absorbs NaN to 127 (std::min(127, NaN) == 127),
@@ -184,9 +183,8 @@ inline int8_t QuantizeOneS8(float v, float inv_scale) {
 
 /// Quantizes `n` f32 values symmetrically to int8 with `inv_scale` =
 /// 1 / SymmetricScaleS8(...) (round half away from zero, clamped to
-/// [-127, 127]). The single rounding routine behind both the dynamic
-/// activation quantization of the serving layers and the snapshot
-/// quantization in compress/quantize.cc.
+/// [-127, 127]). The single rounding routine of the int8 serving layers:
+/// their weights at conversion and their activations on every forward.
 void QuantizeBufferS8(const float* src, int64_t n, float inv_scale,
                       int8_t* dst);
 
@@ -199,7 +197,7 @@ float SymmetricScaleS8(const float* src, int64_t n);
 /// that (MAXPS keeps the running max on unordered compares), so like
 /// QuantizeBufferS8 it is bitwise identical to the scalar loop and engages
 /// on CPU capability alone. The scan behind every dynamic activation scale
-/// and the snapshot quantizer's per-channel scales.
+/// and every per-channel weight scale.
 float MaxAbs(const float* src, int64_t n);
 
 }  // namespace poe

@@ -27,13 +27,6 @@ inline uint32_t Crc32c(const void* data, size_t n) {
   return Crc32cExtend(0, data, n);
 }
 
-/// Masked CRC in the RocksDB/LevelDB idiom: storing the CRC of data that
-/// may itself embed CRCs (our commit footer seals the section CRC list)
-/// behaves better when the stored form is not a raw CRC value.
-inline uint32_t MaskCrc32c(uint32_t crc) {
-  return ((crc >> 15) | (crc << 17)) + 0xa282ead8u;
-}
-
 }  // namespace poe
 
 #endif  // POE_UTIL_CRC32C_H_

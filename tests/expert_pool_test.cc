@@ -10,7 +10,6 @@
 #include <string>
 
 #include "core/volume.h"
-#include "distill/specialize.h"
 #include "eval/metrics.h"
 #include "tensor/ops.h"
 #include "test_util.h"
@@ -158,57 +157,6 @@ TEST_F(ExpertPoolTest, VolumeReportIsConsistent) {
   // 2^3 * avg expert bytes.
   EXPECT_DOUBLE_EQ(report.all_specialized_estimate_bytes,
                    8.0 * report.avg_expert_bytes);
-}
-
-TEST_F(ExpertPoolTest, AddExpertExtendsPool) {
-  // Build a fresh pool over tasks {0, 1} and hot-add task 2.
-  auto sub_hierarchy =
-      ClassHierarchy::FromTasks(
-          {data_->hierarchy.task_classes(0), data_->hierarchy.task_classes(1)})
-          .ValueOrDie();
-  (void)sub_hierarchy;
-
-  PoeBuildConfig cfg;
-  cfg.library_config = TinyLibraryConfig();
-  cfg.expert_ks = 0.5;
-  cfg.library_options = FastTrainOptions(2);
-  cfg.expert_options = FastTrainOptions(2);
-  Rng rng(9);
-  // Preprocess over the full data (3 tasks), then drop to emulate a
-  // 2-task pool via direct construction.
-  ExpertPool full = ExpertPool::Preprocess(ModelLogits(*oracle_), *data_,
-                                           cfg, rng);
-  std::vector<std::shared_ptr<Sequential>> two_experts = {
-      full.expert(0), full.expert(1)};
-  ExpertPool pool(cfg.library_config, cfg.expert_ks,
-                  ClassHierarchy::FromTasks(
-                      {data_->hierarchy.task_classes(0),
-                       data_->hierarchy.task_classes(1)})
-                      .ValueOrDie(),
-                  full.library(), two_experts);
-  EXPECT_EQ(pool.num_experts(), 2);
-
-  Status s = pool.AddExpert(ModelLogits(*oracle_), data_->train,
-                            data_->hierarchy.task_classes(2),
-                            FastTrainOptions(2), CkdOptions{}, rng);
-  ASSERT_TRUE(s.ok()) << s;
-  EXPECT_EQ(pool.num_experts(), 3);
-  EXPECT_TRUE(pool.Query({0, 1, 2}).ok());
-}
-
-TEST_F(ExpertPoolTest, AddExpertRejectsOverlap) {
-  PoeBuildConfig cfg;
-  cfg.library_config = TinyLibraryConfig();
-  Rng rng(10);
-  // Use the existing full pool: adding task 0's classes again must fail.
-  std::vector<std::shared_ptr<Sequential>> experts;
-  for (int t = 0; t < 3; ++t) experts.push_back(pool_->expert(t));
-  ExpertPool copy(pool_->library_config(), pool_->expert_ks(),
-                  pool_->hierarchy(), pool_->library(), experts);
-  Status s = copy.AddExpert(ModelLogits(*oracle_), data_->train,
-                            data_->hierarchy.task_classes(0),
-                            FastTrainOptions(1), CkdOptions{}, rng);
-  EXPECT_FALSE(s.ok());
 }
 
 std::string ReadFileBytes(const std::string& path) {

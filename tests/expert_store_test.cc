@@ -229,8 +229,8 @@ TEST(ExpertStoreServiceTest, EvictingACompositeKeepsSharedExpertsAlive) {
 TEST(ExpertStoreServiceTest, PoolCopiesGetIndependentStoresOverSharedMasters) {
   ExpertPool pool = BuildPool();
   ExpertPool copy = pool;
-  // Distinct stores (per-copy accounting, AddExpert cannot desync the
-  // other copy) over the same master modules (weights never duplicated).
+  // Distinct stores (per-copy accounting) over the same master modules
+  // (weights never duplicated).
   EXPECT_NE(pool.expert_store().get(), copy.expert_store().get());
   EXPECT_EQ(pool.expert(0).get(), copy.expert(0).get());
 

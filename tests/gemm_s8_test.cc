@@ -255,6 +255,10 @@ TEST(QuantizeBufferS8Test, MaxAbsFindsExtremes) {
   const std::vector<float> src = {0.5f, -3.25f, 2.0f};
   EXPECT_FLOAT_EQ(MaxAbs(src.data(), 3), 3.25f);
   EXPECT_FLOAT_EQ(MaxAbs(src.data(), 0), 0.0f);
+  // The symmetric scale maps the extreme to 127; all zeros get scale 1.
+  EXPECT_FLOAT_EQ(SymmetricScaleS8(src.data(), 3), 3.25f / 127.0f);
+  const std::vector<float> zeros(4, 0.0f);
+  EXPECT_EQ(SymmetricScaleS8(zeros.data(), 4), 1.0f);
 }
 
 // Pins the vectorized MaxAbs to the scalar definition bit for bit: every

@@ -51,6 +51,37 @@ TEST(Int8LayerTest, Conv2dInt8TracksF32) {
   EXPECT_GT(MaxAbsDiff(f32, i8), 0.0f);  // actually quantized
 }
 
+// The layer's exported int8 state is the shared quantizer applied per
+// output channel: a zero row gets scale 1, each row's max-abs element
+// maps to +-127, and every weight round-trips within half its row's step.
+TEST(Int8LayerTest, Conv2dExportsPerRowSymmetricInt8) {
+  Rng rng(17);
+  Conv2d conv(2, 3, 3, 1, 1, rng);
+  const int64_t ckk = 2 * 3 * 3;
+  float* wp = conv.weight().value.data();
+  for (int64_t i = 0; i < ckk; ++i) wp[i] = 0.0f;  // row 0: all zero
+  wp[ckk + 5] = -8.0f;                              // row 1 extreme
+  wp[2 * ckk + 7] = 3.0f;                           // row 2 extreme
+  const Tensor w = conv.weight().value.Clone();
+
+  conv.PrepareInt8Serving();
+  Int8WeightState state = conv.ExportInt8State().ValueOrDie();
+  ASSERT_EQ(state.rows, 3);
+  ASSERT_EQ(state.cols, ckk);
+  EXPECT_EQ(state.scales[0], 1.0f);
+  for (int64_t i = 0; i < ckk; ++i) EXPECT_EQ(state.values[i], 0);
+  EXPECT_EQ(state.values[ckk + 5], -127);
+  EXPECT_EQ(state.values[2 * ckk + 7], 127);
+  for (int64_t r = 0; r < 3; ++r) {
+    for (int64_t i = 0; i < ckk; ++i) {
+      const float back = state.scales[r] * state.values[r * ckk + i];
+      EXPECT_LE(std::fabs(w.at(r * ckk + i) - back),
+                state.scales[r] * 0.5f + 1e-7f)
+          << "row " << r << " col " << i;
+    }
+  }
+}
+
 TEST(Int8LayerTest, Conv2dPointwiseFastPath) {
   Rng rng(12);
   Conv2d conv(16, 8, 1, 1, 0, rng);
@@ -200,12 +231,6 @@ TEST_F(Int8ServingTest, Int8PoolRejectsMutationsAndReversal) {
   // Persistence works at int8 since the v2 pool format: the quantized
   // form itself is saved (round-trip pinned in serialization_test).
   EXPECT_TRUE(pool_->Save("/tmp/poe_int8_pool_test.bin").ok());
-  // No extension (expert extraction needs f32 training).
-  EXPECT_EQ(pool_
-                ->AddExpert(ModelLogits(*oracle_), data_->train, {99},
-                            FastTrainOptions(1), CkdOptions(), *rng_)
-                .code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST(Int8QueryServiceTest, ServesInt8AndReportsFootprint) {

@@ -20,11 +20,14 @@
 // docs/POOL_LIFECYCLE.md.
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <cerrno>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -58,8 +61,35 @@ namespace {
 
 // ------------------------------------------------------------ arg parsing
 
+/// The one strict integer parser: all of `text` is a base-10 integer in
+/// [lo, hi]. Empty text, leading blanks and trailing junk are refused.
+bool ParseInt(const std::string& text, long lo, long hi, int* out) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || v < lo || v > hi) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// A usage error: names the argument and exits 2.
+[[noreturn]] void BadArgument(const std::string& what,
+                              const std::string& text) {
+  std::fprintf(stderr, "poectl: bad %s '%s'\n", what.c_str(), text.c_str());
+  std::exit(2);
+}
+
+int IntOrExit(const std::string& text, const std::string& what) {
+  int v = 0;
+  if (!ParseInt(text, INT_MIN, INT_MAX, &v)) BadArgument(what, text);
+  return v;
+}
+
 /// Everything after the command name, split into positionals and
-/// `--name[=value]` flags.
+/// `--name[=value]` flags. Numeric accessors exit 2 on a malformed value.
 struct ParsedArgs {
   std::vector<std::string> pos;
   std::map<std::string, std::string> flags;
@@ -69,15 +99,26 @@ struct ParsedArgs {
   }
   int IntFlag(const std::string& name, int fallback) const {
     auto it = flags.find(name);
-    return it != flags.end() ? std::atoi(it->second.c_str()) : fallback;
+    return it != flags.end() ? IntOrExit(it->second, "--" + name) : fallback;
   }
   double DoubleFlag(const std::string& name, double fallback) const {
     auto it = flags.find(name);
-    return it != flags.end() ? std::atof(it->second.c_str()) : fallback;
+    if (it == flags.end()) return fallback;
+    const std::string& text = it->second;
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        errno != 0 || *end != '\0' || !std::isfinite(v)) {
+      BadArgument("--" + name, text);
+    }
+    return v;
   }
   /// Positional `i` as int, or `fallback` when absent.
   int IntPos(size_t i, int fallback) const {
-    return i < pos.size() ? std::atoi(pos[i].c_str()) : fallback;
+    return i < pos.size()
+               ? IntOrExit(pos[i], "argument " + std::to_string(i + 1))
+               : fallback;
   }
 };
 
@@ -91,12 +132,13 @@ struct CommandSpec {
   std::function<int(const ParsedArgs&)> run;
 };
 
+/// Comma-separated task ids; exits 2 on a malformed id.
 std::vector<int> ParseTaskList(const std::string& arg) {
   std::vector<int> tasks;
   std::string current;
   for (char c : arg + ",") {
     if (c == ',') {
-      if (!current.empty()) tasks.push_back(std::atoi(current.c_str()));
+      if (!current.empty()) tasks.push_back(IntOrExit(current, "task id"));
       current.clear();
     } else {
       current += c;
@@ -454,17 +496,14 @@ int CmdNetServe(const ParsedArgs& a) {
 bool ParseHostPort(const std::string& target, std::string* host, int* port) {
   *host = "127.0.0.1";
   const size_t colon = target.rfind(':');
-  if (colon == std::string::npos) {
-    *port = std::atoi(target.c_str());
-  } else {
-    *host = target.substr(0, colon);
-    *port = std::atoi(target.c_str() + colon + 1);
-  }
-  return *port >= 1 && *port <= kMaxPort;
+  if (colon != std::string::npos) *host = target.substr(0, colon);
+  return ParseInt(colon == std::string::npos ? target
+                                             : target.substr(colon + 1),
+                  1, kMaxPort, port);
 }
 
 int CmdNetQuery(const ParsedArgs& a) {
-  const std::string task_arg = a.pos[1];
+  const std::vector<int> tasks = ParseTaskList(a.pos[1]);
   const int hw = a.IntPos(2, 8);
   std::string host;
   int port = 0;
@@ -482,7 +521,7 @@ int CmdNetQuery(const ParsedArgs& a) {
   Rng rng(5);
   Tensor probe = Tensor::Randn({1, 3, hw, hw}, rng);
   Stopwatch sw;
-  auto r = client.Query(ParseTaskList(task_arg), probe);
+  auto r = client.Query(tasks, probe);
   const double rtt_ms = sw.ElapsedMillis();
   if (!r.ok()) {
     std::fprintf(stderr, "net-query: transport: %s\n",
@@ -697,10 +736,11 @@ bool ParseClusterNodes(const std::string& spec,
     }
     if (fields.size() != 2 && fields.size() != 3) return false;
     NodeInfo node;
-    node.node_id = std::atoi(fields[0].c_str());
     node.host = fields.size() == 3 ? fields[1] : "127.0.0.1";
-    node.port = std::atoi(fields.back().c_str());
-    if (node.port < 1 || node.port > kMaxPort) return false;
+    if (!ParseInt(fields[0], INT_MIN, INT_MAX, &node.node_id) ||
+        !ParseInt(fields.back(), 1, kMaxPort, &node.port)) {
+      return false;
+    }
     node.state = NodeState::kOnline;
     nodes->push_back(node);
     entry.clear();
