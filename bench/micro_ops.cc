@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/basic_block.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
@@ -328,6 +329,51 @@ BENCHMARK(BM_ConvWrnDirectInt8)
     ->Args({16, 32, 32, 2, 3})     // WRN-16-1 trunk: conv3 transition
     ->Args({32, 16, 16, 2, 3})     // expert head: first conv
     ->Args({16, 16, 8, 1, 3});     // expert head: 8x8 conv
+
+// One pre-activation WRN block at inference on a 2-row pass, the unit of
+// depth-first serving (run with POE_NUM_THREADS=1 for the per-worker
+// cost). Args: in channels, out channels, input side, stride. Items are
+// the block's conv FLOPs (conv1, conv2 and any projection).
+void RunBasicBlock(benchmark::State& state, bool int8) {
+  const int64_t in_c = state.range(0);
+  const int64_t out_c = state.range(1);
+  const int64_t hw = state.range(2);
+  const int64_t stride = state.range(3);
+  const int64_t batch = 2;
+  Rng rng(8);
+  BasicBlock block(in_c, out_c, stride, rng);
+  Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
+  if (int8) {
+    block.BeginActivationCalibration();
+    block.Forward(Tensor::Randn({8, in_c, hw, hw}, rng), false);
+    block.FinishActivationCalibration();
+    block.PrepareInt8Serving();
+  }
+  for (auto _ : state) {
+    Tensor y = block.Forward(x, false);
+    benchmark::DoNotOptimize(y.data());
+  }
+  const int64_t out_hw = (hw - 1) / stride + 1;
+  int64_t macs = out_c * 9 * (in_c + out_c);
+  if (block.has_projection()) macs += out_c * in_c;
+  state.SetItemsProcessed(state.iterations() * batch * out_hw * out_hw *
+                          macs * 2);
+  state.SetLabel(int8 ? GemmS8KernelName() : GemmKernelName());
+}
+
+void BM_BasicBlock(benchmark::State& state) { RunBasicBlock(state, false); }
+BENCHMARK(BM_BasicBlock)
+    ->Args({16, 16, 32, 1})   // WRN-16-1 trunk: conv2 body
+    ->Args({16, 32, 32, 2})   // WRN-16-1 trunk: conv3 transition
+    ->Args({32, 32, 16, 1});  // WRN-16-1 trunk: conv3 body
+
+void BM_BasicBlockInt8Calibrated(benchmark::State& state) {
+  RunBasicBlock(state, true);
+}
+BENCHMARK(BM_BasicBlockInt8Calibrated)
+    ->Args({16, 16, 32, 1})
+    ->Args({16, 32, 32, 2})
+    ->Args({32, 32, 16, 1});
 
 void BM_Conv2dBackward(benchmark::State& state) {
   const int64_t channels = state.range(0);

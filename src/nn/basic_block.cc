@@ -1,5 +1,7 @@
 #include "nn/basic_block.h"
 
+#include "tensor/arena.h"
+#include "tensor/im2col.h"
 #include "tensor/ops.h"
 
 namespace poe {
@@ -32,20 +34,41 @@ Tensor BasicBlock::Forward(const Tensor& input, bool training) {
 }
 
 Tensor BasicBlock::InferenceForward(const Tensor& input) {
-  // Inference caches nothing, so conv1's and conv2's outputs are fresh
-  // and ours to overwrite. Every element sees the same float ops as in
-  // the out-of-place form (BN2+ReLU, then conv2 + shortcut), so the
-  // result is bitwise the same.
   Tensor a = bn1_.ForwardFusedRelu(input);
-  Tensor h = conv1_.Forward(a, /*training=*/false);
   const Tensor shortcut =
       projection_ ? projection_->Forward(a, /*training=*/false) : input;
+  // conv1's tiles go through BN2+ReLU and conv2's take the shortcut, in
+  // the GEMM epilogues: the ops of the out-of-place chain, so bitwise its
+  // result.
+  ScratchScope scope;
+  const int64_t channels = bn2_.channels();
+  float* bn2 = scope.Alloc(2 * channels);
+  bn2_.InferenceAffine(bn2, bn2 + channels);
+  ConvTileEpilogue first;
+  first.bn_scale = bn2;
+  first.bn_shift = bn2 + channels;
+  ConvTileEpilogue second;
+  second.residual = &shortcut;
+  if (!conv2_.TakesInt8Images()) {
+    // conv1 writes f32 and conv2 quantizes it, if at all, as usual (a
+    // dynamic int8 scale needs all of conv1's output first).
+    Tensor h = conv1_.ForwardFused(a, first);
+    a = Tensor();
+    return conv2_.ForwardFused(h, second);
+  }
+  // Calibrated int8: conv1's tiles quantize with conv2's static scale
+  // straight into conv2's padded images, so no f32 activation is kept.
+  const int64_t batch = input.dim(0);
+  const ConvInputImages images = conv2_.AllocInputImages(
+      scope, batch,
+      ConvOutSize(input.dim(2), conv1_.kernel(), conv1_.pad(),
+                  conv1_.stride()),
+      ConvOutSize(input.dim(3), conv1_.kernel(), conv1_.pad(),
+                  conv1_.stride()));
+  first.next = &images;
+  conv1_.ForwardFused(a, first);
   a = Tensor();
-  bn2_.ForwardFusedReluInPlace(&h);
-  Tensor out = conv2_.Forward(h, /*training=*/false);
-  h = Tensor();
-  AddInPlace(out, shortcut);
-  return out;
+  return conv2_.ForwardImages(images, batch, second);
 }
 
 Tensor BasicBlock::Backward(const Tensor& grad_output) {

@@ -21,10 +21,14 @@ namespace poe {
 /// where shortcut is x when shapes match, else a 1x1 strided convolution of
 /// `a` (the projection path standard in pre-activation ResNets).
 ///
-/// The inference forward reuses buffers: BN2+ReLU overwrites conv1's
-/// output, the residual is added into conv2's output, and `a` is dropped
-/// once its last reader is done. At most three block activations are live
-/// at once, and the logits are bitwise those of the out-of-place form.
+/// The inference forward fuses the elementwise work into the convs' GEMM
+/// epilogues (ConvTileEpilogue): each finished tile of conv1 goes through
+/// BN2+ReLU, and each tile of conv2 adds the shortcut. When conv2 serves
+/// int8 with a calibrated scale, conv1's tiles are also quantized straight
+/// into conv2's padded input images, so the activation between the convs
+/// is never stored as f32. `a` is dropped once its last reader is done.
+/// Every element sees the ops of the out-of-place form in the same order,
+/// so the logits are bitwise its.
 class BasicBlock : public Module {
  public:
   BasicBlock(int64_t in_channels, int64_t out_channels, int64_t stride,

@@ -36,9 +36,7 @@ BatchNorm2d::BatchNorm2d(int64_t channels, float eps, float momentum)
 
 Tensor BatchNorm2d::Forward(const Tensor& input, bool training) {
   if (training) return TrainingForward(input, /*relu=*/false);
-  Tensor output(input.shape());
-  InferenceNormalize(input, &output, /*relu=*/false);
-  return output;
+  return InferenceNormalize(input, /*relu=*/false);
 }
 
 Tensor BatchNorm2d::ForwardTrainingFusedRelu(const Tensor& input) {
@@ -53,13 +51,13 @@ Tensor BatchNorm2d::TrainingForward(const Tensor& input, bool relu) {
   const int64_t n = batch * hw;
   POE_CHECK_GT(n, 0);
 
-  Tensor output(input.shape());
+  Tensor output = Tensor::Uninitialized(input.shape());
   const float* in = input.data();
   float* out = output.data();
   const float* g = gamma_.value.data();
   const float* b = beta_.value.data();
 
-  cached_xhat_ = Tensor(input.shape());
+  cached_xhat_ = Tensor::Uninitialized(input.shape());
   cached_inv_std_.assign(channels_, 0.0f);
   cached_batch_ = batch;
   cached_hw_ = hw;
@@ -107,46 +105,46 @@ Tensor BatchNorm2d::TrainingForward(const Tensor& input, bool relu) {
 }
 
 Tensor BatchNorm2d::ForwardFusedRelu(const Tensor& input) {
-  Tensor output(input.shape());
-  InferenceNormalize(input, &output, /*relu=*/true);
-  return output;
+  return InferenceNormalize(input, /*relu=*/true);
 }
 
-void BatchNorm2d::ForwardFusedReluInPlace(Tensor* x) {
-  // Elementwise: each output element reads only its own input element.
-  InferenceNormalize(*x, x, /*relu=*/true);
+void BatchNorm2d::ChannelAffine(int64_t c, float* scale, float* shift) const {
+  const float inv_std = 1.0f / std::sqrt(running_var_.data()[c] + eps_);
+  *scale = gamma_.value.data()[c] * inv_std;
+  *shift = beta_.value.data()[c] - *scale * running_mean_.data()[c];
 }
 
-void BatchNorm2d::InferenceNormalize(const Tensor& input, Tensor* output,
-                                     bool relu) {
+void BatchNorm2d::InferenceAffine(float* scale, float* shift) const {
+  for (int64_t c = 0; c < channels_; ++c)
+    ChannelAffine(c, scale + c, shift + c);
+}
+
+Tensor BatchNorm2d::InferenceNormalize(const Tensor& input, bool relu) {
   POE_CHECK_EQ(input.ndim(), 4);
   POE_CHECK_EQ(input.dim(1), channels_);
   const int64_t batch = input.dim(0);
   const int64_t hw = input.dim(2) * input.dim(3);
 
+  Tensor output = Tensor::Uninitialized(input.shape());
   const float* in = input.data();
-  float* out = output->data();
-  const float* g = gamma_.value.data();
-  const float* b = beta_.value.data();
-  const float* rm = running_mean_.data();
-  const float* rv = running_var_.data();
+  float* out = output.data();
   ForEachChannel(channels_, batch * hw, [&](int64_t c_begin, int64_t c_end) {
     for (int64_t c = c_begin; c < c_end; ++c) {
-      const float inv_std = 1.0f / std::sqrt(rv[c] + eps_);
-      const float scale = g[c] * inv_std;
-      const float shift = b[c] - scale * rm[c];
+      float scale, shift;
+      ChannelAffine(c, &scale, &shift);
       for (int64_t bi = 0; bi < batch; ++bi) {
         const float* p = in + (bi * channels_ + c) * hw;
         float* op = out + (bi * channels_ + c) * hw;
         if (relu) {
           for (int64_t i = 0; i < hw; ++i)
-            op[i] = std::max(0.0f, scale * p[i] + shift);
+            op[i] = BnAffineRelu(p[i], scale, shift);
         } else {
-          for (int64_t i = 0; i < hw; ++i) op[i] = scale * p[i] + shift;
+          for (int64_t i = 0; i < hw; ++i) op[i] = BnAffine(p[i], scale, shift);
         }
       }
     }
   });
+  return output;
 }
 
 Tensor BatchNorm2d::Backward(const Tensor& grad_output) {

@@ -2,12 +2,32 @@
 #ifndef POE_NN_BATCHNORM_H_
 #define POE_NN_BATCHNORM_H_
 
+#include <algorithm>
+#include <cmath>
 #include <string>
 #include <vector>
 
 #include "nn/module.h"
 
 namespace poe {
+
+/// One element of the inference normalize: scale * x + shift, rounded once
+/// where the build targets FMA (the form the compiler contracts the
+/// expression to there) and twice where it does not. Every inference
+/// normalize goes through this, so a conv epilogue that applies a
+/// following BatchNorm2d is bitwise the layer's own pass.
+inline float BnAffine(float x, float scale, float shift) {
+#ifdef __FMA__
+  return std::fma(scale, x, shift);
+#else
+  return scale * x + shift;
+#endif
+}
+
+/// BnAffine followed by ReLU.
+inline float BnAffineRelu(float x, float scale, float shift) {
+  return std::max(0.0f, BnAffine(x, scale, shift));
+}
 
 /// BatchNorm2d: per-channel normalization with affine transform and running
 /// statistics for inference (PyTorch semantics: biased variance for the
@@ -28,9 +48,11 @@ class BatchNorm2d : public Module {
   bool CanFuseRelu() const override { return true; }
   /// Inference normalize with max(0, scale*x + shift) in one pass.
   Tensor ForwardFusedRelu(const Tensor& input) override;
-  /// ForwardFusedRelu written over `x` itself: the same per-element ops,
-  /// so bitwise equal, with no output allocation.
-  void ForwardFusedReluInPlace(Tensor* x);
+  /// The inference transform as per-channel arrays (length channels()):
+  /// the inference forward maps x in channel c to BnAffine(x, scale[c],
+  /// shift[c]). A conv that feeds this layer applies it in its tile
+  /// epilogue (BasicBlock), with the same per-element ops.
+  void InferenceAffine(float* scale, float* shift) const;
   /// Training forward with the following ReLU folded in: returns
   /// ReLU(BN(x)), bitwise equal to the two modules run in turn. Pair it
   /// with BackwardFusedRelu.
@@ -48,9 +70,11 @@ class BatchNorm2d : public Module {
   Tensor& running_var() { return running_var_; }
 
  private:
+  // Channel c's inference scale and shift, from the running stats.
+  void ChannelAffine(int64_t c, float* scale, float* shift) const;
   // Shared inference path: out = scale*x + shift from running stats, with
   // optional fused ReLU.
-  void InferenceNormalize(const Tensor& input, Tensor* output, bool relu);
+  Tensor InferenceNormalize(const Tensor& input, bool relu);
   Tensor TrainingForward(const Tensor& input, bool relu);
   Tensor BackwardImpl(const Tensor& grad_output, bool relu);
 

@@ -12,6 +12,31 @@
 
 namespace poe {
 
+namespace {
+
+// The output of a forward: a fresh [batch, c, h, w] tensor, or none when
+// the fused epilogue writes a next conv's images instead.
+Tensor MakeOutput(const ConvTileEpilogue* fused, int64_t batch, int64_t c,
+                  int64_t h, int64_t w) {
+  if (fused != nullptr && fused->residual != nullptr) {
+    POE_CHECK((fused->residual->shape() ==
+               std::vector<int64_t>{batch, c, h, w}))
+        << "residual " << fused->residual->ShapeString();
+  }
+  if (fused != nullptr && fused->next != nullptr) {
+    const ConvImageViewS8& v = fused->next->view;
+    POE_CHECK(v.channels == c && v.height == h && v.width == w &&
+              v.stride == 1)
+        << "next conv's images do not match this conv's output";
+    POE_CHECK(fused->residual == nullptr)
+        << "a tile quantized into the next conv's images takes no residual";
+    return Tensor();
+  }
+  return Tensor::Uninitialized({batch, c, h, w});
+}
+
+}  // namespace
+
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
                int64_t stride, int64_t pad, Rng& rng, bool bias)
     : in_channels_(in_channels),
@@ -29,18 +54,61 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
 }
 
 Tensor Conv2d::Forward(const Tensor& input, bool training) {
-  return ForwardImpl(input, training, /*fuse_relu=*/false);
+  return ForwardImpl(input, training, /*fuse_relu=*/false, nullptr);
 }
 
 Tensor Conv2d::ForwardFusedRelu(const Tensor& input) {
-  return ForwardImpl(input, /*training=*/false, /*fuse_relu=*/true);
+  return ForwardImpl(input, /*training=*/false, /*fuse_relu=*/true, nullptr);
+}
+
+Tensor Conv2d::ForwardFused(const Tensor& input,
+                            const ConvTileEpilogue& epilogue) {
+  return ForwardImpl(input, /*training=*/false, /*fuse_relu=*/false,
+                     &epilogue);
+}
+
+bool Conv2d::TakesInt8Images() const {
+  return int8_serving_ && act_scale_ > 0.0f && stride_ == 1 &&
+         !IsPointwise() && UseDirectConv();
+}
+
+ConvInputImages Conv2d::AllocInputImages(ScratchScope& scope, int64_t batch,
+                                         int64_t h, int64_t w) const {
+  POE_CHECK(TakesInt8Images());
+  ConvInputImages images;
+  ConvImageViewS8& v = images.view;
+  v.channels = in_channels_;
+  v.height = h;
+  v.width = w;
+  v.kernel = kernel_;
+  v.pad = pad_;
+  v.stride = stride_;
+  v.group = GemmS8KGroup();
+  images.elems = DirectImageElems(v);
+  images.data = AllocS8(scope, batch * images.elems);
+  images.inv_scale = 1.0f / act_scale_;
+  for (int64_t b = 0; b < batch; ++b) {
+    ZeroDirectImageBorder(v, images.data + b * images.elems);
+  }
+  return images;
+}
+
+Tensor Conv2d::ForwardImages(const ConvInputImages& images, int64_t batch,
+                             const ConvTileEpilogue& epilogue) {
+  POE_CHECK(TakesInt8Images());
+  POE_CHECK_EQ(images.view.channels, in_channels_);
+  POE_CHECK_EQ(images.view.group, GemmS8KGroup());
+  return ForwardInt8(nullptr, &images, batch, images.view.height,
+                     images.view.width, /*fuse_relu=*/false, &epilogue);
 }
 
 Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
-                           bool fuse_relu) {
+                           bool fuse_relu, const ConvTileEpilogue* fused) {
   if (int8_serving_) {
     POE_CHECK(!training) << "int8-serving Conv2d is inference-only";
-    return ForwardInt8(input, fuse_relu);
+    POE_CHECK_EQ(input.ndim(), 4);
+    return ForwardInt8(&input, nullptr, input.dim(0), input.dim(2),
+                       input.dim(3), fuse_relu, fused);
   }
   POE_CHECK_EQ(input.ndim(), 4);
   POE_CHECK_EQ(input.dim(1), in_channels_);
@@ -58,10 +126,10 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t ohw = out_h * out_w;
 
-  Tensor output({batch, out_channels_, out_h, out_w});
+  Tensor output = MakeOutput(fused, batch, out_channels_, out_h, out_w);
   const float* wp = weight_.value.data();
   const float* in = input.data();
-  float* out = output.data();
+  float* out = output.data();  // null when the epilogue writes images
 
   GemmEpilogue ep;
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
@@ -93,27 +161,39 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  auto run_gemm = [&](const float* cols_b, float* out_b) {
+  // Image b's C: its slice of the output, or a per-range scratch image
+  // when the fused epilogue consumes each tile.
+  const int64_t out_size = out_channels_ * ohw;
+  auto out_image = [&](ScratchScope& scope, float*& scratch, int64_t b) {
+    if (out != nullptr) return out + b * out_size;
+    if (scratch == nullptr) scratch = scope.Alloc(out_size);
+    return scratch;
+  };
+  auto run_gemm = [&](const float* cols_b, int64_t b, float* out_b) {
+    ConvImageFusion fusion;
+    GemmEpilogue ep_b = ep;
+    ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
     if (packed) {
-      GemmPackedA(packed_w_, ohw, cols_b, 1.0f, 0.0f, out_b, ep,
+      GemmPackedA(packed_w_, ohw, cols_b, 1.0f, 0.0f, out_b, ep_b,
                   gemm_parallel);
     } else {
       GemmEx(false, false, out_channels_, ohw, ckk, 1.0f, wp, cols_b, 0.0f,
-             out_b, ep, gemm_parallel);
+             out_b, ep_b, gemm_parallel);
     }
   };
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     float* cols = pointwise ? nullptr : scope.Alloc(ckk * ohw);
+    float* scratch = nullptr;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
-      float* out_b = out + b * out_channels_ * ohw;
+      float* out_b = out_image(scope, scratch, b);
       if (pointwise) {
-        run_gemm(in_b, out_b);
+        run_gemm(in_b, b, out_b);
       } else {
         Im2Col(in_b, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
                cols);
-        run_gemm(cols, out_b);
+        run_gemm(cols, b, out_b);
       }
     }
   };
@@ -129,6 +209,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
     img.stride = stride_;
     const int64_t elems = DirectImageElems(img);
     float* buf = elems > 0 ? scope.Alloc(elems) : nullptr;
+    float* scratch = nullptr;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
       if (buf != nullptr) {
@@ -137,12 +218,15 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       } else {
         img.padded = in_b;  // stride 1, pad 0: the view aliases the input
       }
-      float* out_b = out + b * out_channels_ * ohw;
+      float* out_b = out_image(scope, scratch, b);
+      ConvImageFusion fusion;
+      GemmEpilogue ep_b = ep;
+      ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
       if (packed) {
-        GemmConvPackedA(packed_w_, img, 1.0f, 0.0f, out_b, ep,
+        GemmConvPackedA(packed_w_, img, 1.0f, 0.0f, out_b, ep_b,
                         gemm_parallel);
       } else {
-        GemmConvEx(out_channels_, wp, img, 1.0f, 0.0f, out_b, ep,
+        GemmConvEx(out_channels_, wp, img, 1.0f, 0.0f, out_b, ep_b,
                    gemm_parallel);
       }
     }
@@ -174,26 +258,27 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
 // pre-packed int8 weight panels. The GEMM's output pass applies
 // scale_act * wscale[channel] dequantization, bias, and the fused ReLU,
 // so no f32 weight or separate dequant sweep exists anywhere on this
-// path.
-Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
-  POE_CHECK_EQ(input.ndim(), 4);
-  POE_CHECK_EQ(input.dim(1), in_channels_);
-  const int64_t batch = input.dim(0);
-  const int64_t h = input.dim(2);
-  const int64_t w = input.dim(3);
+// path. With `images` (ForwardImages) a producer has already quantized
+// the input into direct images, and `input` is null.
+Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
+                           int64_t batch, int64_t h, int64_t w,
+                           bool fuse_relu, const ConvTileEpilogue* fused) {
+  if (input != nullptr) POE_CHECK_EQ(input->dim(1), in_channels_);
   const int64_t out_h = ConvOutSize(h, kernel_, pad_, stride_);
   const int64_t out_w = ConvOutSize(w, kernel_, pad_, stride_);
   POE_CHECK_GT(out_h, 0);
   POE_CHECK_GT(out_w, 0);
   const int64_t ohw = out_h * out_w;
   const int64_t chw = in_channels_ * h * w;
+  const int64_t out_size = out_channels_ * ohw;
 
-  Tensor output({batch, out_channels_, out_h, out_w});
-  const float* in = input.data();
-  float* out = output.data();
+  Tensor output = MakeOutput(fused, batch, out_channels_, out_h, out_w);
+  const float* in = input != nullptr ? input->data() : nullptr;
+  float* out = output.data();  // null when the epilogue writes images
 
-  const float act_scale =
-      act_scale_ > 0.0f ? act_scale_ : SymmetricScaleS8(in, input.numel());
+  const float act_scale = act_scale_ > 0.0f
+                              ? act_scale_
+                              : SymmetricScaleS8(in, input->numel());
   const float inv_scale = 1.0f / act_scale;
 
   GemmS8Epilogue ep;
@@ -214,11 +299,11 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
   // k-group order. A fused quantizing unfold (Im2ColQuantize, removed)
   // would re-quantize every element k*k times, which measured ~2x slower
   // at WRN 3x3 geometries (docs/PERF.md). All orders are bitwise
-  // identical.
+  // identical. Images a producer filled skip both steps.
   const int64_t group = pointwise ? 1 : GemmS8KGroup();
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
-    int8_t* q = AllocS8(scope, chw);
+    int8_t* q = images != nullptr ? nullptr : AllocS8(scope, chw);
     ConvImageViewS8 img;
     img.channels = in_channels_;
     img.height = h;
@@ -227,24 +312,35 @@ Tensor Conv2d::ForwardInt8(const Tensor& input, bool fuse_relu) {
     img.pad = pad_;
     img.stride = stride_;
     img.group = group;
-    const int64_t elems = direct ? DirectImageElems(img) : 0;
+    const int64_t elems =
+        direct && images == nullptr ? DirectImageElems(img) : 0;
     int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
-    int8_t* cols =
-        pointwise || direct ? q : AllocS8(scope, qweight_.depth() * ohw);
+    int8_t* cols = pointwise || direct
+                       ? q
+                       : AllocS8(scope, qweight_.depth() * ohw);
+    float* scratch = out == nullptr ? scope.Alloc(out_size) : nullptr;
     for (int64_t b = begin; b < end; ++b) {
-      float* out_b = out + b * out_channels_ * ohw;
+      float* out_b = out != nullptr ? out + b * out_size : scratch;
+      ConvImageFusion fusion;
+      GemmS8Epilogue ep_b = ep;
+      ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
+      if (images != nullptr) {
+        img.padded = images->data + b * images->elems;
+        GemmS8ConvPackedA(qweight_, img, out_b, ep_b, gemm_parallel);
+        continue;
+      }
       QuantizeBufferS8(in + b * chw, chw, inv_scale, q);
       if (direct) {
         if (elems > 0) FillDirectImage(q, img, image);
         img.padded = image;
-        GemmS8ConvPackedA(qweight_, img, out_b, ep, gemm_parallel);
+        GemmS8ConvPackedA(qweight_, img, out_b, ep_b, gemm_parallel);
         continue;
       }
       if (!pointwise) {
         Im2Col(q, in_channels_, h, w, kernel_, kernel_, pad_, stride_, cols,
                group);
       }
-      GemmS8PackedA(qweight_, ohw, cols, out_b, ep, gemm_parallel);
+      GemmS8PackedA(qweight_, ohw, cols, out_b, ep_b, gemm_parallel);
     }
   };
   if (gemm_parallel) {

@@ -11,12 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "nn/conv_epilogue.h"
 #include "nn/module.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "util/rng.h"
 
 namespace poe {
+
+class ScratchScope;
 
 /// Square-kernel 2-D convolution over NCHW tensors.
 ///
@@ -39,6 +42,24 @@ class Conv2d : public Module {
   void CollectParameters(std::vector<Parameter*>* out) override;
   bool CanFuseRelu() const override { return true; }
   Tensor ForwardFusedRelu(const Tensor& input) override;
+
+  /// Inference forward with `epilogue` run on each output tile. Returns
+  /// the output, or an undefined tensor when the epilogue quantizes into
+  /// a next conv's images.
+  Tensor ForwardFused(const Tensor& input, const ConvTileEpilogue& epilogue);
+
+  /// True when the inference forward can read its input as int8 direct
+  /// images that a producer filled (ForwardImages): int8 serving with a
+  /// static calibrated scale, stride 1, on the direct path.
+  bool TakesInt8Images() const;
+  /// `batch` input images for an h x w input, carved from `scope`, with
+  /// the border and padding-channel lanes zeroed; requires
+  /// TakesInt8Images().
+  ConvInputImages AllocInputImages(ScratchScope& scope, int64_t batch,
+                                   int64_t h, int64_t w) const;
+  /// Inference forward over `batch` images a producer filled.
+  Tensor ForwardImages(const ConvInputImages& images, int64_t batch,
+                       const ConvTileEpilogue& epilogue);
 
   /// Dequant-free int8 serving: quantizes the weight matrix with
   /// per-output-channel symmetric scales into pre-packed int8 GEMM panels
@@ -95,8 +116,11 @@ class Conv2d : public Module {
   bool IsPointwise() const {
     return kernel_ == 1 && stride_ == 1 && pad_ == 0;
   }
-  Tensor ForwardImpl(const Tensor& input, bool training, bool fuse_relu);
-  Tensor ForwardInt8(const Tensor& input, bool fuse_relu);
+  Tensor ForwardImpl(const Tensor& input, bool training, bool fuse_relu,
+                     const ConvTileEpilogue* fused);
+  Tensor ForwardInt8(const Tensor* input, const ConvInputImages* images,
+                     int64_t batch, int64_t h, int64_t w, bool fuse_relu,
+                     const ConvTileEpilogue* fused);
   /// Shared PrepareInt8Serving/Adopt tail: packs `values` (row-major
   /// [out_c x ckk]) and releases the f32 weight.
   void FinishInt8Setup(const int8_t* values);

@@ -60,7 +60,7 @@ Tensor Sequential::ForwardInRowPasses(const Tensor& input, int64_t rows) {
           std::call_once(shaped, [&] {
             std::vector<int64_t> shape = y.shape();
             shape[0] = batch;
-            output = Tensor(std::move(shape));
+            output = Tensor::Uninitialized(std::move(shape));
             row_size = y.numel() / (last - first);
           });
           std::memcpy(output.data() + first * row_size, y.data(),

@@ -177,6 +177,40 @@ void FillDirectImage(const int8_t* image, const ConvImageViewS8& v,
   });
 }
 
+void InterleaveChannelRows(const int8_t* const* src, int64_t group, int64_t n,
+                           int8_t* dst) {
+  if (group == 4) return InterleaveRowS8<4, 1>(src, n, dst);
+  if (group == 2) return InterleaveRowS8<2, 1>(src, n, dst);
+  for (int64_t i = 0; i < n; ++i)
+    for (int64_t r = 0; r < group; ++r) dst[i * group + r] = src[r][i];
+}
+
+void ZeroDirectImageBorder(const ConvImageViewS8& v, int8_t* buf) {
+  POE_CHECK_EQ(v.stride, 1);
+  const int64_t row = v.padded_w() * v.group;
+  const int64_t plane = v.padded_h() * row;
+  const int64_t lead = v.pad * (row + v.group);  // top rows, first left
+  const int64_t gap = 2 * v.pad * v.group;  // a right border + next left
+  const int64_t width = v.width * v.group;
+  for (int64_t cg = 0; cg < v.channel_groups(); ++cg) {
+    int8_t* p = buf + cg * plane;
+    if ((cg + 1) * v.group > v.channels) {
+      std::memset(p, 0, static_cast<size_t>(plane));
+      continue;
+    }
+    std::memset(p, 0, static_cast<size_t>(lead));
+    int8_t* q = p + lead + width;
+    for (int64_t y = 0; y + 1 < v.height; ++y, q += row) {
+      if (gap == 8) {  // pad 1 at the VNNI and scalar k-group: one store
+        std::memset(q, 0, 8);
+      } else {
+        std::memset(q, 0, static_cast<size_t>(gap));
+      }
+    }
+    std::memset(q, 0, static_cast<size_t>(p + plane - q));
+  }
+}
+
 ConvPath ConvPathChoice() { return ConvPathState(); }
 
 void SetConvPath(ConvPath path) { ConvPathState() = path; }

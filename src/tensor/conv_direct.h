@@ -128,6 +128,17 @@ void FillDirectImage(const float* image, const ConvImageView& v, float* buf);
 void FillDirectImage(const int8_t* image, const ConvImageViewS8& v,
                      int8_t* buf);
 
+/// dst[i * group + r] = src[r][i] for i < n and r < group: `group`
+/// channel rows interleaved into one pixel run of an int8 direct image
+/// (SIMD for the kernels' groups, 2 and 4).
+void InterleaveChannelRows(const int8_t* const* src, int64_t group, int64_t n,
+                           int8_t* dst);
+
+/// Zeroes what FillDirectImage would zero in `buf` for a stride-1 view:
+/// the border, and the whole last channel group when `channels` leaves
+/// padding lanes. A producer then writes the interior lanes in place.
+void ZeroDirectImageBorder(const ConvImageViewS8& v, int8_t* buf);
+
 }  // namespace poe
 
 #endif  // POE_TENSOR_CONV_DIRECT_H_

@@ -252,36 +252,59 @@ const Kernel& PickKernel() {
 
 // Writes one micro-tile of the product into C: C = blk_beta*C + alpha*acc
 // over the valid rows x cols region, plus the fused epilogue when this is
-// the final k-block.
-void StoreTile(const float* acc, int64_t nr, int64_t rows, int64_t cols,
-               float alpha, float blk_beta, bool apply_epilogue,
-               const GemmEpilogue& ep, int64_t row0, int64_t col0, float* c,
-               int64_t ldc) {
+// the final k-block. kStaged (a tile hook on the final k-block) writes the
+// final values to a staging tile instead and hands it to the hook.
+template <bool kStaged>
+void StoreTileT(const float* acc, int64_t nr, int64_t rows, int64_t cols,
+                float alpha, float blk_beta, bool apply_epilogue,
+                const GemmEpilogue& ep, int64_t row0, int64_t col0, float* c,
+                int64_t ldc) {
+  float stage[kStaged ? kMaxMR * kMaxNR : 1];
+  float* tile = kStaged ? stage : c + row0 * ldc + col0;
+  const int64_t ld = kStaged ? nr : ldc;
   for (int64_t r = 0; r < rows; ++r) {
     const float* arow = acc + r * nr;
-    float* crow = c + (row0 + r) * ldc + col0;
+    const float* crow = c + (row0 + r) * ldc + col0;
+    float* trow = tile + r * ld;
     if (blk_beta == 0.0f) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] = alpha * arow[j];
+      for (int64_t j = 0; j < cols; ++j) trow[j] = alpha * arow[j];
     } else if (blk_beta == 1.0f) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] += alpha * arow[j];
+      for (int64_t j = 0; j < cols; ++j) trow[j] = crow[j] + alpha * arow[j];
     } else {
       for (int64_t j = 0; j < cols; ++j)
-        crow[j] = blk_beta * crow[j] + alpha * arow[j];
+        trow[j] = blk_beta * crow[j] + alpha * arow[j];
     }
   }
   if (!apply_epilogue) return;
   for (int64_t r = 0; r < rows; ++r) {
-    float* crow = c + (row0 + r) * ldc + col0;
+    float* trow = tile + r * ld;
     const float rb = ep.row_bias ? ep.row_bias[row0 + r] : 0.0f;
     if (ep.col_bias != nullptr) {
       const float* cb = ep.col_bias + col0;
-      for (int64_t j = 0; j < cols; ++j) crow[j] += rb + cb[j];
+      for (int64_t j = 0; j < cols; ++j) trow[j] += rb + cb[j];
     } else if (ep.row_bias != nullptr) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] += rb;
+      for (int64_t j = 0; j < cols; ++j) trow[j] += rb;
     }
     if (ep.relu) {
-      for (int64_t j = 0; j < cols; ++j) crow[j] = std::max(0.0f, crow[j]);
+      for (int64_t j = 0; j < cols; ++j) trow[j] = std::max(0.0f, trow[j]);
     }
+  }
+  if constexpr (kStaged) {
+    ep.tile_hook(stage, ld, /*transposed=*/false, row0, rows, col0, cols, c,
+                 ldc);
+  }
+}
+
+void StoreTile(const float* acc, int64_t nr, int64_t rows, int64_t cols,
+               float alpha, float blk_beta, bool apply_epilogue,
+               const GemmEpilogue& ep, int64_t row0, int64_t col0, float* c,
+               int64_t ldc) {
+  if (apply_epilogue && ep.tile_hook) {
+    StoreTileT<true>(acc, nr, rows, cols, alpha, blk_beta, apply_epilogue, ep,
+                     row0, col0, c, ldc);
+  } else {
+    StoreTileT<false>(acc, nr, rows, cols, alpha, blk_beta, apply_epilogue,
+                      ep, row0, col0, c, ldc);
   }
 }
 
@@ -451,7 +474,8 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
-// Degenerate k == 0 product: C = beta*C plus the epilogue.
+// Degenerate k == 0 product: C = beta*C plus the epilogue, the tile hook
+// taking all of C as one tile, in place.
 void ScaleOnly(int64_t m, int64_t n, float beta, float* c,
                const GemmEpilogue& ep) {
   for (int64_t i = 0; i < m; ++i) {
@@ -470,6 +494,7 @@ void ScaleOnly(int64_t m, int64_t n, float beta, float* c,
       for (int64_t j = 0; j < n; ++j) crow[j] = std::max(0.0f, crow[j]);
     }
   }
+  if (ep.tile_hook) ep.tile_hook(c, n, /*transposed=*/false, 0, m, 0, n, c, n);
 }
 
 void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

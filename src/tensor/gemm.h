@@ -11,6 +11,34 @@
 
 namespace poe {
 
+/// A caller-supplied consumer of each finished tile of C. With a hook
+/// set, the GEMM does not write a register tile's final values (after the
+/// last k-block, bias, ReLU and dequantization) to C: it passes them in a
+/// small staging `tile` holding rows [row0, row0 + rows) x columns
+/// [col0, col0 + cols) of C, element (r, j) at tile[r * ld + j], or at
+/// tile[j * ld + r] when `transposed`. The hook writes them wherever they
+/// go, C at `c` (leading dimension `ldc`) included. Tiles are disjoint and
+/// each is passed by exactly one task, so a hook that only writes what
+/// derives from its own tile needs no synchronization. Conv layers use it
+/// to run the next layer's elementwise work on the tile while it is hot.
+struct GemmTileHook {
+  using Fn = void (*)(const void* ctx, const float* tile, int64_t ld,
+                      bool transposed, int64_t row0, int64_t rows,
+                      int64_t col0, int64_t cols, float* c, int64_t ldc);
+  Fn fn = nullptr;
+  const void* ctx = nullptr;
+  /// The hook takes transposed tiles too: a kernel whose accumulator is
+  /// column-major (int8 VNNI) then skips its transpose.
+  bool takes_transposed = false;
+
+  explicit operator bool() const { return fn != nullptr; }
+  void operator()(const float* tile, int64_t ld, bool transposed,
+                  int64_t row0, int64_t rows, int64_t col0, int64_t cols,
+                  float* c, int64_t ldc) const {
+    fn(ctx, tile, ld, transposed, row0, rows, col0, cols, c, ldc);
+  }
+};
+
 /// Optional fused output transform applied after the matrix product is
 /// complete (on the final k-block, in the same pass that writes C), so
 /// inference layers avoid separate bias/activation sweeps over the output.
@@ -23,9 +51,11 @@ struct GemmEpilogue {
   const float* col_bias = nullptr;
   /// Applies max(0, x) after the bias terms.
   bool relu = false;
+  /// Consumes each finished tile in place of the write to C.
+  GemmTileHook tile_hook;
 
   bool empty() const {
-    return row_bias == nullptr && col_bias == nullptr && !relu;
+    return row_bias == nullptr && col_bias == nullptr && !relu && !tile_hook;
   }
 };
 

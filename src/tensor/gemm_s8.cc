@@ -66,7 +66,7 @@ using PixelSumsFn = void (*)(const int8_t* planes, int64_t nplanes,
 using DequantStoreFn = void (*)(const int32_t* acc, int64_t rows,
                                 int64_t cols, const int32_t* colsum,
                                 const GemmS8Epilogue& ep, int64_t row0,
-                                int64_t col0, float* c, int64_t ldc);
+                                int64_t col0, float* tile, int64_t ld);
 
 struct KernelS8 {
   int64_t mr, nr, kr;
@@ -75,6 +75,7 @@ struct KernelS8 {
   PackBFastFn pack_b_fast;    // nullable, !trans_b geometry only
   PixelSumsFn pixel_sums;     // non-null exactly when shift != 0
   DequantStoreFn store_fast;  // nullable
+  DequantStoreFn store_cols;  // nullable: store_fast, transposed tile
   MicroKernelS8Fn fn;
   DirectKernelS8Fn direct;
   const char* name;
@@ -300,7 +301,7 @@ __attribute__((target("avx2"))) void PackBs8Avx2_16x2(
 __attribute__((target("avx2"))) void DequantStoreAvx2_6x16(
     const int32_t* acc, int64_t rows, int64_t cols,
     const int32_t* /*colsum*/, const GemmS8Epilogue& ep, int64_t row0,
-    int64_t col0, float* c, int64_t ldc) {
+    int64_t col0, float* tile, int64_t ld) {
   const __m256i idx =
       _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i mask_lo = _mm256_cmpgt_epi32(
@@ -354,7 +355,7 @@ __attribute__((target("avx2"))) void DequantStoreAvx2_6x16(
       lo = _mm256_max_ps(lo, zero);
       hi = _mm256_max_ps(hi, zero);
     }
-    float* crow = c + (row0 + r) * ldc + col0;
+    float* crow = tile + r * ld;
     _mm256_maskstore_ps(crow, mask_lo, lo);
     if (cols > 8) _mm256_maskstore_ps(crow + 8, mask_hi, hi);
   }
@@ -544,8 +545,8 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void PixelSumsVnni(
 // 16-lane operation. Replaces ~256 branchy scalar conversions per tile.
 __attribute__((target("avx512f"))) void DequantStoreVnni16x16(
     const int32_t* acc, int64_t rows, int64_t cols, const int32_t* colsum,
-    const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* c,
-    int64_t ldc) {
+    const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* tile,
+    int64_t ld) {
   __m512i r[16], t[16];
   for (int j = 0; j < 16; ++j) {
     r[j] = _mm512_sub_epi32(
@@ -595,7 +596,42 @@ __attribute__((target("avx512f"))) void DequantStoreVnni16x16(
       v = _mm512_add_ps(v, _mm512_set1_ps(ep.row_bias[row0 + i]));
     }
     if (ep.relu) v = _mm512_max_ps(v, zero);
-    _mm512_mask_storeu_ps(c + (row0 + i) * ldc + col0, mask, v);
+    _mm512_mask_storeu_ps(tile + i * ld, mask, v);
+  }
+}
+
+// DequantStoreVnni16x16 without the transpose: writes the tile
+// column-major (column j's rows at tile + j * ld), for tile hooks that
+// take transposed tiles. Each element sees the row form's ops in order:
+// the factor (scale * row_scale) * col_scale, its product with the
+// value, then col_bias, row_bias and the ReLU.
+__attribute__((target("avx512f"))) void DequantStoreVnni16x16Cols(
+    const int32_t* acc, int64_t rows, int64_t cols, const int32_t* colsum,
+    const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* tile,
+    int64_t ld) {
+  const __mmask16 mask =
+      static_cast<__mmask16>((1u << rows) - 1u);  // rows <= 16
+  const __m512 rs = _mm512_mul_ps(
+      _mm512_set1_ps(ep.scale),
+      ep.row_scale != nullptr
+          ? _mm512_maskz_loadu_ps(mask, ep.row_scale + row0)
+          : _mm512_set1_ps(1.0f));
+  const __m512 rb = ep.row_bias != nullptr
+                        ? _mm512_maskz_loadu_ps(mask, ep.row_bias + row0)
+                        : _mm512_setzero_ps();
+  const __m512 zero = _mm512_setzero_ps();
+  for (int64_t j = 0; j < cols; ++j) {
+    __m512 v = _mm512_cvtepi32_ps(
+        _mm512_sub_epi32(_mm512_loadu_si512(acc + j * 16),
+                         _mm512_set1_epi32(128 * colsum[j])));
+    const float cs = ep.col_scale != nullptr ? ep.col_scale[col0 + j] : 1.0f;
+    v = _mm512_mul_ps(v, _mm512_mul_ps(rs, _mm512_set1_ps(cs)));
+    v = _mm512_add_ps(v, _mm512_set1_ps(ep.col_bias != nullptr
+                                            ? ep.col_bias[col0 + j]
+                                            : 0.0f));
+    if (ep.row_bias != nullptr) v = _mm512_add_ps(v, rb);
+    if (ep.relu) v = _mm512_max_ps(v, zero);
+    _mm512_mask_storeu_ps(tile + j * ld, mask, v);
   }
 }
 
@@ -608,7 +644,7 @@ const KernelS8& PickKernelS8() {
     const char* env = std::getenv("POE_GEMM_KERNEL");
     const std::string want = env ? env : "";
     const KernelS8 scalar{6, 16, 4, 16, 1, 0, nullptr, nullptr, nullptr,
-                          MicroKernelS8ScalarPacked,
+                          nullptr, MicroKernelS8ScalarPacked,
                           MicroKernelS8ScalarDirect, "scalar"};
     if (want == "scalar") return scalar;
 #ifdef POE_GEMM_S8_X86
@@ -617,11 +653,12 @@ const KernelS8& PickKernelS8() {
     const bool has_avx2 = __builtin_cpu_supports("avx2");
     const KernelS8 vnni{16, 16, 4, 1, 16, 128,
                         PackBs8Vnni16x4, PixelSumsVnni,
-                        DequantStoreVnni16x16, MicroKernelS8Vnni16x16,
+                        DequantStoreVnni16x16, DequantStoreVnni16x16Cols,
+                        MicroKernelS8Vnni16x16,
                         MicroKernelS8Vnni16x16Direct, "avx512vnni"};
     const KernelS8 avx2{6, 16, 2, 16, 1, 0,
                         PackBs8Avx2_16x2, nullptr,
-                        DequantStoreAvx2_6x16, MicroKernelS8Avx2Packed,
+                        DequantStoreAvx2_6x16, nullptr, MicroKernelS8Avx2Packed,
                         MicroKernelS8Avx2Direct, "avx2"};
     if (want == "avx512" && has_vnni) return vnni;
     if (want == "avx2" && has_avx2) return avx2;
@@ -680,11 +717,11 @@ inline float DequantOne(int64_t i, int64_t j, int32_t acc,
 __attribute__((noinline)) void DequantStoreS8(
     const int32_t* acc, int64_t acc_rs, int64_t acc_cs, int64_t rows,
     int64_t cols, const int32_t* colsum, int32_t shift,
-    const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* c,
-    int64_t ldc) {
+    const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* tile,
+    int64_t ld) {
   for (int64_t r = 0; r < rows; ++r) {
     const int32_t* arow = acc + r * acc_rs;
-    float* crow = c + (row0 + r) * ldc + col0;
+    float* crow = tile + r * ld;
     for (int64_t j = 0; j < cols; ++j) {
       crow[j] = DequantOne(row0 + r, col0 + j,
                            arow[j * acc_cs] - shift * colsum[j], ep);
@@ -693,17 +730,38 @@ __attribute__((noinline)) void DequantStoreS8(
 }
 
 // The dequantizing store of one register tile (colsum points at its
-// columns), SIMD when the kernel has one.
+// columns), SIMD when the kernel has one, into C at (row0, col0) — or,
+// with a tile hook, into a staging tile the hook then consumes
+// (transposed when both the hook and the kernel's store can).
 void StoreTileS8(const KernelS8& kn, const int32_t* acc, int64_t rows,
                  int64_t cols, const int32_t* colsum,
                  const GemmS8Epilogue& ep, int64_t row0, int64_t col0,
                  float* c, int64_t ldc) {
-  if (kn.store_fast != nullptr) {
-    kn.store_fast(acc, rows, cols, colsum, ep, row0, col0, c, ldc);
+  if (ep.tile_hook) {
+    float stage[kMaxMR * kMaxNR];
+    if (ep.tile_hook.takes_transposed && kn.store_cols != nullptr) {
+      kn.store_cols(acc, rows, cols, colsum, ep, row0, col0, stage, kn.mr);
+      ep.tile_hook(stage, kn.mr, /*transposed=*/true, row0, rows, col0, cols,
+                   c, ldc);
+      return;
+    }
+    if (kn.store_fast != nullptr) {
+      kn.store_fast(acc, rows, cols, colsum, ep, row0, col0, stage, kn.nr);
+    } else {
+      DequantStoreS8(acc, kn.acc_rs, kn.acc_cs, rows, cols, colsum,
+                     kn.shift, ep, row0, col0, stage, kn.nr);
+    }
+    ep.tile_hook(stage, kn.nr, /*transposed=*/false, row0, rows, col0, cols,
+                 c, ldc);
     return;
   }
-  DequantStoreS8(acc, kn.acc_rs, kn.acc_cs, rows, cols, colsum, kn.shift, ep,
-                 row0, col0, c, ldc);
+  float* tile = c + row0 * ldc + col0;
+  if (kn.store_fast != nullptr) {
+    kn.store_fast(acc, rows, cols, colsum, ep, row0, col0, tile, ldc);
+  } else {
+    DequantStoreS8(acc, kn.acc_rs, kn.acc_cs, rows, cols, colsum, kn.shift,
+                   ep, row0, col0, tile, ldc);
+  }
 }
 
 // Register-tile loops over one packed macro-tile.
@@ -789,6 +847,9 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   if (k == 0) {
     for (int64_t i = 0; i < m; ++i)
       for (int64_t j = 0; j < n; ++j) c[i * n + j] = DequantOne(i, j, 0, ep);
+    if (ep.tile_hook) {
+      ep.tile_hook(c, n, /*transposed=*/false, 0, m, 0, n, c, n);
+    }
     return;
   }
 
@@ -1191,6 +1252,18 @@ __attribute__((target("avx2"))) void QuantizeBufferS8Avx2(
     const __m256i packed = _mm256_permutevar8x32_epi32(
         _mm256_packs_epi16(p01, p23), regroup);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), packed);
+  }
+  // Eight at a time, the same ops: short rows (a conv epilogue's tiles)
+  // stay vectorized.
+  for (; i + 8 <= n; i += 8) {
+    __m256 x = _mm256_mul_ps(_mm256_loadu_ps(src + i), inv);
+    x = _mm256_max_ps(_mm256_min_ps(x, hi), lo);
+    const __m256 rnd = _mm256_or_ps(_mm256_and_ps(x, sign_mask), half);
+    const __m256i q = _mm256_cvttps_epi32(_mm256_add_ps(x, rnd));
+    const __m128i p = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + i),
+                     _mm_packs_epi16(p, p));
   }
   for (; i < n; ++i) dst[i] = QuantizeOneS8(src[i], inv_scale);
 }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "tensor/conv_direct.h"
+#include "tensor/gemm.h"
 
 namespace poe {
 
@@ -19,7 +20,8 @@ namespace poe {
 ///   v = acc * scale * row_scale[i] * col_scale[j] + row_bias[i] + col_bias[j]
 ///   C(i,j) = relu ? max(0, v) : v
 ///
-/// with absent pointers treated as 1 (scales) / 0 (biases). Quantized
+/// with absent pointers treated as 1 (scales) / 0 (biases), then runs
+/// `tile_hook` on each finished register tile (see GemmTileHook). Quantized
 /// layers put the activation scale in `scale` and the per-output-channel
 /// weight scales in row_scale (conv layout: C rows are channels) or
 /// col_scale (linear layout: C columns are features).
@@ -30,6 +32,7 @@ struct GemmS8Epilogue {
   const float* row_bias = nullptr;   ///< length m, f32, added after dequant
   const float* col_bias = nullptr;   ///< length n, f32, added after dequant
   bool relu = false;
+  GemmTileHook tile_hook;
 };
 
 /// C (f32, m x n, row-major) = epilogue(op(A) * op(B)) where A and B are
@@ -153,7 +156,8 @@ void GemmS8PackedB(bool trans_a, int64_t m, const int8_t* a,
                    const GemmS8Epilogue& epilogue, bool parallel);
 
 /// Naive triple-loop reference with exact int32 accumulation and the same
-/// epilogue arithmetic (bitwise-identical outputs). The test oracle.
+/// epilogue arithmetic (bitwise-identical outputs), tile hook aside. The
+/// test oracle.
 void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                const int8_t* a, const int8_t* b, float* c,
                const GemmS8Epilogue& epilogue);

@@ -237,7 +237,7 @@ Tensor SliceRows(const Tensor& a, int64_t begin, int64_t end) {
   std::vector<int64_t> out_shape = a.shape();
   out_shape[0] = end - begin;
   const int64_t row_size = a.numel() / std::max<int64_t>(1, a.dim(0));
-  Tensor out(out_shape);
+  Tensor out = Tensor::Uninitialized(out_shape);
   std::memcpy(out.data(), a.data() + begin * row_size,
               sizeof(float) * (end - begin) * row_size);
   return out;

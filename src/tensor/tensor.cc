@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -22,11 +23,23 @@ bool SameShape(const Tensor& a, const Tensor& b) {
 
 Tensor::Tensor(std::vector<int64_t> shape)
     : shape_(std::move(shape)), numel_(ShapeNumel(shape_)) {
-  storage_ = std::make_shared<std::vector<float>>(numel_);
+  storage_ = std::make_shared<Storage>(numel_);
+  std::memset(storage_->data(), 0, sizeof(float) * numel_);
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape) {
   return Tensor(std::move(shape));
+}
+
+Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = ShapeNumel(t.shape_);
+  t.storage_ = std::make_shared<Storage>(t.numel_);
+#ifndef NDEBUG
+  t.Fill(std::numeric_limits<float>::quiet_NaN());
+#endif
+  return t;
 }
 
 Tensor Tensor::Ones(std::vector<int64_t> shape) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -24,12 +25,17 @@ class Tensor {
   Tensor() = default;
 
   /// Allocates a zero-filled tensor of the given shape. The zero fill is
-  /// part of the contract (the storage vector is value-initialized), so
-  /// callers may accumulate into a fresh tensor without clearing it.
+  /// part of the contract, so callers may accumulate into a fresh tensor
+  /// without clearing it (see Uninitialized for the unfilled form).
   explicit Tensor(std::vector<int64_t> shape);
 
   /// Factory: zero-filled tensor (the constructor already zero-fills).
   static Tensor Zeros(std::vector<int64_t> shape);
+  /// Factory: storage left unset, for outputs the caller overwrites in
+  /// full before reading (it skips the zero fill's pass over memory).
+  /// Debug builds fill it with quiet NaN, so a bitwise oracle catches any
+  /// element left unwritten.
+  static Tensor Uninitialized(std::vector<int64_t> shape);
   /// Factory: one-filled tensor.
   static Tensor Ones(std::vector<int64_t> shape);
   /// Factory: constant-filled tensor.
@@ -88,7 +94,27 @@ class Tensor {
   int64_t nbytes() const { return numel_ * static_cast<int64_t>(sizeof(float)); }
 
  private:
-  std::shared_ptr<std::vector<float>> storage_;
+  // Default-initializes its elements, so a fresh float is left unset: the
+  // constructor zero-fills the storage afterwards, Uninitialized does not.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <typename U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    using std::allocator<T>::allocator;
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
+  };
+  using Storage = std::vector<float, DefaultInitAllocator<float>>;
+
+  std::shared_ptr<Storage> storage_;
   std::vector<int64_t> shape_;
   int64_t numel_ = 0;
 };

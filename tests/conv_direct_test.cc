@@ -14,10 +14,13 @@
 #include <cstring>
 #include <vector>
 
+#include "nn/basic_block.h"
+#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/im2col.h"
+#include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -538,6 +541,91 @@ TEST(ConvDirectLayerTest, BatchRowsMatchSoloForwards) {
           << "in_c=" << sh.in_c << " out_c=" << sh.out_c
           << " stride=" << sh.stride << " kernel=" << sh.kernel << " row "
           << r;
+    }
+  }
+}
+
+// BasicBlock inference fuses BN2+ReLU into conv1's GEMM epilogue (and, at
+// calibrated int8, the quantize into conv2's padded image) and the
+// shortcut add into conv2's. It must be bitwise the explicit chain of
+// public forwards. The grid covers every serving mode, identity and
+// projection blocks at strides 1 and 2, channel counts that are not
+// multiples of the k-group (padding lanes), sub-vector rows and N tails,
+// 1-3 rows, and one block deep enough (9 * 40 > 320) that the f32 GEMM
+// runs two k-blocks. Mutants it catches: conv1's activation
+// scale used in place of conv2's, the epilogue run before the last
+// k-block, and a conv2 image border left unzeroed.
+enum class BlockMode { kF32, kF32Prepacked, kInt8Calibrated, kInt8Dynamic };
+
+void RandomizeBatchNorm(BatchNorm2d* bn, Rng& rng) {
+  for (Tensor* t :
+       {&bn->gamma().value, &bn->beta().value, &bn->running_mean()}) {
+    for (int64_t c = 0; c < t->numel(); ++c) {
+      t->at(c) = rng.Uniform(-1.0f, 1.0f);
+    }
+  }
+  for (int64_t c = 0; c < bn->channels(); ++c) {
+    bn->running_var().at(c) = rng.Uniform(0.2f, 2.0f);
+  }
+}
+
+// bn1 -> conv1 -> bn2 -> conv2 (+ shortcut), each a public forward.
+Tensor UnfusedBlock(const std::vector<Module*>& parts, const Tensor& x) {
+  auto* bn1 = static_cast<BatchNorm2d*>(parts[0]);
+  auto* conv1 = static_cast<Conv2d*>(parts[1]);
+  auto* bn2 = static_cast<BatchNorm2d*>(parts[2]);
+  auto* conv2 = static_cast<Conv2d*>(parts[3]);
+  const Tensor a = bn1->ForwardFusedRelu(x);
+  const Tensor h = bn2->ForwardFusedRelu(conv1->Forward(a, false));
+  const Tensor out = conv2->Forward(h, false);
+  if (parts.size() == 5) return Add(out, parts[4]->Forward(a, false));
+  return Add(out, x);
+}
+
+TEST(BasicBlockFusionTest, FusedMatchesUnfusedChainGrid) {
+  struct Shape {
+    int64_t in, out, stride;
+  };
+  const Shape shapes[] = {{3, 3, 1},  {6, 6, 1},  {10, 10, 1}, {3, 6, 1},
+                          {10, 6, 1}, {6, 10, 2}, {10, 10, 2}, {3, 6, 2},
+                          {40, 40, 1}};
+  const BlockMode modes[] = {BlockMode::kF32, BlockMode::kF32Prepacked,
+                             BlockMode::kInt8Calibrated,
+                             BlockMode::kInt8Dynamic};
+  uint64_t seed = 1;
+  for (const Shape& sh : shapes) {
+    for (int64_t hw : {4, 7, 8, 32}) {
+      if (sh.in == 40 && hw > 8) continue;  // the k-block case stays small
+      for (BlockMode mode : modes) {
+        Rng rng(seed++);
+        BasicBlock block(sh.in, sh.out, sh.stride, rng);
+        std::vector<Module*> parts;
+        block.CollectChildren(&parts);
+        RandomizeBatchNorm(static_cast<BatchNorm2d*>(parts[0]), rng);
+        RandomizeBatchNorm(static_cast<BatchNorm2d*>(parts[2]), rng);
+        if (mode == BlockMode::kF32Prepacked) {
+          block.Prepack(ServingPrecision::kFloat32);
+        } else if (mode == BlockMode::kInt8Calibrated) {
+          block.BeginActivationCalibration();
+          block.Forward(Tensor::Randn({4, sh.in, hw, hw}, rng), false);
+          block.FinishActivationCalibration();
+          block.PrepareInt8Serving();
+          ASSERT_FALSE(block.CouplesRows());
+        } else if (mode == BlockMode::kInt8Dynamic) {
+          block.PrepareInt8Serving();
+        }
+        for (int64_t rows : {1, 2, 3}) {
+          const Tensor x = Tensor::Randn({rows, sh.in, hw, hw}, rng);
+          const Tensor want = UnfusedBlock(parts, x);
+          const Tensor got = block.Forward(x, /*training=*/false);
+          ASSERT_EQ(want.shape(), got.shape());
+          EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                   sizeof(float) * want.numel()))
+              << sh.in << "->" << sh.out << " stride " << sh.stride << " "
+              << hw << "x" << hw << " mode " << static_cast<int>(mode)
+              << " rows " << rows;
+        }
+      }
     }
   }
 }

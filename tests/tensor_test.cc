@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace poe {
 namespace {
 
@@ -92,6 +94,18 @@ TEST(TensorTest, ShapeNumelHelper) {
 TEST(TensorTest, SameShapeHelper) {
   EXPECT_TRUE(SameShape(Tensor({2, 3}), Tensor({2, 3})));
   EXPECT_FALSE(SameShape(Tensor({2, 3}), Tensor({3, 2})));
+}
+
+TEST(TensorTest, UninitializedHasShapeAndConstructorStillZeroFills) {
+  Tensor u = Tensor::Uninitialized({2, 3, 4});
+  EXPECT_EQ(u.numel(), 24);
+  EXPECT_EQ(u.shape(), (std::vector<int64_t>{2, 3, 4}));
+#ifndef NDEBUG
+  // Debug builds poison unfilled storage so bitwise oracles see gaps.
+  for (int64_t i = 0; i < u.numel(); ++i) EXPECT_TRUE(std::isnan(u.at(i)));
+#endif
+  const Tensor z({2, 3, 4});
+  for (int64_t i = 0; i < z.numel(); ++i) EXPECT_EQ(z.at(i), 0.0f);
 }
 
 }  // namespace

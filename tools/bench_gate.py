@@ -18,7 +18,12 @@ Alongside the scalar/SIMD ratios, the gate tracks int8-vs-f32 ratios
 regression fails CI even when the scalar int8 kernel regresses in
 lockstep and keeps the scalar/SIMD ratio flat.
 
-  record  writes the committed baseline from two google-benchmark JSONs
+The two tiers drift apart between processes on a shared VM, so each
+side may be given several google-benchmark JSONs, one per process: CI
+alternates scalar and SIMD processes, one repetition each, and the gate
+takes each benchmark's median over all of a side's files.
+
+  record  writes the committed baseline from the two sides' JSONs
   check   compares HEAD's ratios against the baseline:
             - >2x collapse of a ratio  -> FAIL (exit 1)
             - outside the +-25% band   -> advisory warning only
@@ -66,23 +71,26 @@ CROSS_RATIOS = {
 }
 
 
-def load_benchmark_times(path):
-    """name -> median real_time (ns) over a google-benchmark JSON file's
-    iteration runs: one per --benchmark_repetitions repetition, so a
-    single noisy repetition cannot move a ratio."""
-    with open(path) as f:
-        data = json.load(f)
+def load_benchmark_times(paths):
+    """name -> median real_time (ns) over the iteration runs in the
+    google-benchmark JSON files `paths` (one per process, each with one
+    or more --benchmark_repetitions), so no single noisy repetition or
+    process can move a ratio."""
     runs = {}
-    for bench in data.get("benchmarks", []):
-        if bench.get("run_type", "iteration") != "iteration":
-            continue
-        runs.setdefault(bench["name"], []).append(float(bench["real_time"]))
+    for path in paths:
+        with open(path) as f:
+            data = json.load(f)
+        for bench in data.get("benchmarks", []):
+            if bench.get("run_type", "iteration") != "iteration":
+                continue
+            runs.setdefault(bench["name"], []).append(
+                float(bench["real_time"]))
     return {name: statistics.median(times) for name, times in runs.items()}
 
 
-def compute_ratios(scalar_path, simd_path):
-    scalar = load_benchmark_times(scalar_path)
-    simd = load_benchmark_times(simd_path)
+def compute_ratios(scalar_paths, simd_paths):
+    scalar = load_benchmark_times(scalar_paths)
+    simd = load_benchmark_times(simd_paths)
     ratios = {}
     for name in sorted(scalar.keys() & simd.keys()):
         if simd[name] > 0:
@@ -179,18 +187,18 @@ def main():
     sub = parser.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser("record", help="write the committed ratio baseline")
-    rec.add_argument("--scalar", required=True,
-                     help="benchmark JSON from a POE_GEMM_KERNEL=scalar run")
-    rec.add_argument("--simd", required=True,
-                     help="benchmark JSON from the SIMD-kernel run")
+    rec.add_argument("--scalar", required=True, nargs="+",
+                     help="benchmark JSONs from POE_GEMM_KERNEL=scalar runs")
+    rec.add_argument("--simd", required=True, nargs="+",
+                     help="benchmark JSONs from the SIMD-kernel runs")
     rec.add_argument("--simd-kernel", default="avx2",
                      help="kernel name the --simd run pinned (provenance)")
     rec.add_argument("--out", required=True)
     rec.set_defaults(func=cmd_record)
 
     chk = sub.add_parser("check", help="gate HEAD ratios against the baseline")
-    chk.add_argument("--scalar", required=True)
-    chk.add_argument("--simd", required=True)
+    chk.add_argument("--scalar", required=True, nargs="+")
+    chk.add_argument("--simd", required=True, nargs="+")
     chk.add_argument("--baseline", required=True)
     chk.add_argument("--summary", default="",
                      help="file to append the markdown table to "
