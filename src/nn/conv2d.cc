@@ -315,9 +315,8 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
     const int64_t elems =
         direct && images == nullptr ? DirectImageElems(img) : 0;
     int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
-    int8_t* cols = pointwise || direct
-                       ? q
-                       : AllocS8(scope, qweight_.depth() * ohw);
+    int8_t* cols =
+        pointwise || direct ? q : AllocS8(scope, qweight_.depth() * ohw);
     float* scratch = out == nullptr ? scope.Alloc(out_size) : nullptr;
     for (int64_t b = begin; b < end; ++b) {
       float* out_b = out != nullptr ? out + b * out_size : scratch;
