@@ -126,10 +126,12 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t ohw = out_h * out_w;
 
+  POE_CHECK(fused == nullptr || fused->next == nullptr)
+      << "only an int8 conv quantizes into the next conv's images";
   Tensor output = MakeOutput(fused, batch, out_channels_, out_h, out_w);
   const float* wp = weight_.value.data();
   const float* in = input.data();
-  float* out = output.data();  // null when the epilogue writes images
+  float* out = output.data();
 
   GemmEpilogue ep;
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
@@ -161,14 +163,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  // Image b's C: its slice of the output, or a per-range scratch image
-  // when the fused epilogue consumes each tile.
   const int64_t out_size = out_channels_ * ohw;
-  auto out_image = [&](ScratchScope& scope, float*& scratch, int64_t b) {
-    if (out != nullptr) return out + b * out_size;
-    if (scratch == nullptr) scratch = scope.Alloc(out_size);
-    return scratch;
-  };
   auto run_gemm = [&](const float* cols_b, int64_t b, float* out_b) {
     ConvImageFusion fusion;
     GemmEpilogue ep_b = ep;
@@ -184,10 +179,9 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     float* cols = pointwise ? nullptr : scope.Alloc(ckk * ohw);
-    float* scratch = nullptr;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
-      float* out_b = out_image(scope, scratch, b);
+      float* out_b = out + b * out_size;
       if (pointwise) {
         run_gemm(in_b, b, out_b);
       } else {
@@ -209,7 +203,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
     img.stride = stride_;
     const int64_t elems = DirectImageElems(img);
     float* buf = elems > 0 ? scope.Alloc(elems) : nullptr;
-    float* scratch = nullptr;
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
       if (buf != nullptr) {
@@ -218,7 +211,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       } else {
         img.padded = in_b;  // stride 1, pad 0: the view aliases the input
       }
-      float* out_b = out_image(scope, scratch, b);
+      float* out_b = out + b * out_size;
       ConvImageFusion fusion;
       GemmEpilogue ep_b = ep;
       ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
@@ -317,9 +310,11 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
     int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
     int8_t* cols =
         pointwise || direct ? q : AllocS8(scope, qweight_.depth() * ohw);
-    float* scratch = out == nullptr ? scope.Alloc(out_size) : nullptr;
     for (int64_t b = begin; b < end; ++b) {
-      float* out_b = out != nullptr ? out + b * out_size : scratch;
+      // No C when the hook quantizes into the next conv's images: with a
+      // hook set, the int8 GEMMs (k > 0) reach C only through it, and it
+      // leaves C alone then.
+      float* out_b = out != nullptr ? out + b * out_size : nullptr;
       ConvImageFusion fusion;
       GemmS8Epilogue ep_b = ep;
       ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);

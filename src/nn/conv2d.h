@@ -45,7 +45,7 @@ class Conv2d : public Module {
 
   /// Inference forward with `epilogue` run on each output tile. Returns
   /// the output, or an undefined tensor when the epilogue quantizes into
-  /// a next conv's images.
+  /// a next conv's images, which only an int8-serving conv does.
   Tensor ForwardFused(const Tensor& input, const ConvTileEpilogue& epilogue);
 
   /// True when the inference forward can read its input as int8 direct

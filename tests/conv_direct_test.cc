@@ -17,6 +17,7 @@
 #include "nn/basic_block.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/im2col.h"
@@ -628,6 +629,26 @@ TEST(BasicBlockFusionTest, FusedMatchesUnfusedChainGrid) {
       }
     }
   }
+}
+
+// Quantizing into a next conv's images is an int8 conv's job: an f32
+// conv refuses that epilogue rather than run its GEMM into a scratch C
+// that nothing reads.
+TEST(BasicBlockFusionTest, F32ConvRefusesNextImages) {
+  Rng rng(3);
+  Conv2d producer(4, 4, /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
+  Conv2d consumer(4, 4, /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
+  consumer.BeginActivationCalibration();
+  consumer.Forward(Tensor::Randn({2, 4, 6, 6}, rng), false);
+  consumer.FinishActivationCalibration();
+  consumer.PrepareInt8Serving();
+  ASSERT_TRUE(consumer.TakesInt8Images());
+  ScratchScope scope;
+  const ConvInputImages images = consumer.AllocInputImages(scope, 1, 6, 6);
+  ConvTileEpilogue epilogue;
+  epilogue.next = &images;
+  const Tensor x = Tensor::Randn({1, 4, 6, 6}, rng);
+  EXPECT_DEATH(producer.ForwardFused(x, epilogue), "only an int8 conv");
 }
 
 }  // namespace
