@@ -8,14 +8,18 @@
 #include "util/logging.h"
 
 // The fused epilogue's full-width tile rows in AVX2 with FMA when the
-// build targets them (BnAffine is one FMA exactly there), and transposed
-// int8 tiles in AVX-512 when it targets that.
+// build targets them (BnAffine is one FMA exactly there). Transposed
+// int8 tiles take AVX-512 on any x86 build: only the VNNI kernel passes
+// them, and it runs only where the CPU has AVX-512.
 #if defined(__AVX2__) && defined(__FMA__)
 #define POE_CONV_EPILOGUE_AVX2 1
-#include <immintrin.h>
-#if defined(__AVX512F__)
-#define POE_CONV_EPILOGUE_AVX512 1
 #endif
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define POE_CONV_EPILOGUE_COLUMNS 1
+#endif
+#if defined(POE_CONV_EPILOGUE_AVX2) || defined(POE_CONV_EPILOGUE_COLUMNS)
+#include <immintrin.h>
 #endif
 
 namespace poe {
@@ -122,15 +126,15 @@ void RunFusion(const ConvImageFusion& f, const float* tile, int64_t ld,
   }
 }
 
-#ifdef POE_CONV_EPILOGUE_AVX512
+#ifdef POE_CONV_EPILOGUE_COLUMNS
 // The quantizing hook on a transposed tile (column j's up to 16 rows at
 // tile + j * ld), from the int8 VNNI kernel: each column is one output
 // pixel's channels, so it quantizes as one vector and its k-groups go to
 // their channel-group planes whole. That needs the groups to lie whole in
 // the tile, which the kernel's MR of 16 and k-group of 4 give.
-void RunFusionColumns(const ConvImageFusion& f, const float* tile, int64_t ld,
-                      int64_t row0, int64_t rows, int64_t col0,
-                      int64_t cols) {
+__attribute__((target("avx512f"))) void RunFusionColumns(
+    const ConvImageFusion& f, const float* tile, int64_t ld, int64_t row0,
+    int64_t rows, int64_t col0, int64_t cols) {
   const ConvTileEpilogue& ep = *f.ep;
   const ConvImageViewS8& nv = ep.next->view;
   const int64_t g = nv.group;
@@ -159,7 +163,18 @@ void RunFusionColumns(const ConvImageFusion& f, const float* tile, int64_t ld,
   alignas(16) int8_t bytes[16];
   for (int64_t j = 0; j < cols; ++j) {
     __m512 v = _mm512_maskz_loadu_ps(mask, tile + j * ld);
-    if (bn) v = _mm512_max_ps(_mm512_fmadd_ps(scale, v, shift), zero);
+    if (bn) {
+#ifdef __FMA__
+      v = _mm512_fmadd_ps(scale, v, shift);
+#else
+      // BnAffine's separate multiply and add; the rounding forms keep
+      // the compiler from contracting them into an FMA here.
+      constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+      v = _mm512_add_round_ps(_mm512_mul_round_ps(scale, v, kNearest),
+                              shift, kNearest);
+#endif
+      v = _mm512_max_ps(v, zero);
+    }
     // QuantizeBufferS8's vector rounding (see gemm_s8.cc).
     v = _mm512_max_ps(_mm512_min_ps(_mm512_mul_ps(v, inv), hi), lo);
     const __m512 rnd = _mm512_castsi512_ps(
@@ -191,10 +206,10 @@ void RunTileHook(const void* self, const float* tile, int64_t ld,
                  bool transposed, int64_t row0, int64_t rows, int64_t col0,
                  int64_t cols, float* c, int64_t ldc) {
   const ConvImageFusion& f = *static_cast<const ConvImageFusion*>(self);
-#ifdef POE_CONV_EPILOGUE_AVX512
+#ifdef POE_CONV_EPILOGUE_COLUMNS
   if (transposed) return RunFusionColumns(f, tile, ld, row0, rows, col0, cols);
 #endif
-  POE_CHECK(!transposed) << "the hook takes transposed tiles only in AVX-512";
+  POE_CHECK(!transposed) << "the hook takes transposed tiles only on x86";
   // Every kernel's NR: 16 (int8, f32 avx2 and scalar) or 32 (f32 avx512).
   if (cols == 16) {
     return RunFusion<16>(f, tile, ld, row0, rows, col0, cols, c, ldc);
@@ -224,7 +239,7 @@ GemmTileHook ConvFusionHook(const ConvTileEpilogue* fused, int64_t b,
   GemmTileHook hook;
   hook.fn = &RunTileHook;
   hook.ctx = f;
-#ifdef POE_CONV_EPILOGUE_AVX512
+#ifdef POE_CONV_EPILOGUE_COLUMNS
   hook.takes_transposed = fused->next != nullptr;
 #endif
   return hook;
