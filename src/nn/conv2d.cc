@@ -145,9 +145,9 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   // GEMM reads its B operand straight from a zero-padded image copy, split
   // by column phase when strided, or from the input itself when stride is
   // 1 and pad is 0, instead of a materialized im2col matrix. Bitwise
-  // identical output (see conv_direct.h), so Backward, which re-unfolds
-  // from the cached input, sees the same forward either way. im2col runs
-  // only under POE_CONV_PATH=im2col.
+  // identical output (see conv_direct.h), so training is the same either
+  // way; Backward reads only the cached input, never the lowering. im2col
+  // runs only under POE_CONV_PATH=im2col.
   const bool direct = !pointwise && UseDirectConv();
 
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
@@ -452,6 +452,180 @@ int64_t Conv2d::Int8WeightBytes() const {
          static_cast<int64_t>(wscales_.size() * sizeof(float));
 }
 
+namespace {
+
+// One axis of a transposed-conv phase: the output positions q + stride * t
+// (t < count) receive the taps first_tap + stride * i (i < taps), tap i at
+// dY position lead + t - i. Tap kh reaches the input rows y with
+// (y + pad - kh) % stride == 0, at dY row (y + pad - kh) / stride.
+struct PhaseAxis {
+  int64_t first_tap, taps, lead, count;
+};
+
+PhaseAxis PhaseAlong(int64_t q, int64_t len, int64_t kernel, int64_t pad,
+                     int64_t stride) {
+  PhaseAxis a;
+  a.first_tap = (q + pad) % stride;
+  a.taps = a.first_tap < kernel ? (kernel - 1 - a.first_tap) / stride + 1 : 0;
+  a.lead = (q + pad) / stride;
+  a.count = (len - q + stride - 1) / stride;
+  return a;
+}
+
+// The input gradient of a conv as the transposed conv of dY, split by
+// output phase (y % stride, x % stride): each phase is a stride-1 direct
+// conv over one zero-padded dY image with the taps of W that reach it,
+// flipped. Every tap belongs to one phase, so the phases together do the
+// FLOPs of the im2col GEMM W^T * dY. Stride 1 is a single phase holding
+// every tap, the GemmConvEx form with pad kernel - 1 - pad, written
+// straight into dX. Strided phases go to a scratch C per column phase and
+// are merged back row by row; a tapless phase (a 1x1/stride-2 conv's odd
+// pixels) gets zero.
+class TransposedConv {
+ public:
+  // Plans dX of a conv with weight `w` ([co x ci*k*k]) and input h x wd;
+  // the flipped weights and a zero row are carved from `scope`.
+  TransposedConv(const float* w, int64_t ci, int64_t co, int64_t k,
+                 int64_t stride, int64_t pad, int64_t h, int64_t wd,
+                 ScratchScope& scope)
+      : ci_(ci), s_(stride), h_(h), w_(wd), col_phases_(std::min(stride, wd)) {
+    const int64_t out_h = ConvOutSize(h, k, pad, stride);
+    const int64_t out_w = ConvOutSize(wd, k, pad, stride);
+    int64_t dy_pad = 0;
+    for (int64_t py = 0; py < std::min(stride, h); ++py) {
+      for (int64_t px = 0; px < col_phases_; ++px) {
+        Phase ph;
+        ph.py = py;
+        ph.px = px;
+        ph.y = PhaseAlong(py, h, k, pad, stride);
+        ph.x = PhaseAlong(px, wd, k, pad, stride);
+        if (ph.y.taps > 0 && ph.x.taps > 0) {
+          // The pad that keeps every tap of this phase inside the image.
+          dy_pad = std::max({dy_pad, ph.y.taps - 1 - ph.y.lead,
+                             ph.y.lead + ph.y.count - out_h,
+                             ph.x.taps - 1 - ph.x.lead,
+                             ph.x.lead + ph.x.count - out_w});
+        }
+        phases_.push_back(ph);
+      }
+    }
+    dy_view_.channels = co;
+    dy_view_.height = out_h;
+    dy_view_.width = out_w;
+    dy_view_.kernel = k;
+    dy_view_.pad = dy_pad;
+    const int64_t row = dy_view_.padded_w();
+    const int64_t plane = dy_view_.padded_h() * row;
+    POE_CHECK_LE(co * plane, int64_t{INT32_MAX});
+    koff_.resize(static_cast<size_t>(co * k * k));
+    int32_t* kp = koff_.data();
+    float* wt = scope.Alloc(ci * co * k * k);
+    for (Phase& ph : phases_) {
+      const int64_t taps = co * ph.y.taps * ph.x.taps;
+      ph.weight = wt;
+      ph.dy.koff = kp;
+      ph.dy.k = taps;
+      ph.dy.n = ph.y.count * ph.x.count;
+      ph.dy.out_w = ph.x.count;
+      ph.dy.row_step = row;
+      if (stride > 1) phase_cols_ = std::max(phase_cols_, ph.dy.n);
+      // Taps in descending i, so the offsets ascend within a channel.
+      for (int64_t oc = 0; oc < co; ++oc) {
+        for (int64_t iy = ph.y.taps - 1; iy >= 0; --iy) {
+          for (int64_t ix = ph.x.taps - 1; ix >= 0; --ix) {
+            *kp++ = static_cast<int32_t>(oc * plane +
+                                         (ph.y.lead - iy + dy_pad) * row +
+                                         ph.x.lead - ix + dy_pad);
+          }
+        }
+      }
+      for (int64_t c = 0; c < ci; ++c) {
+        for (int64_t oc = 0; oc < co; ++oc) {
+          const float* wc = w + (oc * ci + c) * k * k;
+          for (int64_t iy = ph.y.taps - 1; iy >= 0; --iy) {
+            const int64_t kh = ph.y.first_tap + stride * iy;
+            for (int64_t ix = ph.x.taps - 1; ix >= 0; --ix) {
+              *wt++ = wc[kh * k + ph.x.first_tap + stride * ix];
+            }
+          }
+        }
+      }
+    }
+    if (stride > 1) {
+      zero_row_ = scope.Alloc(phase_cols_);
+      std::fill(zero_row_, zero_row_ + phase_cols_, 0.0f);
+    }
+  }
+
+  // Scratch floats one Run needs: the padded dY image and the phase Cs.
+  int64_t ScratchElems() const {
+    return DirectImageElems(dy_view_) + col_phases_ * ci_ * phase_cols_;
+  }
+
+  // Writes one image's dX (ci x h x w) from its dY (co x out_h x out_w).
+  void Run(const float* dy, float* scratch, float* dx) const {
+    const int64_t dy_elems = DirectImageElems(dy_view_);
+    if (dy_elems > 0) FillDirectImage(dy, dy_view_, scratch);
+    const float* dy_image = dy_elems > 0 ? scratch : dy;
+    float* phase_c = scratch + dy_elems;
+    const int64_t phase_size = ci_ * phase_cols_;
+    for (size_t g = 0; g < phases_.size(); g += col_phases_) {
+      const Phase* row_phase = &phases_[g];
+      for (int64_t px = 0; px < col_phases_; ++px) {
+        ImageMatrix m = row_phase[px].dy;
+        if (m.k == 0) continue;
+        m.image = dy_image;
+        GemmImageEx(ci_, row_phase[px].weight, m, 1.0f, 0.0f,
+                    s_ == 1 ? dx : phase_c + px * phase_size, GemmEpilogue{},
+                    /*parallel=*/false);
+      }
+      if (s_ == 1) return;
+      // Row ty of channel c of column phase px.
+      auto src = [&](int64_t c, int64_t ty, int64_t px) -> const float* {
+        const Phase& ph = row_phase[px];
+        if (ph.dy.k == 0) return zero_row_;
+        return phase_c + px * phase_size + c * ph.dy.n + ty * ph.x.count;
+      };
+      for (int64_t c = 0; c < ci_; ++c) {
+        for (int64_t ty = 0; ty < row_phase[0].y.count; ++ty) {
+          float* dst = dx + (c * h_ + row_phase[0].py + s_ * ty) * w_;
+          if (s_ == 2 && w_ >= 2) {
+            const float* even = src(c, ty, 0);
+            const float* odd = src(c, ty, 1);
+            for (int64_t t = 0; t < w_ / 2; ++t) {
+              dst[2 * t] = even[t];
+              dst[2 * t + 1] = odd[t];
+            }
+            if (w_ % 2 != 0) dst[w_ - 1] = even[w_ / 2];
+          } else {
+            for (int64_t x = 0; x < w_; ++x) {
+              dst[x] = src(c, ty, x % s_)[x / s_];
+            }
+          }
+        }
+      }
+    }
+  }
+
+ private:
+  // The pixels (py + stride * ty, px + stride * tx) of dX.
+  struct Phase {
+    int64_t py, px;
+    PhaseAxis y, x;
+    const float* weight = nullptr;  // ci x taps: W flipped and transposed
+    ImageMatrix dy;                 // taps x (y.count * x.count)
+  };
+
+  int64_t ci_, s_, h_, w_, col_phases_;
+  int64_t phase_cols_ = 0;  // the largest strided phase's pixels
+  ConvImageView dy_view_;
+  std::vector<Phase> phases_;  // row phase major, column phase minor
+  std::vector<int32_t> koff_;
+  float* zero_row_ = nullptr;
+};
+
+}  // namespace
+
 Tensor Conv2d::Backward(const Tensor& grad_output) {
   POE_CHECK(!int8_serving_) << "int8-serving Conv2d cannot train";
   POE_CHECK(cached_input_.defined()) << "Backward before training Forward";
@@ -462,47 +636,63 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   const int64_t out_w = ConvOutSize(w, kernel_, pad_, stride_);
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t ohw = out_h * out_w;
+  const int64_t chw = in_channels_ * h * w;
   POE_CHECK_EQ(grad_output.dim(0), batch);
   POE_CHECK_EQ(grad_output.dim(1), out_channels_);
 
-  Tensor grad_input = Tensor::Zeros(cached_input_.shape());
-  const float* wp = weight_.value.data();
+  // TransposedConv writes every element.
+  Tensor grad_input = Tensor::Uninitialized(cached_input_.shape());
   const float* in = cached_input_.data();
   const float* gout = grad_output.data();
   float* gin = grad_input.data();
 
-  // Deterministic dW/db reduction: the batch is split into a fixed number
-  // of parts, each accumulating into its own gradient slot, and the slots
-  // are summed in part order after the ParallelFor. The result does not
-  // depend on which thread ran which part, or on whether the parts ran
-  // inline because the pool was busy.
-  const int64_t parts = std::min<int64_t>(batch, NumThreads());
+  ScratchScope scope;
+  const TransposedConv dx(weight_.value.data(), in_channels_, out_channels_,
+                          kernel_, stride_, pad_, h, w, scope);
+  ConvImageView x_view;
+  x_view.channels = in_channels_;
+  x_view.height = h;
+  x_view.width = w;
+  x_view.kernel = kernel_;
+  x_view.pad = pad_;
+  x_view.stride = stride_;
+  const int64_t x_elems = DirectImageElems(x_view);
+
+  // Deterministic dW/db reduction: the batch is split into parts of
+  // kGradRowsPerPart rows, each accumulating into its own gradient slot
+  // (dW^T, ckk x out_c, then db), and the slots are summed in part order
+  // after the ParallelFor. The partition depends on the batch alone, so
+  // the result does not depend on the thread count, on which thread ran
+  // which part, or on whether the parts ran inline because the pool was
+  // busy. A part's first row writes its dW slot (beta 0), so the slots
+  // need no zero fill.
+  const int64_t parts = (batch + kGradRowsPerPart - 1) / kGradRowsPerPart;
   const int64_t dw_size = out_channels_ * ckk;
   const int64_t slot_size = dw_size + (has_bias_ ? out_channels_ : 0);
-  std::vector<float> slots(static_cast<size_t>(parts * slot_size), 0.0f);
+  float* slots = scope.Alloc(parts * slot_size);
   ParallelFor(
       parts,
       [&](int64_t part_begin, int64_t part_end) {
-        ScratchScope scope;
-        float* cols = scope.Alloc(ckk * ohw);
-        float* dcols = scope.Alloc(ckk * ohw);
+        ScratchScope part_scope;
+        ConvImageView xv = x_view;
+        float* x_buf = x_elems > 0 ? part_scope.Alloc(x_elems) : nullptr;
+        float* dx_scratch = part_scope.Alloc(dx.ScratchElems());
         for (int64_t part = part_begin; part < part_end; ++part) {
-          float* dw_local = slots.data() + part * slot_size;
+          float* dw_local = slots + part * slot_size;
           float* db_local = dw_local + dw_size;
-          const int64_t end = (part + 1) * batch / parts;
-          for (int64_t b = part * batch / parts; b < end; ++b) {
+          if (has_bias_) std::fill(db_local, db_local + out_channels_, 0.0f);
+          const int64_t begin = part * kGradRowsPerPart;
+          const int64_t end = std::min(batch, begin + kGradRowsPerPart);
+          for (int64_t b = begin; b < end; ++b) {
             const float* gout_b = gout + b * out_channels_ * ohw;
-            // Recompute the unfolding (cheaper than caching it per batch).
-            Im2Col(in + b * in_channels_ * h * w, in_channels_, h, w,
-                   kernel_, kernel_, pad_, stride_, cols);
-            // dW += dY_b (out_c x ohw) * cols_b^T (ohw x ckk).
-            GemmSeq(false, true, out_channels_, ckk, ohw, 1.0f, gout_b, cols,
-                    1.0f, dw_local);
-            // dcols = W^T (ckk x out_c) * dY_b (out_c x ohw).
-            GemmSeq(true, false, ckk, ohw, out_channels_, 1.0f, wp, gout_b,
-                    0.0f, dcols);
-            Col2Im(dcols, in_channels_, h, w, kernel_, kernel_, pad_,
-                   stride_, gin + b * in_channels_ * h * w);
+            // dW^T += vcol(x_b) (ckk x ohw) * dY_b^T (ohw x out_c), the
+            // GEMM reading vcol from the refilled padded input.
+            if (x_buf != nullptr) FillDirectImage(in + b * chw, xv, x_buf);
+            xv.padded = x_buf != nullptr ? x_buf : in + b * chw;
+            GemmConvAEx(xv, out_channels_, gout_b, /*trans_b=*/true, 1.0f,
+                        b == begin ? 0.0f : 1.0f, dw_local,
+                        /*parallel=*/false);
+            dx.Run(gout_b, dx_scratch, gin + b * chw);
             if (has_bias_) {
               for (int64_t oc = 0; oc < out_channels_; ++oc) {
                 const float* row = gout_b + oc * ohw;
@@ -516,15 +706,28 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
       },
       /*min_chunk=*/1);
 
+  // Each element sums the (transposed) slots in part order, whatever
+  // chunk of output channels it is in.
   float* dw = weight_.grad.data();
-  for (int64_t part = 0; part < parts; ++part) {
-    const float* slot = slots.data() + part * slot_size;
-    for (int64_t i = 0; i < dw_size; ++i) dw[i] += slot[i];
-    if (has_bias_) {
-      float* db = bias_.grad.data();
-      for (int64_t oc = 0; oc < out_channels_; ++oc) {
-        db[oc] += slot[dw_size + oc];
-      }
+  ParallelFor(
+      out_channels_,
+      [&](int64_t oc0, int64_t oc1) {
+        for (int64_t part = 0; part < parts; ++part) {
+          const float* slot = slots + part * slot_size;
+          for (int64_t oc = oc0; oc < oc1; ++oc) {
+            float* row = dw + oc * ckk;
+            for (int64_t i = 0; i < ckk; ++i) {
+              row[i] += slot[i * out_channels_ + oc];
+            }
+          }
+        }
+      },
+      /*min_chunk=*/std::max<int64_t>(1, (1 << 14) / ckk));
+  if (has_bias_) {
+    float* db = bias_.grad.data();
+    for (int64_t part = 0; part < parts; ++part) {
+      const float* slot = slots + part * slot_size + dw_size;
+      for (int64_t oc = 0; oc < out_channels_; ++oc) db[oc] += slot[oc];
     }
   }
   return grad_input;

@@ -1,8 +1,9 @@
 // 2-D convolution layer lowered to GEMM, batch-parallel. Forwards (f32
 // inference and training, int8 serving, any stride) run im2col-free: the
 // GEMM reads its B operand in place from a zero-padded image view
-// (tensor/conv_direct.h), bitwise identical to the im2col lowering, which
-// backs the backward pass.
+// (tensor/conv_direct.h), bitwise identical to the im2col lowering. The
+// backward is im2col-free too: dX is a direct transposed conv over the
+// padded dY, and the dW GEMM reads the padded input image in place.
 #ifndef POE_NN_CONV2D_H_
 #define POE_NN_CONV2D_H_
 
@@ -31,7 +32,9 @@ class ScratchScope;
 /// padded-image buffer (and the im2col buffer where that lowering runs)
 /// come from the per-thread arena, 1x1/stride-1 convolutions skip the
 /// unfold entirely, and bias (+ fused ReLU at inference) is applied by the
-/// GEMM epilogue instead of a second pass over the output.
+/// GEMM epilogue instead of a second pass over the output. Backward
+/// draws its padded images, flipped weights and gradient slots from the
+/// arena too.
 class Conv2d : public Module {
  public:
   Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
@@ -39,6 +42,10 @@ class Conv2d : public Module {
 
   Tensor Forward(const Tensor& input, bool training) override;
   Tensor Backward(const Tensor& grad_output) override;
+  /// Backward sums dW and db over parts of this many batch rows, each
+  /// into its own slot, then the slots in part order: the result depends
+  /// on the batch alone, never on the thread count.
+  static constexpr int64_t kGradRowsPerPart = 8;
   void CollectParameters(std::vector<Parameter*>* out) override;
   bool CanFuseRelu() const override { return true; }
   Tensor ForwardFusedRelu(const Tensor& input) override;

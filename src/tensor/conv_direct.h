@@ -5,7 +5,9 @@
 //
 // A per-call table maps each k step to its tap's offset at output pixel
 // (0, 0), and the pixels of one output row are contiguous in the image, so
-// no B panel is written (gemm.cc DirectB, gemm_s8.cc GemmS8ConvPackedA).
+// no B panel is written (gemm.h ImageMatrix, gemm_s8.cc
+// GemmS8ConvPackedA). Conv backward reads the same tables: the dW GEMM
+// takes the image as its A operand (GemmConvAEx).
 // For stride s > 1 the image is stored column-phase split: padded column x
 // lives in phase plane x % s at position x / s, so the taps of one output
 // row are again contiguous and the offset table absorbs the phase. Panels

@@ -30,24 +30,31 @@ constexpr int64_t kNC = 1024;
 constexpr int64_t kMaxMR = 16;
 constexpr int64_t kMaxNR = 64;
 
-// A micro-kernel computes acc[r*nr + c] = sum_p a[p*mr + r] * b(p, c)
-// over a packed A panel (acc is overwritten, never read). Scaling by
-// alpha, the beta-accumulate into C, and the epilogue all happen in
-// StoreTile.
+// A micro-kernel computes acc[r*nr + c] = sum_p a(r, p) * b(p, c) over
+// one register tile (acc is overwritten, never read). Scaling by alpha,
+// the beta-accumulate into C, and the epilogue all happen in StoreTile.
 //
-// Each tile shape comes in two forms that differ only in where the
-// k-step's B row is loaded from:
-//   - packed: b(p, c) = b[p*nr + c], a panel written by PackB;
-//   - direct: b(p, c) = seg[c / S][koff[p] + c % S], NR/S segments of S
+// Each tile shape comes in forms that differ only in where a k-step's
+// operands are loaded from:
+//   - packed: a(r, p) = a[p*mr + r] and b(p, c) = b[p*nr + c], panels
+//     written by PackA and PackB;
+//   - direct B: b(p, c) = seg[c / S][koff[p] + c % S], NR/S segments of S
 //     contiguous floats read straight from a padded conv image (S is the
-//     kernel's segment width; see DirectB below). No panel is written.
-// Both forms run the identical FMA chain per accumulator, so a product is
+//     kernel's segment width; see ImageMatrix in gemm.h). No B panel is
+//     written;
+//   - image A: a(r, p) = arow[r][poff[p]], the broadcast scalars read
+//     straight from the image rows of an ImageMatrix, B packed. No A
+//     panel is written.
+// All forms run the identical FMA chain per accumulator, so a product is
 // bitwise the same whichever form computed a tile.
 using MicroKernelFn = void (*)(int64_t kc, const float* a, const float* b,
                                float* acc);
 using DirectKernelFn = void (*)(int64_t kc, const float* a,
                                 const float* const* seg,
                                 const int32_t* koff, float* acc);
+using ImageAKernelFn = void (*)(int64_t kc, const float* const* arow,
+                                const int32_t* poff, const float* b,
+                                float* acc);
 
 // A direct form and the segment width S it loads.
 struct DirectForm {
@@ -60,20 +67,22 @@ struct Kernel {
   MicroKernelFn fn;
   const char* name;
   DirectForm direct[2];  // widest segment first
+  ImageAKernelFn image_a;
 };
 
 // Portable fallback: 6x16 accumulator block in plain C. The fixed trip
 // counts let the compiler unroll and vectorize for whatever the build
-// targets. kSeg == 0 reads packed panels; kSeg == 1 reads each of the 16
+// targets. kSeg == 0 reads packed B panels; kSeg == 1 reads each of the 16
 // lanes through its own segment pointer, so the direct form covers any
-// output width.
-template <int kSeg>
-void MicroKernel6x16Scalar(int64_t kc, const float* a, const float* b,
-                           const float* const* seg, const int32_t* koff,
-                           float* acc) {
+// output width. kImageA reads A from its image rows.
+template <int kSeg, bool kImageA>
+void MicroKernel6x16Scalar(int64_t kc, const float* a,
+                           const float* const* arow, const int32_t* poff,
+                           const float* b, const float* const* seg,
+                           const int32_t* koff, float* acc) {
   float c[6 * 16];
   std::memset(c, 0, sizeof(c));
-  for (int64_t p = 0; p < kc; ++p, a += 6) {
+  for (int64_t p = 0; p < kc; ++p) {
     float bv[16];
     if constexpr (kSeg == 0) {
       std::memcpy(bv, b, sizeof(bv));
@@ -83,31 +92,42 @@ void MicroKernel6x16Scalar(int64_t kc, const float* a, const float* b,
       for (int j = 0; j < 16; ++j) bv[j] = seg[j][off];
     }
     for (int r = 0; r < 6; ++r) {
-      const float av = a[r];
+      const float av = kImageA ? arow[r][poff[p]] : a[r];
       for (int j = 0; j < 16; ++j) c[r * 16 + j] += av * bv[j];
     }
+    if constexpr (!kImageA) a += 6;
   }
   std::memcpy(acc, c, sizeof(c));
 }
 
 void MicroKernel6x16ScalarPacked(int64_t kc, const float* a, const float* b,
                                  float* acc) {
-  MicroKernel6x16Scalar<0>(kc, a, b, nullptr, nullptr, acc);
+  MicroKernel6x16Scalar<0, false>(kc, a, nullptr, nullptr, b, nullptr,
+                                  nullptr, acc);
 }
 
 void MicroKernel6x16ScalarDirect(int64_t kc, const float* a,
                                  const float* const* seg,
                                  const int32_t* koff, float* acc) {
-  MicroKernel6x16Scalar<1>(kc, a, nullptr, seg, koff, acc);
+  MicroKernel6x16Scalar<1, false>(kc, a, nullptr, nullptr, nullptr, seg,
+                                  koff, acc);
+}
+
+void MicroKernel6x16ScalarImageA(int64_t kc, const float* const* arow,
+                                 const int32_t* poff, const float* b,
+                                 float* acc) {
+  MicroKernel6x16Scalar<0, true>(kc, nullptr, arow, poff, b, nullptr,
+                                 nullptr, acc);
 }
 
 #ifdef POE_GEMM_X86
 
 // 6x16 register tile: 12 fp32x8 accumulators + 2 B vectors + 1 broadcast
 // fills 15 of the 16 ymm registers. Direct form: two 8-float segments.
-template <int kSeg>
+template <int kSeg, bool kImageA>
 __attribute__((target("avx2,fma"), always_inline)) inline void
-MicroKernel6x16Avx2(int64_t kc, const float* a, const float* b,
+MicroKernel6x16Avx2(int64_t kc, const float* a, const float* const* arow,
+                    const int32_t* poff, const float* b,
                     const float* const* seg, const int32_t* koff,
                     float* acc) {
   __m256 c0[6], c1[6];
@@ -115,7 +135,7 @@ MicroKernel6x16Avx2(int64_t kc, const float* a, const float* b,
     c0[r] = _mm256_setzero_ps();
     c1[r] = _mm256_setzero_ps();
   }
-  for (int64_t p = 0; p < kc; ++p, a += 6) {
+  for (int64_t p = 0; p < kc; ++p) {
     __m256 b0, b1;
     if constexpr (kSeg == 0) {
       b0 = _mm256_loadu_ps(b);
@@ -127,12 +147,14 @@ MicroKernel6x16Avx2(int64_t kc, const float* a, const float* b,
       b0 = _mm256_loadu_ps(seg[0] + off);
       b1 = _mm256_loadu_ps(seg[1] + off);
     }
+    const int32_t aoff = kImageA ? poff[p] : 0;
 #pragma GCC unroll 6
     for (int r = 0; r < 6; ++r) {
-      const __m256 av = _mm256_set1_ps(a[r]);
+      const __m256 av = _mm256_set1_ps(kImageA ? arow[r][aoff] : a[r]);
       c0[r] = _mm256_fmadd_ps(av, b0, c0[r]);
       c1[r] = _mm256_fmadd_ps(av, b1, c1[r]);
     }
+    if constexpr (!kImageA) a += 6;
   }
   for (int r = 0; r < 6; ++r) {
     _mm256_storeu_ps(acc + r * 16, c0[r]);
@@ -142,13 +164,22 @@ MicroKernel6x16Avx2(int64_t kc, const float* a, const float* b,
 
 __attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2Packed(
     int64_t kc, const float* a, const float* b, float* acc) {
-  MicroKernel6x16Avx2<0>(kc, a, b, nullptr, nullptr, acc);
+  MicroKernel6x16Avx2<0, false>(kc, a, nullptr, nullptr, b, nullptr, nullptr,
+                                acc);
 }
 
 __attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2Direct8(
     int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
     float* acc) {
-  MicroKernel6x16Avx2<8>(kc, a, nullptr, seg, koff, acc);
+  MicroKernel6x16Avx2<8, false>(kc, a, nullptr, nullptr, nullptr, seg, koff,
+                                acc);
+}
+
+__attribute__((target("avx2,fma"))) void MicroKernel6x16Avx2ImageA(
+    int64_t kc, const float* const* arow, const int32_t* poff,
+    const float* b, float* acc) {
+  MicroKernel6x16Avx2<0, true>(kc, nullptr, arow, poff, b, nullptr, nullptr,
+                               acc);
 }
 
 // One zmm from two 8-float loads: `lo` fills lanes 0-7, `hi` lanes 8-15.
@@ -163,9 +194,10 @@ __attribute__((target("avx512f"), always_inline)) inline __m512 LoadTwo8(
 // MR = 8 divides the 16-, 32- and 64-channel weights of WRN layers, so no
 // padding rows are computed. Direct forms: two 16-float segments, or four
 // 8-float segments joined pairwise (8-wide output rows).
-template <int kSeg>
+template <int kSeg, bool kImageA>
 __attribute__((target("avx512f"), always_inline)) inline void
-MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
+MicroKernel8x32Avx512(int64_t kc, const float* a, const float* const* arow,
+                      const int32_t* poff, const float* b,
                       const float* const* seg, const int32_t* koff,
                       float* acc) {
   __m512 c0[8], c1[8];
@@ -173,7 +205,7 @@ MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
     c0[r] = _mm512_setzero_ps();
     c1[r] = _mm512_setzero_ps();
   }
-  for (int64_t p = 0; p < kc; ++p, a += 8) {
+  for (int64_t p = 0; p < kc; ++p) {
     __m512 b0, b1;
     if constexpr (kSeg == 0) {
       b0 = _mm512_loadu_ps(b);
@@ -189,12 +221,14 @@ MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
       b0 = LoadTwo8(seg[0] + off, seg[1] + off);
       b1 = LoadTwo8(seg[2] + off, seg[3] + off);
     }
+    const int32_t aoff = kImageA ? poff[p] : 0;
 #pragma GCC unroll 8
     for (int r = 0; r < 8; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r]);
+      const __m512 av = _mm512_set1_ps(kImageA ? arow[r][aoff] : a[r]);
       c0[r] = _mm512_fmadd_ps(av, b0, c0[r]);
       c1[r] = _mm512_fmadd_ps(av, b1, c1[r]);
     }
+    if constexpr (!kImageA) a += 8;
   }
   for (int r = 0; r < 8; ++r) {
     _mm512_storeu_ps(acc + r * 32, c0[r]);
@@ -204,19 +238,48 @@ MicroKernel8x32Avx512(int64_t kc, const float* a, const float* b,
 
 __attribute__((target("avx512f"))) void MicroKernel8x32Avx512Packed(
     int64_t kc, const float* a, const float* b, float* acc) {
-  MicroKernel8x32Avx512<0>(kc, a, b, nullptr, nullptr, acc);
+  MicroKernel8x32Avx512<0, false>(kc, a, nullptr, nullptr, b, nullptr,
+                                  nullptr, acc);
 }
 
 __attribute__((target("avx512f"))) void MicroKernel8x32Avx512Direct16(
     int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
     float* acc) {
-  MicroKernel8x32Avx512<16>(kc, a, nullptr, seg, koff, acc);
+  MicroKernel8x32Avx512<16, false>(kc, a, nullptr, nullptr, nullptr, seg,
+                                   koff, acc);
 }
 
 __attribute__((target("avx512f"))) void MicroKernel8x32Avx512Direct8(
     int64_t kc, const float* a, const float* const* seg, const int32_t* koff,
     float* acc) {
-  MicroKernel8x32Avx512<8>(kc, a, nullptr, seg, koff, acc);
+  MicroKernel8x32Avx512<8, false>(kc, a, nullptr, nullptr, nullptr, seg,
+                                  koff, acc);
+}
+
+__attribute__((target("avx512f"))) void MicroKernel8x32Avx512ImageA(
+    int64_t kc, const float* const* arow, const int32_t* poff,
+    const float* b, float* acc) {
+  MicroKernel8x32Avx512<0, true>(kc, nullptr, arow, poff, b, nullptr,
+                                 nullptr, acc);
+}
+
+// 8x16 image-A tile for products 16 columns wide (a 16-channel conv's
+// weight gradient), which would leave half of every 8x32 tile idle: one
+// fp32x16 accumulator per row, the same FMA chain per element.
+__attribute__((target("avx512f"))) void MicroKernel8x16Avx512ImageA(
+    int64_t kc, const float* const* arow, const int32_t* poff,
+    const float* b, float* acc) {
+  __m512 c[8];
+  for (int r = 0; r < 8; ++r) c[r] = _mm512_setzero_ps();
+  for (int64_t p = 0; p < kc; ++p, b += 16) {
+    const __m512 b0 = _mm512_loadu_ps(b);
+    const int32_t aoff = poff[p];
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) {
+      c[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r][aoff]), b0, c[r]);
+    }
+  }
+  for (int r = 0; r < 8; ++r) _mm512_storeu_ps(acc + r * 16, c[r]);
 }
 
 #endif  // POE_GEMM_X86
@@ -229,7 +292,8 @@ const Kernel& PickKernel() {
     const char* env = std::getenv("POE_GEMM_KERNEL");
     const std::string want = env ? env : "";
     const Kernel scalar{6, 16, MicroKernel6x16ScalarPacked, "scalar",
-                        {{1, MicroKernel6x16ScalarDirect}}};
+                        {{1, MicroKernel6x16ScalarDirect}},
+                        MicroKernel6x16ScalarImageA};
     if (want == "scalar") return scalar;
 #ifdef POE_GEMM_X86
     const bool has_avx512 = __builtin_cpu_supports("avx512f");
@@ -237,9 +301,11 @@ const Kernel& PickKernel() {
         __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     const Kernel avx512{8, 32, MicroKernel8x32Avx512Packed, "avx512",
                         {{16, MicroKernel8x32Avx512Direct16},
-                         {8, MicroKernel8x32Avx512Direct8}}};
+                         {8, MicroKernel8x32Avx512Direct8}},
+                        MicroKernel8x32Avx512ImageA};
     const Kernel avx2{6, 16, MicroKernel6x16Avx2Packed, "avx2",
-                      {{8, MicroKernel6x16Avx2Direct8}}};
+                      {{8, MicroKernel6x16Avx2Direct8}},
+                      MicroKernel6x16Avx2ImageA};
     if (want == "avx512" && has_avx512) return avx512;
     if (want == "avx2" && has_avx2) return avx2;
     if (has_avx512) return avx512;
@@ -248,6 +314,19 @@ const Kernel& PickKernel() {
     return scalar;
   }();
   return kernel;
+}
+
+// The kernel of an image-A product n columns wide: the dispatched one, or
+// the 8x16 AVX-512 tile when n fits it.
+const Kernel& PickImageAKernel(int64_t n) {
+#ifdef POE_GEMM_X86
+  static const Kernel narrow{8, 16, nullptr, "avx512", {},
+                             MicroKernel8x16Avx512ImageA};
+  if (n <= narrow.nr && PickKernel().fn == MicroKernel8x32Avx512Packed) {
+    return narrow;
+  }
+#endif
+  return PickKernel();
 }
 
 // Writes one micro-tile of the product into C: C = blk_beta*C + alpha*acc
@@ -329,27 +408,13 @@ inline const float* PrepackedBBlock(const float* packed, int64_t k,
   return packed + k * j0 + nc_pad * pc;
 }
 
-// op(B) of a direct convolution, read in place from the padded image
-// (see conv_direct.h): B(p, j) = image[koff[p] + ColOffset(j)]. koff maps
-// k row p = (c, kh, kw) to that tap's offset at output pixel (0, 0), and
-// ColOffset(j) moves it to output pixel (j / out_w, j % out_w).
-struct DirectB {
-  const float* image = nullptr;
-  const int32_t* koff = nullptr;
-  int64_t n = 0, out_w = 0, row_step = 0;
-
-  int64_t ColOffset(int64_t j) const {
-    return (j / out_w) * row_step + j % out_w;
-  }
-};
-
 // Picks how the micro-panel of columns [j, j + nr) reads a direct B: the
 // widest direct form whose segments each lie inside one output row (so
 // their floats are contiguous in the image) and inside n, with seg[]
 // pointing at each segment's first column. Null when no form fits (a row
 // or N tail); the caller gathers that panel instead.
-DirectKernelFn PickDirectForm(const Kernel& kn, const DirectB& d, int64_t j,
-                              const float** seg) {
+DirectKernelFn PickDirectForm(const Kernel& kn, const ImageMatrix& d,
+                              int64_t j, const float** seg) {
   if (j + kn.nr > d.n) return nullptr;
   for (const DirectForm& form : kn.direct) {
     if (form.seg == 0) break;
@@ -369,7 +434,7 @@ DirectKernelFn PickDirectForm(const Kernel& kn, const DirectB& d, int64_t j,
 // Gathers the kc x nr block of a micro-panel no direct form covers into
 // `out` in the packed layout, zero past n: the same values a direct form
 // would load, for the packed kernel to read.
-void GatherPanel(const DirectB& d, int64_t pc, int64_t kc, int64_t j,
+void GatherPanel(const ImageMatrix& d, int64_t pc, int64_t kc, int64_t j,
                  int64_t nr, float* out) {
   const int64_t cols = std::min(nr, d.n - j);
   int64_t col_off[kMaxNR];
@@ -382,6 +447,13 @@ void GatherPanel(const DirectB& d, int64_t pc, int64_t kc, int64_t j,
   }
 }
 
+// op(A) read in place from an image matrix: A = V (m = v.k, k = v.n), row
+// i at image + koff[i], column p at poff[p] = v.ColOffset(p).
+struct ImageA {
+  const ImageMatrix* v;
+  const int32_t* poff;
+};
+
 // What StoreTile needs for every tile of one (row tile, k-block).
 struct TileStore {
   float alpha, blk_beta;
@@ -392,14 +464,16 @@ struct TileStore {
 };
 
 // Runs the register tiles of one NR-column micro-panel (columns j ..
-// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). B
-// comes from the packed panel `bp`, or, when `direct` is set, straight
-// from the conv image; `gather` (kc x nr floats) backs the panels no
-// direct form covers.
+// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). A
+// comes from the packed panel `a_pack`, or, when `image_a` is set,
+// straight from its image rows. B comes from the packed panel `bp`, or,
+// when `direct` is set, straight from the conv image; `gather` (kc x nr
+// floats) backs the panels no direct form covers.
 void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
-                   const float* a_pack, int64_t i0, int64_t mc,
-                   const float* bp, const DirectB* direct, float* gather,
-                   int64_t j, int64_t cols, const TileStore& st) {
+                   const float* a_pack, const ImageA* image_a, int64_t i0,
+                   int64_t mc, const float* bp, const ImageMatrix* direct,
+                   float* gather, int64_t j, int64_t cols,
+                   const TileStore& st) {
   const float* seg[kMaxNR];
   DirectKernelFn direct_fn = nullptr;
   if (direct != nullptr) {
@@ -411,6 +485,18 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
   }
   float acc[kMaxMR * kMaxNR];
   for (int64_t ip = 0; ip < mc; ip += kn.mr) {
+    if (image_a != nullptr) {
+      const float* arow[kMaxMR];
+      for (int64_t r = 0; r < kn.mr; ++r) {
+        // Rows past the tile repeat its last row; StoreTile drops them.
+        arow[r] = image_a->v->image +
+                  image_a->v->koff[i0 + std::min(ip + r, mc - 1)];
+      }
+      kn.image_a(kc, arow, image_a->poff + pc, bp, acc);
+      StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
+                st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
+      continue;
+    }
     const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
     if (direct_fn != nullptr) {
       direct_fn(kc, ap, seg, direct->koff + pc, acc);
@@ -424,8 +510,9 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
 
 // Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc): packs A/B blocks
 // into this thread's scratch arena (or indexes the persistent prepacked
-// panels when `prepacked_a` / `prepacked_b` are given, or reads a direct
-// conv B in place) and runs the micro-kernel over the register-tile grid.
+// panels when `prepacked_a` / `prepacked_b` are given, or reads an image
+// A or a direct conv B in place) and runs the micro-kernel over the
+// register-tile grid.
 // One task owns each C tile and accumulates k-blocks in a fixed order, so
 // results are identical under any thread schedule — and, because
 // prepacked panels are byte-identical to per-call packs and direct forms
@@ -434,8 +521,8 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, const float* b, float beta,
                  float* c, const GemmEpilogue& ep, const Kernel& kernel,
                  const float* prepacked_a, const float* prepacked_b,
-                 const DirectB* direct, int64_t i0, int64_t mc, int64_t j0,
-                 int64_t nc) {
+                 const ImageA* image_a, const ImageMatrix* direct,
+                 int64_t i0, int64_t mc, int64_t j0, int64_t nc) {
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t mc_pad = (mc + mr - 1) / mr * mr;
@@ -443,17 +530,18 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   const int64_t kc_max = std::min(k, kKC);
 
   ScratchScope scope;
-  float* a_buf = prepacked_a ? nullptr : scope.Alloc(mc_pad * kc_max);
+  float* a_buf =
+      prepacked_a || image_a ? nullptr : scope.Alloc(mc_pad * kc_max);
   float* b_buf =
       prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
   float* gather = direct ? scope.Alloc(kc_max * nr) : nullptr;
 
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    const float* a_pack;
+    const float* a_pack = nullptr;
     if (prepacked_a != nullptr) {
       a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-    } else {
+    } else if (image_a == nullptr) {
       PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
       a_pack = a_buf;
     }
@@ -467,7 +555,7 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const TileStore st{alpha, pc == 0 ? beta : 1.0f,
                        pc + kc >= k && !ep.empty(), &ep, c, n};
     for (int64_t jp = 0; jp < nc; jp += nr) {
-      RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
+      RunMicroPanel(kernel, pc, kc, a_pack, image_a, i0, mc,
                     b_pack ? b_pack + (jp / nr) * kc * nr : nullptr, direct,
                     gather, j0 + jp, std::min(nr, nc - jp), st);
     }
@@ -501,7 +589,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, const float* b, float beta,
                 float* c, const GemmEpilogue& ep, bool parallel,
                 const float* prepacked_a, const float* prepacked_b,
-                const DirectB* direct) {
+                const ImageA* image_a, const ImageMatrix* direct) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
@@ -511,7 +599,8 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     return;
   }
 
-  const Kernel& kernel = PickKernel();
+  const Kernel& kernel =
+      image_a != nullptr ? PickImageAKernel(n) : PickKernel();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
   // Macro-tile parallelism only when there are enough tiles to feed the
@@ -524,7 +613,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const int64_t i0 = rt * kMC;
       const int64_t j0 = ct * kNC;
       ComputeTile(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep,
-                  kernel, prepacked_a, prepacked_b, direct, i0,
+                  kernel, prepacked_a, prepacked_b, image_a, direct, i0,
                   std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
     });
     return;
@@ -556,7 +645,8 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const int64_t nc = std::min(kNC, n - j0);
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
-    float* a_buf = prepacked_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
+    float* a_buf =
+        prepacked_a || image_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
     float* b_buf =
         prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
     for (int64_t pc = 0; pc < k; pc += kKC) {
@@ -573,10 +663,10 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       for (int64_t rt = 0; rt < row_tiles; ++rt) {
         const int64_t i0 = rt * kMC;
         const int64_t mc = std::min(kMC, m - i0);
-        const float* a_pack;
+        const float* a_pack = nullptr;
         if (prepacked_a != nullptr) {
           a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-        } else {
+        } else if (image_a == nullptr) {
           PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
           a_pack = a_buf;
         }
@@ -585,7 +675,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* gather = direct ? panel_scope.Alloc(kc * nr) : nullptr;
           for (int64_t jb = jb0; jb < jb1; ++jb) {
             const int64_t jp = jb * nr;
-            RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
+            RunMicroPanel(kernel, pc, kc, a_pack, image_a, i0, mc,
                           b_pack ? b_pack + jb * kc * nr : nullptr, direct,
                           gather, j0 + jp, std::min(nr, nc - jp), st);
           }
@@ -601,21 +691,23 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   }
 }
 
-// The k-row offset table of a direct conv operand, built once per call
-// into this thread's table (a GEMM never re-enters itself on one thread;
-// sub-tile workers only read the caller's table behind its barrier).
-DirectB MakeDirectB(const ConvImageView& img) {
+// The virtual im2col matrix of `img`, its k-row offset table built once
+// per call into this thread's table (a GEMM never re-enters itself on one
+// thread; sub-tile workers only read the caller's table behind its
+// barrier).
+ImageMatrix ConvImageMatrix(const ConvImageView& img) {
   thread_local std::vector<int32_t> koff;
   POE_CHECK_LE(DirectImageElems(img), int64_t{INT32_MAX});
   koff.resize(static_cast<size_t>(img.depth()));
   TapOffsets(img, koff.data());
-  DirectB d;
-  d.image = img.padded;
-  d.koff = koff.data();
-  d.n = img.cols();
-  d.out_w = img.out_w();
-  d.row_step = img.stride * img.phase_w();
-  return d;
+  ImageMatrix v;
+  v.image = img.padded;
+  v.koff = koff.data();
+  v.k = img.depth();
+  v.n = img.cols();
+  v.out_w = img.out_w();
+  v.row_step = img.stride * img.phase_w();
+  return v;
 }
 
 }  // namespace
@@ -625,16 +717,42 @@ void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const GemmEpilogue& ep, bool parallel) {
   GemmExImpl(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep, parallel,
              /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*direct=*/nullptr);
+             /*image_a=*/nullptr, /*direct=*/nullptr);
+}
+
+void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
+                 float alpha, float beta, float* c, const GemmEpilogue& ep,
+                 bool parallel) {
+  GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, v.n, v.k, alpha, a,
+             /*b=*/nullptr, beta, c, ep, parallel, /*prepacked_a=*/nullptr,
+             /*prepacked_b=*/nullptr, /*image_a=*/nullptr, &v);
+}
+
+void GemmImageAEx(const ImageMatrix& v, int64_t n, const float* b,
+                  bool trans_b, float alpha, float beta, float* c,
+                  bool parallel) {
+  thread_local std::vector<int32_t> poff;
+  poff.resize(static_cast<size_t>(v.n));
+  for (int64_t p = 0; p < v.n; ++p) {
+    poff[p] = static_cast<int32_t>(v.ColOffset(p));
+  }
+  const ImageA image_a{&v, poff.data()};
+  GemmExImpl(/*trans_a=*/false, trans_b, v.k, n, v.n, alpha, /*a=*/nullptr,
+             b, beta, c, GemmEpilogue{}, parallel, /*prepacked_a=*/nullptr,
+             /*prepacked_b=*/nullptr, &image_a, /*direct=*/nullptr);
 }
 
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel) {
-  const DirectB direct = MakeDirectB(img);
-  GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, img.cols(),
-             img.depth(), alpha, a, /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &direct);
+  GemmImageEx(m, a, ConvImageMatrix(img), alpha, beta, c, ep, parallel);
+}
+
+void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
+                 bool trans_b, float alpha, float beta, float* c,
+                 bool parallel) {
+  GemmImageAEx(ConvImageMatrix(img), n, b, trans_b, alpha, beta, c,
+               parallel);
 }
 
 PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,
@@ -695,7 +813,8 @@ void GemmPackedA(const PackedAWeights& a, int64_t n, const float* b,
   POE_CHECK(!a.empty()) << "GemmPackedA on unpacked weights";
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_, alpha,
              /*a=*/nullptr, b, beta, c, ep, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*direct=*/nullptr);
+             /*prepacked_b=*/nullptr, /*image_a=*/nullptr,
+             /*direct=*/nullptr);
 }
 
 void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
@@ -703,10 +822,11 @@ void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
                      bool parallel) {
   POE_CHECK(!a.empty()) << "GemmConvPackedA on unpacked weights";
   POE_CHECK_EQ(a.k_, img.depth());
-  const DirectB direct = MakeDirectB(img);
+  const ImageMatrix direct = ConvImageMatrix(img);
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
              alpha, /*a=*/nullptr, /*b=*/nullptr, beta, c, ep, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, &direct);
+             a.data_.data(), /*prepacked_b=*/nullptr, /*image_a=*/nullptr,
+             &direct);
 }
 
 void GemmPackedB(int64_t m, const float* a, bool trans_a,
@@ -715,7 +835,8 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
   POE_CHECK(!b.empty()) << "GemmPackedB on unpacked weights";
   GemmExImpl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, alpha, a,
              /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, b.data_.data(), /*direct=*/nullptr);
+             /*prepacked_a=*/nullptr, b.data_.data(), /*image_a=*/nullptr,
+             /*direct=*/nullptr);
 }
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,

@@ -1,6 +1,6 @@
 // Blocked, packed, SIMD-dispatched single-precision GEMM used by conv
-// (direct, or via im2col in the backward) and linear layers. See
-// docs/PERF.md for the design.
+// (forward and backward read their image operands in place) and linear
+// layers. See docs/PERF.md for the design.
 #ifndef POE_TENSOR_GEMM_H_
 #define POE_TENSOR_GEMM_H_
 
@@ -154,17 +154,59 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
                  const PackedBWeights& b, float alpha, float beta, float* c,
                  const GemmEpilogue& ep, bool parallel);
 
+/// A k x n matrix read in place from an image through a tap-offset
+/// table: V(p, j) = image[koff[p] + ColOffset(j)]. Row p is one tap's view
+/// of an output grid `out_w` pixels wide whose rows lie `row_step` image
+/// elements apart, so the run of one output row is contiguous. The
+/// virtual im2col matrix of a ConvImageView is one (koff = TapOffsets);
+/// conv backward builds others (a transposed conv's phase taps).
+struct ImageMatrix {
+  const float* image = nullptr;
+  const int32_t* koff = nullptr;  ///< k entries
+  int64_t k = 0, n = 0, out_w = 0, row_step = 0;
+
+  int64_t ColOffset(int64_t j) const {
+    return (j / out_w) * row_step + j % out_w;
+  }
+};
+
+/// C (m x v.n) = alpha * A * V + beta * C, A the m x v.k row-major
+/// matrix. The micro-kernel reads its B rows in place from the image; no
+/// B panel is packed. Bitwise identical to GemmEx over the materialized V
+/// on every kernel tier, because each output element runs the same FMA
+/// chain over k (see conv_direct.h).
+void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
+                 float alpha, float beta, float* c, const GemmEpilogue& ep,
+                 bool parallel);
+
+/// C (v.k x n) = alpha * V * op(B) + beta * C: the image matrix as the A
+/// operand, its rows read in place as the micro-kernel's broadcast
+/// scalars (no A panel is packed). op(B) is B (v.n x n) when !trans_b,
+/// else B^T with B stored (n x v.n). A conv's weight gradient is
+/// dW^T = vcol(x) * dY^T. Each C element runs the FMA chain over k of
+/// GemmEx over the materialized V, and, FMA being commutative, that of
+/// the transposed product GemmEx(!trans_b, true, n, v.k, v.n, B, V): C^T
+/// is bitwise that product on every kernel tier.
+void GemmImageAEx(const ImageMatrix& v, int64_t n, const float* b,
+                  bool trans_b, float alpha, float beta, float* c,
+                  bool parallel);
+
 /// Direct (im2col-free) convolution as GEMM: C (m x img.cols()) =
 /// alpha * A * vcol(img) + beta * C, where vcol(img) is the virtual
 /// im2col matrix of the padded image (img.depth() x img.cols()), any
-/// stride. The micro-kernel reads its B rows in place from the image; no
-/// B panel is packed. A is the m x img.depth() row-major weight matrix.
-/// Bitwise identical to GemmEx over the materialized im2col matrix on
-/// every kernel tier, because each output element runs the same FMA chain
-/// over k (see conv_direct.h).
+/// stride: GemmImageEx over the view's tap table. A is the m x
+/// img.depth() row-major weight matrix.
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel);
+
+/// C (img.depth() x n) = alpha * vcol(img) * op(B) + beta * C:
+/// GemmImageAEx over the view's tap table. With B = dY (n x img.cols(),
+/// trans_b) it is the transposed weight gradient of a conv whose padded
+/// input is `img`.
+void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
+                 bool trans_b, float alpha, float beta, float* c,
+                 bool parallel);
 
 /// GemmConvEx with the weight operand pre-packed (the serving hot path:
 /// prepacked weights x virtual im2col). Same bitwise guarantee.

@@ -92,40 +92,4 @@ void Im2Col(const int8_t* image, int64_t channels, int64_t height,
           columns, group);
 }
 
-void Col2Im(const float* columns, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
-            int64_t stride, float* image_grad) {
-  const int64_t out_h = ConvOutSize(height, kernel_h, pad, stride);
-  const int64_t out_w = ConvOutSize(width, kernel_w, pad, stride);
-  const int64_t out_hw = out_h * out_w;
-  int64_t row = 0;
-  for (int64_t c = 0; c < channels; ++c) {
-    float* img_c = image_grad + c * height * width;
-    for (int64_t kh = 0; kh < kernel_h; ++kh) {
-      for (int64_t kw = 0; kw < kernel_w; ++kw, ++row) {
-        const ValidSpan span = ValidOutputColumns(width, out_w, kw, pad,
-                                                  stride);
-        const float* col_row = columns + row * out_hw;
-        for (int64_t oh = 0; oh < out_h; ++oh) {
-          const int64_t ih = oh * stride - pad + kh;
-          if (ih < 0 || ih >= height) continue;
-          // Distinct ow hit distinct image elements, so each element still
-          // receives its adds in (c, kh, kw, oh) order.
-          float* dst = img_c + ih * width;
-          const float* src = col_row + oh * out_w;
-          const int64_t shift = kw - pad;
-          if (stride == 1) {
-            float* d = dst + span.lo + shift;
-            const float* s = src + span.lo;
-            for (int64_t i = 0; i < span.hi - span.lo; ++i) d[i] += s[i];
-          } else {
-            for (int64_t ow = span.lo; ow < span.hi; ++ow)
-              dst[ow * stride + shift] += src[ow];
-          }
-        }
-      }
-    }
-  }
-}
-
 }  // namespace poe

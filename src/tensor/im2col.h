@@ -1,16 +1,15 @@
-// im2col / col2im transforms backing convolution as GEMM.
+// im2col: the column-matrix lowering of convolution as GEMM.
 //
-// Forwards no longer materialize these matrices: the direct path
-// (tensor/conv_direct.h) reads the GEMM's B operand straight from a
-// zero-padded image view, bitwise identical to im2col + GEMM. What stays
-// on the im2col route is the backward pass (Im2Col re-unfolds the cached
-// input for dW, Col2Im folds dX back) and the POE_CONV_PATH=im2col pin.
+// No training or serving path materializes these matrices by default:
+// forwards read the GEMM's B operand straight from a zero-padded image
+// view (tensor/conv_direct.h), bitwise identical to im2col + GEMM, and
+// the backward reads the same views (Conv2d::Backward). Im2Col backs the
+// POE_CONV_PATH=im2col pin and the tests' references.
 //
-// Both transforms work a column-matrix row at a time: for each kernel
-// column kw the in-range output columns form one span [ow_lo, ow_hi), so a
-// row is a zero fill, a copy (a memcpy at stride 1) and a zero fill, with
-// no per-element bounds test. Col2Im adds into each image element in the
-// same order as the plain element loop.
+// The unfold works a column-matrix row at a time: for each kernel column
+// kw the in-range output columns form one span [ow_lo, ow_hi), so a row
+// is a zero fill, a copy (a memcpy at stride 1) and a zero fill, with no
+// per-element bounds test.
 #ifndef POE_TENSOR_IM2COL_H_
 #define POE_TENSOR_IM2COL_H_
 
@@ -33,12 +32,6 @@ void Im2Col(const float* image, int64_t channels, int64_t height,
 void Im2Col(const int8_t* image, int64_t channels, int64_t height,
             int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
             int64_t stride, int8_t* columns, int64_t group = 1);
-
-/// Inverse accumulation of Im2Col: scatters the column matrix back into the
-/// image gradient (adds into `image_grad`, which the caller must zero).
-void Col2Im(const float* columns, int64_t channels, int64_t height,
-            int64_t width, int64_t kernel_h, int64_t kernel_w, int64_t pad,
-            int64_t stride, float* image_grad);
 
 /// Output spatial size for a conv dimension.
 inline int64_t ConvOutSize(int64_t in, int64_t kernel, int64_t pad,

@@ -1,6 +1,8 @@
 // Panel packing for the blocked GEMM (see gemm.cc and docs/PERF.md).
-// Direct convolutions pack only A: their B operand is read in place from
-// the padded image (see conv_direct.h), so no conv B packer exists.
+// Conv GEMMs never pack their image operand: a forward or dX product
+// reads B in place from the padded image and packs only the weights (A),
+// and a dW product reads A in place and packs only dY (B). No conv image
+// packer exists.
 #ifndef POE_TENSOR_PACK_H_
 #define POE_TENSOR_PACK_H_
 
