@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -629,6 +630,96 @@ TEST(BasicBlockFusionTest, FusedMatchesUnfusedChainGrid) {
       }
     }
   }
+}
+
+// conv1's fused int8 images must hold QuantizeBufferS8(BnAffineRelu(y))
+// of conv1's own output y, on every row and column path. Random data
+// rarely lands within an ulp of a quantization boundary, where an FMA and
+// a separate multiply and add part ways, so each channel's BN is placed
+// to put one pixel there: with P = fl(scale * y) and shift = 10.5 - P,
+// the multiply and add give exactly 10.5 (quantized 11 at scale 1), while
+// an FMA keeps the product's rounding error e < 0 and gives 10.5 + e
+// (quantized 10). BnAffine is an FMA in builds that target FMA and a
+// multiply and add otherwise, so an epilogue doing the other fails: an
+// FMA in the int8 column epilogue of a POE_NATIVE=OFF build, say.
+TEST(BasicBlockFusionTest, Int8ImagesHoldQuantizedBnOnRoundingBoundaries) {
+  const int64_t in_c = 16, out_c = 32, hw = 8, batch = 2;
+  Rng rng(29);
+  Conv2d producer(in_c, out_c, /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
+  Conv2d consumer(out_c, out_c, /*kernel=*/3, /*stride=*/1, /*pad=*/1, rng);
+  const Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
+  producer.BeginActivationCalibration();
+  producer.Forward(x, false);
+  producer.FinishActivationCalibration();
+  producer.PrepareInt8Serving();
+  consumer.PrepareInt8Serving();
+  consumer.set_static_act_scale(1.0f);  // quantization boundaries at k + .5
+  ASSERT_TRUE(consumer.TakesInt8Images());
+  const Tensor y = producer.Forward(x, false);
+
+  constexpr float kBoundary = 10.5f;
+  const int64_t plane = hw * hw;
+  std::vector<float> scale(out_c), shift(out_c);
+  std::vector<int64_t> target(out_c, -1);
+  for (int64_t c = 0; c < out_c; ++c) {
+    const float* yc = y.data() + c * plane;  // image 0
+    for (int64_t i = 0; i < plane && target[c] < 0; ++i) {
+      if (std::fabs(yc[i]) < 1e-3f) continue;
+      const float s = 100.0f / yc[i];
+      const float product = s * yc[i];
+      const double e = static_cast<double>(s) * yc[i] - product;
+      // |e| past half an ulp of the boundary, so the FMA's sum rounds
+      // below it.
+      if (e < -std::ldexp(1.0, -21)) {
+        scale[c] = s;
+        shift[c] = kBoundary - product;
+        target[c] = i;
+      }
+    }
+    ASSERT_GE(target[c], 0) << "channel " << c;
+  }
+
+  ScratchScope scope;
+  const ConvInputImages images =
+      consumer.AllocInputImages(scope, batch, hw, hw);
+  ConvTileEpilogue epilogue;
+  epilogue.bn_scale = scale.data();
+  epilogue.bn_shift = shift.data();
+  epilogue.next = &images;
+  EXPECT_FALSE(producer.ForwardFused(x, epilogue).defined());
+
+  const ConvImageViewS8& v = images.view;
+  std::vector<float> bn(plane);
+  std::vector<int8_t> want(plane);
+  int64_t mismatches = 0;
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t c = 0; c < out_c; ++c) {
+      const float* yc = y.data() + (b * out_c + c) * plane;
+      for (int64_t i = 0; i < plane; ++i) {
+        bn[i] = BnAffineRelu(yc[i], scale[c], shift[c]);
+      }
+      QuantizeBufferS8(bn.data(), plane, images.inv_scale, want.data());
+      if (b == 0) {  // the target pixel tells the two apart
+        const float fused = std::fma(scale[c], yc[target[c]], shift[c]);
+        ASSERT_EQ(QuantizeOneS8(fused, images.inv_scale), 10);
+        ASSERT_EQ(QuantizeOneS8(kBoundary, images.inv_scale), 11);
+      }
+      const int8_t* image = images.data + b * images.elems;
+      for (int64_t i = 0; i < plane; ++i) {
+        const int64_t py = i / hw + v.pad, px = i % hw + v.pad;
+        const int8_t got =
+            image[(((c / v.group) * v.padded_h() + py) * v.padded_w() + px) *
+                      v.group +
+                  c % v.group];
+        if (got != want[i] && mismatches++ < 5) {
+          ADD_FAILURE() << "image " << b << " channel " << c << " pixel "
+                        << i << ": " << int{got} << ", want "
+                        << int{want[i]};
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // Quantizing into a next conv's images is an int8 conv's job: an f32
