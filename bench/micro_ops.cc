@@ -375,19 +375,59 @@ BENCHMARK(BM_BasicBlockInt8Calibrated)
     ->Args({16, 32, 32, 2})
     ->Args({32, 32, 16, 1});
 
-void BM_Conv2dBackward(benchmark::State& state) {
-  const int64_t channels = state.range(0);
+// WRN-16 training convolutions at the training batch (64): the training
+// forward and the backward (dX and dW) of each shape, so the two read as
+// a ratio; args are {in_channels, out_channels, spatial, stride, kernel}.
+// Items are FLOPs: 2 * MACs forward, 4 * MACs backward.
+constexpr int64_t kTrainBatch = 64;
+
+void RunConvTraining(benchmark::State& state, bool backward) {
+  const int64_t in_c = state.range(0);
+  const int64_t out_c = state.range(1);
+  const int64_t hw = state.range(2);
+  const int64_t stride = state.range(3);
+  const int64_t kernel = state.range(4);
+  const int64_t pad = kernel / 2;
   Rng rng(3);
-  Conv2d conv(channels, channels, 3, 1, 1, rng);
-  Tensor x = Tensor::Randn({32, channels, 8, 8}, rng);
+  Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
+  Tensor x = Tensor::Randn({kTrainBatch, in_c, hw, hw}, rng);
   Tensor y = conv.Forward(x, true);
   for (auto _ : state) {
-    conv.ZeroGrad();
-    Tensor gx = conv.Backward(y);
-    benchmark::DoNotOptimize(gx.data());
+    if (backward) {
+      conv.ZeroGrad();
+      Tensor gx = conv.Backward(y);
+      benchmark::DoNotOptimize(gx.data());
+    } else {
+      Tensor out = conv.Forward(x, true);
+      benchmark::DoNotOptimize(out.data());
+    }
   }
+  const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
+  state.SetItemsProcessed(state.iterations() * kTrainBatch * out_c * out_hw *
+                          out_hw * in_c * kernel * kernel *
+                          (backward ? 4 : 2));
+  state.SetLabel(GemmKernelName());
 }
-BENCHMARK(BM_Conv2dBackward)->Arg(8)->Arg(32);
+
+void BM_Conv2dTrainForward(benchmark::State& state) {
+  RunConvTraining(state, false);
+}
+void BM_Conv2dBackward(benchmark::State& state) {
+  RunConvTraining(state, true);
+}
+void Wrn16TrainingShapes(benchmark::internal::Benchmark* b) {
+  b->Args({3, 16, 32, 1, 3})     // stem
+      ->Args({16, 16, 32, 1, 3})  // stage-1 body
+      ->Args({16, 32, 32, 2, 3})  // stage-2 transition (32x32 in -> 16x16)
+      ->Args({16, 32, 32, 2, 1})  // stage-2 projection
+      ->Args({32, 32, 16, 1, 3})  // stage-2 body
+      ->Args({32, 64, 16, 2, 3})  // stage-3 transition (16x16 in -> 8x8)
+      ->Args({32, 64, 16, 2, 1})  // stage-3 projection
+      ->Args({64, 64, 8, 1, 3})   // stage-3 body
+      ->Args({16, 16, 8, 1, 3});  // expert 8x8 body
+}
+BENCHMARK(BM_Conv2dTrainForward)->Apply(Wrn16TrainingShapes);
+BENCHMARK(BM_Conv2dBackward)->Apply(Wrn16TrainingShapes);
 
 void BM_BatchNormTraining(benchmark::State& state) {
   Rng rng(4);
