@@ -689,9 +689,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
             // GEMM reading vcol from the refilled padded input.
             if (x_buf != nullptr) FillDirectImage(in + b * chw, xv, x_buf);
             xv.padded = x_buf != nullptr ? x_buf : in + b * chw;
-            GemmConvAEx(xv, out_channels_, gout_b, /*trans_b=*/true, 1.0f,
-                        b == begin ? 0.0f : 1.0f, dw_local,
-                        /*parallel=*/false);
+            GemmConvAEx(xv, out_channels_, gout_b, 1.0f,
+                        b == begin ? 0.0f : 1.0f, dw_local);
             dx.Run(gout_b, dx_scratch, gin + b * chw);
             if (has_bias_) {
               for (int64_t oc = 0; oc < out_channels_; ++oc) {

@@ -493,15 +493,11 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
                   image_a->v->koff[i0 + std::min(ip + r, mc - 1)];
       }
       kn.image_a(kc, arow, image_a->poff + pc, bp, acc);
-      StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
-                st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
-      continue;
-    }
-    const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
-    if (direct_fn != nullptr) {
-      direct_fn(kc, ap, seg, direct->koff + pc, acc);
+    } else if (direct_fn != nullptr) {
+      direct_fn(kc, a_pack + (ip / kn.mr) * kc * kn.mr, seg,
+                direct->koff + pc, acc);
     } else {
-      kn.fn(kc, ap, bp, acc);
+      kn.fn(kc, a_pack + (ip / kn.mr) * kc * kn.mr, bp, acc);
     }
     StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
               st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
@@ -510,9 +506,8 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
 
 // Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc): packs A/B blocks
 // into this thread's scratch arena (or indexes the persistent prepacked
-// panels when `prepacked_a` / `prepacked_b` are given, or reads an image
-// A or a direct conv B in place) and runs the micro-kernel over the
-// register-tile grid.
+// panels when `prepacked_a` / `prepacked_b` are given, or reads a direct
+// conv B in place) and runs the micro-kernel over the register-tile grid.
 // One task owns each C tile and accumulates k-blocks in a fixed order, so
 // results are identical under any thread schedule — and, because
 // prepacked panels are byte-identical to per-call packs and direct forms
@@ -521,8 +516,8 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                  float alpha, const float* a, const float* b, float beta,
                  float* c, const GemmEpilogue& ep, const Kernel& kernel,
                  const float* prepacked_a, const float* prepacked_b,
-                 const ImageA* image_a, const ImageMatrix* direct,
-                 int64_t i0, int64_t mc, int64_t j0, int64_t nc) {
+                 const ImageMatrix* direct, int64_t i0, int64_t mc,
+                 int64_t j0, int64_t nc) {
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t mc_pad = (mc + mr - 1) / mr * mr;
@@ -530,18 +525,17 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   const int64_t kc_max = std::min(k, kKC);
 
   ScratchScope scope;
-  float* a_buf =
-      prepacked_a || image_a ? nullptr : scope.Alloc(mc_pad * kc_max);
+  float* a_buf = prepacked_a ? nullptr : scope.Alloc(mc_pad * kc_max);
   float* b_buf =
       prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
   float* gather = direct ? scope.Alloc(kc_max * nr) : nullptr;
 
   for (int64_t pc = 0; pc < k; pc += kKC) {
     const int64_t kc = std::min(kKC, k - pc);
-    const float* a_pack = nullptr;
+    const float* a_pack;
     if (prepacked_a != nullptr) {
       a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-    } else if (image_a == nullptr) {
+    } else {
       PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
       a_pack = a_buf;
     }
@@ -555,7 +549,7 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const TileStore st{alpha, pc == 0 ? beta : 1.0f,
                        pc + kc >= k && !ep.empty(), &ep, c, n};
     for (int64_t jp = 0; jp < nc; jp += nr) {
-      RunMicroPanel(kernel, pc, kc, a_pack, image_a, i0, mc,
+      RunMicroPanel(kernel, pc, kc, a_pack, /*image_a=*/nullptr, i0, mc,
                     b_pack ? b_pack + (jp / nr) * kc * nr : nullptr, direct,
                     gather, j0 + jp, std::min(nr, nc - jp), st);
     }
@@ -593,6 +587,8 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
+  POE_CHECK(image_a == nullptr || !parallel)
+      << "image-A GEMMs run sequentially";
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
     ScaleOnly(m, n, beta, c, ep);
@@ -613,7 +609,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       const int64_t i0 = rt * kMC;
       const int64_t j0 = ct * kNC;
       ComputeTile(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep,
-                  kernel, prepacked_a, prepacked_b, image_a, direct, i0,
+                  kernel, prepacked_a, prepacked_b, direct, i0,
                   std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
     });
     return;
@@ -728,20 +724,6 @@ void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
              /*prepacked_b=*/nullptr, /*image_a=*/nullptr, &v);
 }
 
-void GemmImageAEx(const ImageMatrix& v, int64_t n, const float* b,
-                  bool trans_b, float alpha, float beta, float* c,
-                  bool parallel) {
-  thread_local std::vector<int32_t> poff;
-  poff.resize(static_cast<size_t>(v.n));
-  for (int64_t p = 0; p < v.n; ++p) {
-    poff[p] = static_cast<int32_t>(v.ColOffset(p));
-  }
-  const ImageA image_a{&v, poff.data()};
-  GemmExImpl(/*trans_a=*/false, trans_b, v.k, n, v.n, alpha, /*a=*/nullptr,
-             b, beta, c, GemmEpilogue{}, parallel, /*prepacked_a=*/nullptr,
-             /*prepacked_b=*/nullptr, &image_a, /*direct=*/nullptr);
-}
-
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel) {
@@ -749,10 +731,18 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
 }
 
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
-                 bool trans_b, float alpha, float beta, float* c,
-                 bool parallel) {
-  GemmImageAEx(ConvImageMatrix(img), n, b, trans_b, alpha, beta, c,
-               parallel);
+                 float alpha, float beta, float* c) {
+  const ImageMatrix v = ConvImageMatrix(img);
+  thread_local std::vector<int32_t> poff;
+  poff.resize(static_cast<size_t>(v.n));
+  for (int64_t p = 0; p < v.n; ++p) {
+    poff[p] = static_cast<int32_t>(v.ColOffset(p));
+  }
+  const ImageA image_a{&v, poff.data()};
+  GemmExImpl(/*trans_a=*/false, /*trans_b=*/true, v.k, n, v.n, alpha,
+             /*a=*/nullptr, b, beta, c, GemmEpilogue{}, /*parallel=*/false,
+             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &image_a,
+             /*direct=*/nullptr);
 }
 
 PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,

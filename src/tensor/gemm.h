@@ -179,18 +179,6 @@ void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
                  float alpha, float beta, float* c, const GemmEpilogue& ep,
                  bool parallel);
 
-/// C (v.k x n) = alpha * V * op(B) + beta * C: the image matrix as the A
-/// operand, its rows read in place as the micro-kernel's broadcast
-/// scalars (no A panel is packed). op(B) is B (v.n x n) when !trans_b,
-/// else B^T with B stored (n x v.n). A conv's weight gradient is
-/// dW^T = vcol(x) * dY^T. Each C element runs the FMA chain over k of
-/// GemmEx over the materialized V, and, FMA being commutative, that of
-/// the transposed product GemmEx(!trans_b, true, n, v.k, v.n, B, V): C^T
-/// is bitwise that product on every kernel tier.
-void GemmImageAEx(const ImageMatrix& v, int64_t n, const float* b,
-                  bool trans_b, float alpha, float beta, float* c,
-                  bool parallel);
-
 /// Direct (im2col-free) convolution as GEMM: C (m x img.cols()) =
 /// alpha * A * vcol(img) + beta * C, where vcol(img) is the virtual
 /// im2col matrix of the padded image (img.depth() x img.cols()), any
@@ -200,13 +188,16 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 float alpha, float beta, float* c, const GemmEpilogue& ep,
                 bool parallel);
 
-/// C (img.depth() x n) = alpha * vcol(img) * op(B) + beta * C:
-/// GemmImageAEx over the view's tap table. With B = dY (n x img.cols(),
-/// trans_b) it is the transposed weight gradient of a conv whose padded
-/// input is `img`.
+/// C (img.depth() x n) = alpha * vcol(img) * B^T + beta * C, B the
+/// n x img.cols() row-major matrix, computed sequentially. With B = dY it
+/// is dW^T, the transposed weight gradient of a conv whose padded input
+/// is `img`. vcol is the GEMM's A operand, its rows read in place from
+/// the image as the micro-kernel's broadcast scalars (no A panel is
+/// packed; B^T is). FMA being commutative, each C element runs the FMA
+/// chain over k of GemmEx(false, true, n, img.depth(), img.cols(), B,
+/// vcol), so C^T is bitwise that product on every kernel tier.
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
-                 bool trans_b, float alpha, float beta, float* c,
-                 bool parallel);
+                 float alpha, float beta, float* c);
 
 /// GemmConvEx with the weight operand pre-packed (the serving hot path:
 /// prepacked weights x virtual im2col). Same bitwise guarantee.
