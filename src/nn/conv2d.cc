@@ -557,6 +557,10 @@ class TransposedConv {
     }
   }
 
+  // The phases point into koff_.
+  TransposedConv(const TransposedConv&) = delete;
+  TransposedConv& operator=(const TransposedConv&) = delete;
+
   // Scratch floats one Run needs: the padded dY image and the phase Cs.
   int64_t ScratchElems() const {
     return DirectImageElems(dy_view_) + col_phases_ * ci_ * phase_cols_;
