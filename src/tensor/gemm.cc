@@ -263,25 +263,6 @@ __attribute__((target("avx512f"))) void MicroKernel8x32Avx512ImageA(
                                  nullptr, acc);
 }
 
-// 8x16 image-A tile for products 16 columns wide (a 16-channel conv's
-// weight gradient), which would leave half of every 8x32 tile idle: one
-// fp32x16 accumulator per row, the same FMA chain per element.
-__attribute__((target("avx512f"))) void MicroKernel8x16Avx512ImageA(
-    int64_t kc, const float* const* arow, const int32_t* poff,
-    const float* b, float* acc) {
-  __m512 c[8];
-  for (int r = 0; r < 8; ++r) c[r] = _mm512_setzero_ps();
-  for (int64_t p = 0; p < kc; ++p, b += 16) {
-    const __m512 b0 = _mm512_loadu_ps(b);
-    const int32_t aoff = poff[p];
-#pragma GCC unroll 8
-    for (int r = 0; r < 8; ++r) {
-      c[r] = _mm512_fmadd_ps(_mm512_set1_ps(arow[r][aoff]), b0, c[r]);
-    }
-  }
-  for (int r = 0; r < 8; ++r) _mm512_storeu_ps(acc + r * 16, c[r]);
-}
-
 #endif  // POE_GEMM_X86
 
 const Kernel& PickKernel() {
@@ -314,19 +295,6 @@ const Kernel& PickKernel() {
     return scalar;
   }();
   return kernel;
-}
-
-// The kernel of an image-A product n columns wide: the dispatched one, or
-// the 8x16 AVX-512 tile when n fits it.
-const Kernel& PickImageAKernel(int64_t n) {
-#ifdef POE_GEMM_X86
-  static const Kernel narrow{8, 16, nullptr, "avx512", {},
-                             MicroKernel8x16Avx512ImageA};
-  if (n <= narrow.nr && PickKernel().fn == MicroKernel8x32Avx512Packed) {
-    return narrow;
-  }
-#endif
-  return PickKernel();
 }
 
 // Writes one micro-tile of the product into C: C = blk_beta*C + alpha*acc
@@ -447,13 +415,6 @@ void GatherPanel(const ImageMatrix& d, int64_t pc, int64_t kc, int64_t j,
   }
 }
 
-// op(A) read in place from an image matrix: A = V (m = v.k, k = v.n), row
-// i at image + koff[i], column p at poff[p] = v.ColOffset(p).
-struct ImageA {
-  const ImageMatrix* v;
-  const int32_t* poff;
-};
-
 // What StoreTile needs for every tile of one (row tile, k-block).
 struct TileStore {
   float alpha, blk_beta;
@@ -464,16 +425,14 @@ struct TileStore {
 };
 
 // Runs the register tiles of one NR-column micro-panel (columns j ..
-// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). A
-// comes from the packed panel `a_pack`, or, when `image_a` is set,
-// straight from its image rows. B comes from the packed panel `bp`, or,
-// when `direct` is set, straight from the conv image; `gather` (kc x nr
-// floats) backs the panels no direct form covers.
+// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). B
+// comes from the packed panel `bp`, or, when `direct` is set, straight
+// from the conv image; `gather` (kc x nr floats) backs the panels no
+// direct form covers.
 void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
-                   const float* a_pack, const ImageA* image_a, int64_t i0,
-                   int64_t mc, const float* bp, const ImageMatrix* direct,
-                   float* gather, int64_t j, int64_t cols,
-                   const TileStore& st) {
+                   const float* a_pack, int64_t i0, int64_t mc,
+                   const float* bp, const ImageMatrix* direct, float* gather,
+                   int64_t j, int64_t cols, const TileStore& st) {
   const float* seg[kMaxNR];
   DirectKernelFn direct_fn = nullptr;
   if (direct != nullptr) {
@@ -485,19 +444,11 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
   }
   float acc[kMaxMR * kMaxNR];
   for (int64_t ip = 0; ip < mc; ip += kn.mr) {
-    if (image_a != nullptr) {
-      const float* arow[kMaxMR];
-      for (int64_t r = 0; r < kn.mr; ++r) {
-        // Rows past the tile repeat its last row; StoreTile drops them.
-        arow[r] = image_a->v->image +
-                  image_a->v->koff[i0 + std::min(ip + r, mc - 1)];
-      }
-      kn.image_a(kc, arow, image_a->poff + pc, bp, acc);
-    } else if (direct_fn != nullptr) {
-      direct_fn(kc, a_pack + (ip / kn.mr) * kc * kn.mr, seg,
-                direct->koff + pc, acc);
+    const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
+    if (direct_fn != nullptr) {
+      direct_fn(kc, ap, seg, direct->koff + pc, acc);
     } else {
-      kn.fn(kc, a_pack + (ip / kn.mr) * kc * kn.mr, bp, acc);
+      kn.fn(kc, ap, bp, acc);
     }
     StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
               st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
@@ -549,7 +500,7 @@ void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const TileStore st{alpha, pc == 0 ? beta : 1.0f,
                        pc + kc >= k && !ep.empty(), &ep, c, n};
     for (int64_t jp = 0; jp < nc; jp += nr) {
-      RunMicroPanel(kernel, pc, kc, a_pack, /*image_a=*/nullptr, i0, mc,
+      RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
                     b_pack ? b_pack + (jp / nr) * kc * nr : nullptr, direct,
                     gather, j0 + jp, std::min(nr, nc - jp), st);
     }
@@ -583,20 +534,17 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, const float* b, float beta,
                 float* c, const GemmEpilogue& ep, bool parallel,
                 const float* prepacked_a, const float* prepacked_b,
-                const ImageA* image_a, const ImageMatrix* direct) {
+                const ImageMatrix* direct) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
-  POE_CHECK(image_a == nullptr || !parallel)
-      << "image-A GEMMs run sequentially";
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
     ScaleOnly(m, n, beta, c, ep);
     return;
   }
 
-  const Kernel& kernel =
-      image_a != nullptr ? PickImageAKernel(n) : PickKernel();
+  const Kernel& kernel = PickKernel();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
   // Macro-tile parallelism only when there are enough tiles to feed the
@@ -641,8 +589,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     const int64_t nc = std::min(kNC, n - j0);
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
-    float* a_buf =
-        prepacked_a || image_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
+    float* a_buf = prepacked_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
     float* b_buf =
         prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
     for (int64_t pc = 0; pc < k; pc += kKC) {
@@ -659,10 +606,10 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       for (int64_t rt = 0; rt < row_tiles; ++rt) {
         const int64_t i0 = rt * kMC;
         const int64_t mc = std::min(kMC, m - i0);
-        const float* a_pack = nullptr;
+        const float* a_pack;
         if (prepacked_a != nullptr) {
           a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-        } else if (image_a == nullptr) {
+        } else {
           PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
           a_pack = a_buf;
         }
@@ -671,7 +618,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* gather = direct ? panel_scope.Alloc(kc * nr) : nullptr;
           for (int64_t jb = jb0; jb < jb1; ++jb) {
             const int64_t jp = jb * nr;
-            RunMicroPanel(kernel, pc, kc, a_pack, image_a, i0, mc,
+            RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
                           b_pack ? b_pack + jb * kc * nr : nullptr, direct,
                           gather, j0 + jp, std::min(nr, nc - jp), st);
           }
@@ -713,7 +660,7 @@ void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const GemmEpilogue& ep, bool parallel) {
   GemmExImpl(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep, parallel,
              /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
-             /*image_a=*/nullptr, /*direct=*/nullptr);
+             /*direct=*/nullptr);
 }
 
 void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
@@ -721,7 +668,7 @@ void GemmImageEx(int64_t m, const float* a, const ImageMatrix& v,
                  bool parallel) {
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, m, v.n, v.k, alpha, a,
              /*b=*/nullptr, beta, c, ep, parallel, /*prepacked_a=*/nullptr,
-             /*prepacked_b=*/nullptr, /*image_a=*/nullptr, &v);
+             /*prepacked_b=*/nullptr, &v);
 }
 
 void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
@@ -732,17 +679,56 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
 
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
                  float alpha, float beta, float* c) {
+  // GemmExImpl's sequential hoisted path for C = alpha * V * B^T + beta *
+  // C (V = vcol(img), m = v.k, k = v.n), with the image-A micro-kernel
+  // reading row i of V at image + koff[i], column p at poff[p], in place
+  // of PackA: the same k-blocks in the same order, so each element runs
+  // the FMA chain GemmExImpl would over the materialized V.
   const ImageMatrix v = ConvImageMatrix(img);
+  const int64_t m = v.k;
+  const int64_t k = v.n;
+  const GemmEpilogue ep;
+  if (m == 0 || n == 0) return;
+  if (k == 0 || alpha == 0.0f) {
+    ScaleOnly(m, n, beta, c, ep);
+    return;
+  }
   thread_local std::vector<int32_t> poff;
-  poff.resize(static_cast<size_t>(v.n));
-  for (int64_t p = 0; p < v.n; ++p) {
+  poff.resize(static_cast<size_t>(k));
+  for (int64_t p = 0; p < k; ++p) {
     poff[p] = static_cast<int32_t>(v.ColOffset(p));
   }
-  const ImageA image_a{&v, poff.data()};
-  GemmExImpl(/*trans_a=*/false, /*trans_b=*/true, v.k, n, v.n, alpha,
-             /*a=*/nullptr, b, beta, c, GemmEpilogue{}, /*parallel=*/false,
-             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr, &image_a,
-             /*direct=*/nullptr);
+  const Kernel& kn = PickKernel();
+  const int64_t kc_max = std::min(k, kKC);
+  float acc[kMaxMR * kMaxNR];
+  for (int64_t j0 = 0; j0 < n; j0 += kNC) {
+    const int64_t nc = std::min(kNC, n - j0);
+    ScratchScope scope;
+    float* b_buf = scope.Alloc(kc_max * ((nc + kn.nr - 1) / kn.nr * kn.nr));
+    for (int64_t pc = 0; pc < k; pc += kKC) {
+      const int64_t kc = std::min(kKC, k - pc);
+      PackB(/*trans_b=*/true, b, k, n, pc, kc, j0, nc, kn.nr, b_buf);
+      const float blk_beta = pc == 0 ? beta : 1.0f;
+      for (int64_t i0 = 0; i0 < m; i0 += kMC) {
+        const int64_t mc = std::min(kMC, m - i0);
+        for (int64_t jp = 0; jp < nc; jp += kn.nr) {
+          const float* bp = b_buf + (jp / kn.nr) * kc * kn.nr;
+          for (int64_t ip = 0; ip < mc; ip += kn.mr) {
+            const float* arow[kMaxMR];
+            for (int64_t r = 0; r < kn.mr; ++r) {
+              // Rows past the tile repeat its last row; StoreTile drops
+              // them.
+              arow[r] = v.image + v.koff[i0 + std::min(ip + r, mc - 1)];
+            }
+            kn.image_a(kc, arow, poff.data() + pc, bp, acc);
+            StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip),
+                      std::min(kn.nr, nc - jp), alpha, blk_beta,
+                      /*apply_epilogue=*/false, ep, i0 + ip, j0 + jp, c, n);
+          }
+        }
+      }
+    }
+  }
 }
 
 PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,
@@ -803,8 +789,7 @@ void GemmPackedA(const PackedAWeights& a, int64_t n, const float* b,
   POE_CHECK(!a.empty()) << "GemmPackedA on unpacked weights";
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, n, a.k_, alpha,
              /*a=*/nullptr, b, beta, c, ep, parallel, a.data_.data(),
-             /*prepacked_b=*/nullptr, /*image_a=*/nullptr,
-             /*direct=*/nullptr);
+             /*prepacked_b=*/nullptr, /*direct=*/nullptr);
 }
 
 void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
@@ -815,8 +800,7 @@ void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
   const ImageMatrix direct = ConvImageMatrix(img);
   GemmExImpl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
              alpha, /*a=*/nullptr, /*b=*/nullptr, beta, c, ep, parallel,
-             a.data_.data(), /*prepacked_b=*/nullptr, /*image_a=*/nullptr,
-             &direct);
+             a.data_.data(), /*prepacked_b=*/nullptr, &direct);
 }
 
 void GemmPackedB(int64_t m, const float* a, bool trans_a,
@@ -825,8 +809,7 @@ void GemmPackedB(int64_t m, const float* a, bool trans_a,
   POE_CHECK(!b.empty()) << "GemmPackedB on unpacked weights";
   GemmExImpl(trans_a, /*trans_b=*/false, m, b.n_, b.k_, alpha, a,
              /*b=*/nullptr, beta, c, ep, parallel,
-             /*prepacked_a=*/nullptr, b.data_.data(), /*image_a=*/nullptr,
-             /*direct=*/nullptr);
+             /*prepacked_a=*/nullptr, b.data_.data(), /*direct=*/nullptr);
 }
 
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
