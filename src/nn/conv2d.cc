@@ -584,27 +584,17 @@ class TransposedConv {
                     /*parallel=*/false);
       }
       if (s_ == 1) return;
-      // Row ty of channel c of column phase px.
-      auto src = [&](int64_t c, int64_t ty, int64_t px) -> const float* {
-        const Phase& ph = row_phase[px];
-        if (ph.dy.k == 0) return zero_row_;
-        return phase_c + px * phase_size + c * ph.dy.n + ty * ph.x.count;
-      };
+      // Interleaves row ty of channel c of each column phase into dX.
       for (int64_t c = 0; c < ci_; ++c) {
         for (int64_t ty = 0; ty < row_phase[0].y.count; ++ty) {
           float* dst = dx + (c * h_ + row_phase[0].py + s_ * ty) * w_;
-          if (s_ == 2 && w_ >= 2) {
-            const float* even = src(c, ty, 0);
-            const float* odd = src(c, ty, 1);
-            for (int64_t t = 0; t < w_ / 2; ++t) {
-              dst[2 * t] = even[t];
-              dst[2 * t + 1] = odd[t];
-            }
-            if (w_ % 2 != 0) dst[w_ - 1] = even[w_ / 2];
-          } else {
-            for (int64_t x = 0; x < w_; ++x) {
-              dst[x] = src(c, ty, x % s_)[x / s_];
-            }
+          for (int64_t px = 0; px < col_phases_; ++px) {
+            const Phase& ph = row_phase[px];
+            const float* row =
+                ph.dy.k == 0 ? zero_row_
+                             : phase_c + px * phase_size + c * ph.dy.n +
+                                   ty * ph.x.count;
+            for (int64_t t = 0; t < ph.x.count; ++t) dst[px + s_ * t] = row[t];
           }
         }
       }
