@@ -23,6 +23,7 @@ const char* DatasetName(DatasetKind kind) {
 BenchScale BenchScale::FromEnv() {
   BenchScale scale;
   scale.combos_per_nq = 1;
+  scale.seed = GetEnvIntOr("POE_BENCH_SEED", 0);
   if (GetEnvOr("POE_BENCH_SCALE", "fast") == "paper") {
     scale.paper = true;
     scale.epoch_multiplier = 2;
@@ -98,6 +99,7 @@ BenchEnv BuildEnv(DatasetKind kind) {
   env.baseline_options.lr_decay_epochs = {9 * scale.epoch_multiplier,
                                           11 * scale.epoch_multiplier};
   env.baseline_options.temperature = 4.0f;
+  env.baseline_options.seed = scale.Seeded(env.baseline_options.seed);
 
   // Expert heads converge much faster (frozen features, soft targets).
   env.expert_options = env.baseline_options;
@@ -111,7 +113,9 @@ BenchEnv BuildEnv(DatasetKind kind) {
   const std::string suffix = scale.paper ? "-paper" : "";
   const std::string oracle_path =
       "poe_cache/" + env.name + suffix + ".oracle";
-  const std::string pool_path = "poe_cache/" + env.name + suffix + ".pool";
+  const std::string pool_path =
+      "poe_cache/" + env.name + suffix +
+      (scale.seed != 0 ? "-seed" + std::to_string(scale.seed) : "") + ".pool";
 
   if (FileExists(oracle_path)) {
     auto loaded = LoadWrnModel(oracle_path);
@@ -157,7 +161,7 @@ BenchEnv BuildEnv(DatasetKind kind) {
     cfg.library_options.lr_decay_epochs = {10 * scale.epoch_multiplier,
                                            13 * scale.epoch_multiplier};
     cfg.expert_options = env.expert_options;
-    Rng rng(31337);
+    Rng rng(scale.Seeded(31337));
     env.pool = std::make_shared<ExpertPool>(
         ExpertPool::Preprocess(ModelLogits(*env.oracle), env.data, cfg, rng,
                                &env.build_stats));

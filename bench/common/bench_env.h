@@ -3,6 +3,7 @@
 #ifndef POE_BENCH_COMMON_BENCH_ENV_H_
 #define POE_BENCH_COMMON_BENCH_ENV_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,6 +28,15 @@ struct BenchScale {
   bool paper = false;
   int epoch_multiplier = 1;
   int combos_per_nq = 2;  ///< composite-task combinations averaged per n(Q)
+  /// POE_BENCH_SEED (default 0) moves the RNG seeds of the pool build and
+  /// of every trained student, to read the seed-to-seed spread of a
+  /// table. The dataset and the oracle keep their seeds.
+  int seed = 0;
+
+  /// `base` shifted by the seed; `base` itself at seed 0.
+  uint64_t Seeded(uint64_t base) const {
+    return base + static_cast<uint64_t>(seed) * 1000003u;
+  }
 
   static BenchScale FromEnv();
 };

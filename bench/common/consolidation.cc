@@ -29,7 +29,7 @@ std::shared_ptr<Wrn> ScratchTeacher(BenchEnv& env, int task) {
   cfg.ks = env.expert_ks;
   cfg.num_classes =
       static_cast<int>(env.data.hierarchy.task_classes(task).size());
-  Rng rng(9000 + task);
+  Rng rng(BenchScale::FromEnv().Seeded(9000 + task));
   auto model = std::make_shared<Wrn>(cfg, rng);
   Dataset train = FilterClasses(env.data.train,
                                 env.data.hierarchy.task_classes(task), true);
@@ -75,6 +75,7 @@ std::vector<ConsolidationRun> RunConsolidation(
     return std::find(wanted.begin(), wanted.end(), m) != wanted.end();
   };
 
+  const BenchScale scale = BenchScale::FromEnv();
   const std::vector<int> classes = env.data.hierarchy.CompositeClasses(tasks);
   const int num_q = static_cast<int>(classes.size());
   const int nq = static_cast<int>(tasks.size());
@@ -109,7 +110,7 @@ std::vector<ConsolidationRun> RunConsolidation(
     // task-specifically.
     WrnConfig kd_cfg = student_cfg;
     kd_cfg.num_classes = env.data.hierarchy.num_classes();
-    Rng rng(100 + nq);
+    Rng rng(scale.Seeded(100 + nq));
     Wrn student(kd_cfg, rng);
     EvalFn evaluator = [&] {
       return EvaluateTaskSpecificAccuracy(ModelLogits(student),
@@ -129,7 +130,7 @@ std::vector<ConsolidationRun> RunConsolidation(
   }
 
   if (is_wanted("Scratch")) {
-    Rng rng(200 + nq);
+    Rng rng(scale.Seeded(200 + nq));
     Wrn student(student_cfg, rng);
     EvalFn evaluator = [&] {
       return EvaluateAccuracy(ModelLogits(student), q_test_local);
@@ -147,7 +148,7 @@ std::vector<ConsolidationRun> RunConsolidation(
   }
 
   if (is_wanted("Transfer")) {
-    Rng rng(300 + nq);
+    Rng rng(scale.Seeded(300 + nq));
     auto head = BuildExpertPart(student_cfg,
                                 env.library_config.conv3_channels(), rng);
     Sequential& library = *env.pool->library();
@@ -175,7 +176,8 @@ std::vector<ConsolidationRun> RunConsolidation(
       if (!is_wanted(name)) continue;
       std::vector<TeacherSpec> teachers =
           MakeTeachers(env, tasks, ckd_teachers);
-      Rng rng(400 + nq + (uhc ? 1 : 0) + (ckd_teachers ? 2 : 0));
+      Rng rng(
+          scale.Seeded(400 + nq + (uhc ? 1 : 0) + (ckd_teachers ? 2 : 0)));
       Wrn student(student_cfg, rng);
       EvalFn evaluator = [&] {
         return EvaluateAccuracy(ModelLogits(student), q_test_local);
@@ -199,7 +201,7 @@ std::vector<ConsolidationRun> RunConsolidation(
   if (is_wanted("CKD")) {
     // Composite CKD: one monolithic head distilled from the oracle's
     // sub-logits over Q, on all training data.
-    Rng rng(500 + nq);
+    Rng rng(scale.Seeded(500 + nq));
     auto head = BuildExpertPart(student_cfg,
                                 env.library_config.conv3_channels(), rng);
     Sequential& library = *env.pool->library();
