@@ -106,7 +106,7 @@ BENCHMARK(BM_Conv2dForward)->Arg(8)->Arg(32)->Arg(64);
 // args are {in_channels, out_channels, spatial, stride, kernel}. The cases
 // mirror the oracle WRN-40-(4,4) trunk: the stem, one 3x3 from each
 // resolution group, a strided group transition, and the 1x1 projection
-// (which exercises the no-im2col pointwise fast path).
+// (at stride 1 and pad 0 its direct view reads the input in place).
 void BM_ConvWrn(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -133,7 +133,7 @@ BENCHMARK(BM_ConvWrn)
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({128, 256, 16, 2, 3})  // conv4 transition (16x16 in -> 8x8)
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 projection
 
 // The same WRN-shaped convolutions served int8: per-channel-quantized
 // pre-packed weights, dynamic activation quantization, fused dequant
@@ -166,7 +166,7 @@ BENCHMARK(BM_ConvWrnInt8)
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({128, 256, 16, 2, 3})  // conv4 transition (16x16 in -> 8x8)
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1});  // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1});  // 1x1 projection
 
 // Int8 conv with a static calibrated activation scale: the per-forward
 // max-abs pass over the input disappears. Rates compare
@@ -204,7 +204,7 @@ BENCHMARK(BM_ConvWrnInt8Calibrated)
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1})   // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1})   // 1x1 projection
     ->Args({16, 16, 32, 1, 3})    // WRN-16-1 trunk: conv2 body
     ->Args({32, 32, 16, 1, 3})    // WRN-16-1 trunk: conv3 body
     ->Args({16, 32, 32, 2, 3})    // WRN-16-1 trunk: conv3 transition
@@ -244,7 +244,7 @@ BENCHMARK(BM_ConvWrnPrepacked)
     ->Args({64, 64, 32, 1, 3})    // conv2 group body
     ->Args({128, 128, 16, 1, 3})  // conv3 group body
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
-    ->Args({256, 256, 8, 1, 1})   // 1x1 pointwise fast path
+    ->Args({256, 256, 8, 1, 1})   // 1x1 projection
     ->Args({16, 16, 32, 1, 3})    // WRN-16-1 trunk: conv2 body
     ->Args({32, 32, 16, 1, 3})    // WRN-16-1 trunk: conv3 body
     ->Args({16, 32, 32, 2, 3});   // WRN-16-1 trunk: conv3 transition

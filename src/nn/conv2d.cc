@@ -69,7 +69,7 @@ Tensor Conv2d::ForwardFused(const Tensor& input,
 
 bool Conv2d::TakesInt8Images() const {
   return int8_serving_ && act_scale_ > 0.0f && stride_ == 1 &&
-         !IsPointwise() && UseDirectConv();
+         UseDirectConv();
 }
 
 ConvInputImages Conv2d::AllocInputImages(ScratchScope& scope, int64_t batch,
@@ -137,10 +137,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  // 1x1/stride-1 convolution is a plain channel-mixing GEMM: the im2col
-  // matrix would be the image itself, so skip the unfold entirely.
-  const bool pointwise = IsPointwise();
-
   // Im2col-free direct path (every geometry, inference and training): the
   // GEMM reads its B operand straight from a zero-padded image copy, split
   // by column phase when strided, or from the input itself when stride is
@@ -148,7 +144,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   // identical output (see conv_direct.h), so training is the same either
   // way; Backward reads only the cached input, never the lowering. im2col
   // runs only under POE_CONV_PATH=im2col.
-  const bool direct = !pointwise && UseDirectConv();
+  const bool direct = UseDirectConv();
 
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
   // identical to the per-call PackA output, so the product is too.
@@ -156,43 +152,16 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   POE_CHECK(!training || !f32_packed_.load(std::memory_order_relaxed))
       << "prepacked Conv2d is inference-only (packed panels would go stale)";
 
-  // The pool is not reentrant, so only one level parallelizes: hand it to
-  // the GEMM's macro-tile loop only when that loop both offers more
-  // parallelism than the batch dimension does (the realtime query path is
-  // batch 1) and the batch can't fill the workers by itself.
+  // Only one level parallelizes: hand the pool to the GEMM, which deals
+  // its micro-panels over the workers, only when the GEMM both offers
+  // more parallelism than the batch dimension does (the realtime query
+  // path is batch 1) and the batch can't fill the workers by itself.
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
+  // One per-thread image buffer (or im2col buffer) serves a whole range.
   const int64_t out_size = out_channels_ * ohw;
-  auto run_gemm = [&](const float* cols_b, int64_t b, float* out_b) {
-    ConvImageFusion fusion;
-    GemmEpilogue ep_b = ep;
-    ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
-    if (packed) {
-      GemmPackedA(packed_w_, ohw, cols_b, 1.0f, 0.0f, out_b, ep_b,
-                  gemm_parallel);
-    } else {
-      GemmEx(false, false, out_channels_, ohw, ckk, 1.0f, wp, cols_b, 0.0f,
-             out_b, ep_b, gemm_parallel);
-    }
-  };
   auto run_range = [&](int64_t begin, int64_t end) {
-    ScratchScope scope;
-    float* cols = pointwise ? nullptr : scope.Alloc(ckk * ohw);
-    for (int64_t b = begin; b < end; ++b) {
-      const float* in_b = in + b * in_channels_ * h * w;
-      float* out_b = out + b * out_size;
-      if (pointwise) {
-        run_gemm(in_b, b, out_b);
-      } else {
-        Im2Col(in_b, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
-               cols);
-        run_gemm(cols, b, out_b);
-      }
-    }
-  };
-  // Direct path: one per-thread image buffer serves the whole range.
-  auto run_range_direct = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     ConvImageView img;
     img.channels = in_channels_;
@@ -201,20 +170,33 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
     img.kernel = kernel_;
     img.pad = pad_;
     img.stride = stride_;
-    const int64_t elems = DirectImageElems(img);
+    const int64_t elems = direct ? DirectImageElems(img) : 0;
     float* buf = elems > 0 ? scope.Alloc(elems) : nullptr;
+    float* cols = direct ? nullptr : scope.Alloc(ckk * ohw);
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
+      float* out_b = out + b * out_size;
+      ConvImageFusion fusion;
+      GemmEpilogue ep_b = ep;
+      ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
+      if (!direct) {
+        Im2Col(in_b, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
+               cols);
+        if (packed) {
+          GemmPackedA(packed_w_, ohw, cols, 1.0f, 0.0f, out_b, ep_b,
+                      gemm_parallel);
+        } else {
+          GemmEx(false, false, out_channels_, ohw, ckk, 1.0f, wp, cols, 0.0f,
+                 out_b, ep_b, gemm_parallel);
+        }
+        continue;
+      }
       if (buf != nullptr) {
         FillDirectImage(in_b, img, buf);
         img.padded = buf;
       } else {
         img.padded = in_b;  // stride 1, pad 0: the view aliases the input
       }
-      float* out_b = out + b * out_size;
-      ConvImageFusion fusion;
-      GemmEpilogue ep_b = ep;
-      ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
       if (packed) {
         GemmConvPackedA(packed_w_, img, 1.0f, 0.0f, out_b, ep_b,
                         gemm_parallel);
@@ -224,13 +206,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
       }
     }
   };
-  if (direct) {
-    if (gemm_parallel) {
-      run_range_direct(0, batch);
-    } else {
-      ParallelFor(batch, run_range_direct, /*min_chunk=*/1);
-    }
-  } else if (gemm_parallel) {
+  if (gemm_parallel) {
     run_range(0, batch);
   } else {
     ParallelFor(batch, run_range, /*min_chunk=*/1);
@@ -246,8 +222,7 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
 
 // The int8 serving forward: activations are quantized per-tensor (static
 // calibrated scale when present, else a dynamic max-abs pass) with the
-// vectorized quantizer — straight into the column matrix for pointwise
-// convs, once per image for the others — and multiplied against the
+// vectorized quantizer, once per image, and multiplied against the
 // pre-packed int8 weight panels. The GEMM's output pass applies
 // scale_act * wscale[channel] dequantization, bias, and the fused ReLU,
 // so no f32 weight or separate dequant sweep exists anywhere on this
@@ -280,20 +255,18 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  const bool pointwise = IsPointwise();
-  const bool direct = !pointwise && UseDirectConv();
+  const bool direct = UseDirectConv();
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  // Each image is quantized exactly once into a flat CHW buffer; that is
-  // the pointwise GEMM's B. The direct path then copies the bytes into the
-  // channel-interleaved layout the micro-kernels read in place (stride-
-  // phase split when strided); the im2col pin unfolds them in the weights'
-  // k-group order. A fused quantizing unfold (Im2ColQuantize, removed)
-  // would re-quantize every element k*k times, which measured ~2x slower
-  // at WRN 3x3 geometries (docs/PERF.md). All orders are bitwise
-  // identical. Images a producer filled skip both steps.
-  const int64_t group = pointwise ? 1 : GemmS8KGroup();
+  // Each image is quantized exactly once into a flat CHW buffer. The
+  // direct path then copies the bytes into the channel-interleaved layout
+  // the micro-kernels read in place (stride-phase split when strided); the
+  // im2col pin unfolds them in the weights' k-group order. A fused
+  // quantizing unfold (Im2ColQuantize, removed) would re-quantize every
+  // element k*k times, which measured ~2x slower at WRN 3x3 geometries
+  // (docs/PERF.md). All orders are bitwise identical. Images a producer
+  // filled skip both steps.
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     int8_t* q = images != nullptr ? nullptr : AllocS8(scope, chw);
@@ -304,12 +277,11 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
     img.kernel = kernel_;
     img.pad = pad_;
     img.stride = stride_;
-    img.group = group;
+    img.group = GemmS8KGroup();
     const int64_t elems =
         direct && images == nullptr ? DirectImageElems(img) : 0;
     int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
-    int8_t* cols =
-        pointwise || direct ? q : AllocS8(scope, qweight_.depth() * ohw);
+    int8_t* cols = direct ? nullptr : AllocS8(scope, qweight_.depth() * ohw);
     for (int64_t b = begin; b < end; ++b) {
       // No C when the hook quantizes into the next conv's images: with a
       // hook set, the int8 GEMMs (k > 0) reach C only through it, and it
@@ -330,10 +302,8 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
         GemmS8ConvPackedA(qweight_, img, out_b, ep_b, gemm_parallel);
         continue;
       }
-      if (!pointwise) {
-        Im2Col(q, in_channels_, h, w, kernel_, kernel_, pad_, stride_, cols,
-               group);
-      }
+      Im2Col(q, in_channels_, h, w, kernel_, kernel_, pad_, stride_, cols,
+             img.group);
       GemmS8PackedA(qweight_, ohw, cols, out_b, ep_b, gemm_parallel);
     }
   };
@@ -367,12 +337,10 @@ void Conv2d::FinishInt8Setup(const int8_t* values) {
   // of the same layer.
   std::lock_guard<std::mutex> lock(prepack_mu_);
   // Pack once into the kernel layout; only the packed form stays resident
-  // (persistence exports the portable row-major form via Unpack). Convs
-  // other than pointwise ones take the k-group order of the direct path.
-  qweight_ = IsPointwise()
-                 ? PackedS8Weights::Pack(out_channels_, in_channels_, values)
-                 : PackedS8Weights::PackConv(out_channels_, in_channels_,
-                                             kernel_, values);
+  // (persistence exports the portable row-major form via Unpack), in the
+  // k-group order of the direct path.
+  qweight_ = PackedS8Weights::PackConv(out_channels_, in_channels_, kernel_,
+                                       values);
   // Dequant-free serving: release the f32 weight storage for good, along
   // with any now-stale f32 packed panels.
   f32_packed_.store(false, std::memory_order_release);
@@ -479,12 +447,12 @@ PhaseAxis PhaseAlong(int64_t q, int64_t len, int64_t kernel, int64_t pad,
 // FLOPs of the im2col GEMM W^T * dY. Stride 1 is a single phase holding
 // every tap, the GemmConvEx form with pad kernel - 1 - pad, written
 // straight into dX. Strided phases go to a scratch C per column phase and
-// are merged back row by row; a tapless phase (a 1x1/stride-2 conv's odd
-// pixels) gets zero.
+// are merged back row by row. When some phase is tapless (a 1x1/stride-2
+// conv's odd pixels), dX is zeroed first and the merge skips that phase.
 class TransposedConv {
  public:
   // Plans dX of a conv with weight `w` ([co x ci*k*k]) and input h x wd;
-  // the flipped weights and a zero row are carved from `scope`.
+  // the flipped weights are carved from `scope`.
   TransposedConv(const float* w, int64_t ci, int64_t co, int64_t k,
                  int64_t stride, int64_t pad, int64_t h, int64_t wd,
                  ScratchScope& scope)
@@ -529,6 +497,7 @@ class TransposedConv {
       ph.dy.out_w = ph.x.count;
       ph.dy.row_step = row;
       if (stride > 1) phase_cols_ = std::max(phase_cols_, ph.dy.n);
+      if (taps == 0) tapless_ = true;
       // Taps in descending i, so the offsets ascend within a channel.
       for (int64_t oc = 0; oc < co; ++oc) {
         for (int64_t iy = ph.y.taps - 1; iy >= 0; --iy) {
@@ -551,10 +520,6 @@ class TransposedConv {
         }
       }
     }
-    if (stride > 1) {
-      zero_row_ = scope.Alloc(phase_cols_);
-      std::fill(zero_row_, zero_row_ + phase_cols_, 0.0f);
-    }
   }
 
   // The phases point into koff_.
@@ -573,6 +538,7 @@ class TransposedConv {
     const float* dy_image = dy_elems > 0 ? scratch : dy;
     float* phase_c = scratch + dy_elems;
     const int64_t phase_size = ci_ * phase_cols_;
+    if (tapless_) std::fill(dx, dx + ci_ * h_ * w_, 0.0f);
     for (size_t g = 0; g < phases_.size(); g += col_phases_) {
       const Phase* row_phase = &phases_[g];
       for (int64_t px = 0; px < col_phases_; ++px) {
@@ -590,10 +556,9 @@ class TransposedConv {
           float* dst = dx + (c * h_ + row_phase[0].py + s_ * ty) * w_;
           for (int64_t px = 0; px < col_phases_; ++px) {
             const Phase& ph = row_phase[px];
+            if (ph.dy.k == 0) continue;  // zeroed above
             const float* row =
-                ph.dy.k == 0 ? zero_row_
-                             : phase_c + px * phase_size + c * ph.dy.n +
-                                   ty * ph.x.count;
+                phase_c + px * phase_size + c * ph.dy.n + ty * ph.x.count;
             for (int64_t t = 0; t < ph.x.count; ++t) dst[px + s_ * t] = row[t];
           }
         }
@@ -615,7 +580,7 @@ class TransposedConv {
   ConvImageView dy_view_;
   std::vector<Phase> phases_;  // row phase major, column phase minor
   std::vector<int32_t> koff_;
-  float* zero_row_ = nullptr;
+  bool tapless_ = false;  // some phase has no taps: Run zeroes dX first
 };
 
 }  // namespace

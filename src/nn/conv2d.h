@@ -30,8 +30,8 @@ class ScratchScope;
 ///
 /// Steady-state Forward makes no scratch allocations: the direct path's
 /// padded-image buffer (and the im2col buffer where that lowering runs)
-/// come from the per-thread arena, 1x1/stride-1 convolutions skip the
-/// unfold entirely, and bias (+ fused ReLU at inference) is applied by the
+/// come from the per-thread arena, a stride-1, pad-0 f32 view reads the
+/// input in place, and bias (+ fused ReLU at inference) is applied by the
 /// GEMM epilogue instead of a second pass over the output. Backward
 /// draws its padded images, flipped weights and gradient slots from the
 /// arena too.
@@ -73,10 +73,9 @@ class Conv2d : public Module {
   /// (persistence exports the portable row-major form via Unpack) and
   /// releases the f32 weight storage. Inference Forward then quantizes
   /// activations per-tensor — with the static calibrated scale when one
-  /// was observed, else a dynamic max-abs scale; fused straight into the
-  /// column matrix for pointwise convs — and runs the int8 GEMM with
-  /// dequantization fused into its output pass. Irreversible; training
-  /// is forbidden afterwards.
+  /// was observed, else a dynamic max-abs scale — and runs the int8 GEMM
+  /// with dequantization fused into its output pass. Irreversible;
+  /// training is forbidden afterwards.
   void PrepareInt8Serving() override;
   int64_t Int8WeightBytes() const override;
   bool int8_serving() const { return int8_serving_; }
@@ -119,10 +118,6 @@ class Conv2d : public Module {
   Parameter& bias() { return bias_; }
 
  private:
-  /// 1x1, stride 1, pad 0: a plain channel-mixing GEMM on the image.
-  bool IsPointwise() const {
-    return kernel_ == 1 && stride_ == 1 && pad_ == 0;
-  }
   Tensor ForwardImpl(const Tensor& input, bool training, bool fuse_relu,
                      const ConvTileEpilogue* fused);
   Tensor ForwardInt8(const Tensor* input, const ConvInputImages* images,

@@ -32,7 +32,7 @@
 
 namespace poe {
 
-/// Which lowering Conv2d uses for non-pointwise forward passes.
+/// Which lowering Conv2d uses for its forward passes.
 enum class ConvPath {
   kAuto,    ///< direct (every geometry is covered)
   kIm2Col,  ///< always materialize the im2col matrix

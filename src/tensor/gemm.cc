@@ -455,58 +455,6 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
   }
 }
 
-// Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc): packs A/B blocks
-// into this thread's scratch arena (or indexes the persistent prepacked
-// panels when `prepacked_a` / `prepacked_b` are given, or reads a direct
-// conv B in place) and runs the micro-kernel over the register-tile grid.
-// One task owns each C tile and accumulates k-blocks in a fixed order, so
-// results are identical under any thread schedule — and, because
-// prepacked panels are byte-identical to per-call packs and direct forms
-// load the values a pack would hold, across every entry point.
-void ComputeTile(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-                 float alpha, const float* a, const float* b, float beta,
-                 float* c, const GemmEpilogue& ep, const Kernel& kernel,
-                 const float* prepacked_a, const float* prepacked_b,
-                 const ImageMatrix* direct, int64_t i0, int64_t mc,
-                 int64_t j0, int64_t nc) {
-  const int64_t mr = kernel.mr;
-  const int64_t nr = kernel.nr;
-  const int64_t mc_pad = (mc + mr - 1) / mr * mr;
-  const int64_t nc_pad = (nc + nr - 1) / nr * nr;
-  const int64_t kc_max = std::min(k, kKC);
-
-  ScratchScope scope;
-  float* a_buf = prepacked_a ? nullptr : scope.Alloc(mc_pad * kc_max);
-  float* b_buf =
-      prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
-  float* gather = direct ? scope.Alloc(kc_max * nr) : nullptr;
-
-  for (int64_t pc = 0; pc < k; pc += kKC) {
-    const int64_t kc = std::min(kKC, k - pc);
-    const float* a_pack;
-    if (prepacked_a != nullptr) {
-      a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-    } else {
-      PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
-      a_pack = a_buf;
-    }
-    const float* b_pack = nullptr;
-    if (prepacked_b != nullptr) {
-      b_pack = PrepackedBBlock(prepacked_b, k, n, nr, j0, pc, kc);
-    } else if (direct == nullptr) {
-      PackB(trans_b, b, k, n, pc, kc, j0, nc, nr, b_buf);
-      b_pack = b_buf;
-    }
-    const TileStore st{alpha, pc == 0 ? beta : 1.0f,
-                       pc + kc >= k && !ep.empty(), &ep, c, n};
-    for (int64_t jp = 0; jp < nc; jp += nr) {
-      RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
-                    b_pack ? b_pack + (jp / nr) * kc * nr : nullptr, direct,
-                    gather, j0 + jp, std::min(nr, nc - jp), st);
-    }
-  }
-}
-
 // Degenerate k == 0 product: C = beta*C plus the epilogue, the tile hook
 // taking all of C as one tile, in place.
 void ScaleOnly(int64_t m, int64_t n, float beta, float* c,
@@ -544,41 +492,18 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     return;
   }
 
+  // B packing is hoisted out of the row-tile loop: each B k-block is
+  // packed once per column stripe and reused by every row tile (a direct
+  // conv B needs no packing at all). With workers > 1 the NR-column
+  // micro-panels of each (k-block, row-tile) region are dealt over the
+  // pool. Each C micro-tile is written by exactly one task and k-blocks
+  // accumulate in ascending order behind the ParallelFor barrier, so the
+  // result is bitwise the same for any worker count, and, because
+  // prepacked panels are byte-identical to per-call packs and direct forms
+  // load the values a pack would hold, for every entry point.
   const Kernel& kernel = PickKernel();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
-  // Macro-tile parallelism only when there are enough tiles to feed the
-  // pool; smaller products use sub-tile parallelism inside the hoisted
-  // path below (and with one worker the per-tile path would only repack B
-  // k-blocks row_tiles times over).
-  const int64_t workers = parallel ? NumThreads() : 1;
-  if (workers > 1 && row_tiles * col_tiles >= workers) {
-    ParallelFor2D(row_tiles, col_tiles, [&](int64_t rt, int64_t ct) {
-      const int64_t i0 = rt * kMC;
-      const int64_t j0 = ct * kNC;
-      ComputeTile(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, ep,
-                  kernel, prepacked_a, prepacked_b, direct, i0,
-                  std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
-    });
-    return;
-  }
-
-  // Hoisted path: op(B) packing is hoisted out of the row-macro-tile
-  // loop — each B k-block is packed once per column stripe and reused by
-  // every row tile, instead of being repacked ceil(m/MC) times (a direct
-  // conv B needs no packing at all). Per-element k-accumulation order is
-  // unchanged (ascending k-blocks), so the result stays bitwise identical
-  // to the parallel per-tile path.
-  //
-  // When the pool has workers but the product is under-tiled (fewer macro
-  // tiles than workers — the realtime batch-1 conv shapes), the NR-column
-  // micro-panels of each (k-block, row-tile) region are distributed over
-  // the pool instead (sub-tile ir/jr parallelism). Each C micro-tile is
-  // still written by exactly one task and k-blocks still accumulate in
-  // ascending order behind a ParallelFor barrier, so the result remains
-  // bitwise identical to the sequential schedule — no per-thread C scratch
-  // is needed.
-  const bool subtile = workers > 1;
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t kc_max = std::min(k, kKC);
@@ -624,7 +549,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           }
         };
         const int64_t jp_blocks = (nc + nr - 1) / nr;
-        if (subtile && jp_blocks > 1) {
+        if (parallel) {
           ParallelFor(jp_blocks, micro_panels, /*min_chunk=*/1);
         } else {
           micro_panels(0, jp_blocks);
@@ -636,7 +561,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 // The virtual im2col matrix of `img`, its k-row offset table built once
 // per call into this thread's table (a GEMM never re-enters itself on one
-// thread; sub-tile workers only read the caller's table behind its
+// thread; ParallelFor workers only read the caller's table behind its
 // barrier).
 ImageMatrix ConvImageMatrix(const ConvImageView& img) {
   thread_local std::vector<int32_t> koff;
@@ -679,7 +604,7 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
 
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
                  float alpha, float beta, float* c) {
-  // GemmExImpl's sequential hoisted path for C = alpha * V * B^T + beta *
+  // GemmExImpl's sequential schedule for C = alpha * V * B^T + beta *
   // C (V = vcol(img), m = v.k, k = v.n), with the image-A micro-kernel
   // reading row i of V at image + koff[i], column p at poff[p], in place
   // of PackA: the same k-blocks in the same order, so each element runs
@@ -818,13 +743,6 @@ void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
          /*parallel=*/true);
 }
 
-void GemmSeq(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             float alpha, const float* a, const float* b, float beta,
-             float* c) {
-  GemmEx(trans_a, trans_b, m, n, k, alpha, a, b, beta, c, GemmEpilogue{},
-         /*parallel=*/false);
-}
-
 void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              float alpha, const float* a, const float* b, float beta,
              float* c) {
@@ -844,12 +762,8 @@ void GemmRef(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
 int64_t GemmParallelTiles(int64_t m, int64_t n) {
   if (m <= 0 || n <= 0) return 0;
-  const int64_t tiles = ((m + kMC - 1) / kMC) * ((n + kNC - 1) / kNC);
-  if (tiles >= NumThreads()) return tiles;
-  // Under-tiled products distribute the NR-column micro-panels of one
-  // column stripe instead (sub-tile parallelism in GemmExImpl).
   const int64_t nr = PickKernel().nr;
-  return std::max(tiles, (std::min(n, kNC) + nr - 1) / nr);
+  return (std::min(n, kNC) + nr - 1) / nr;
 }
 
 const char* GemmKernelName() { return PickKernel().name; }

@@ -63,19 +63,15 @@ struct GemmEpilogue {
 ///
 /// op(A) is A (m x k) when !trans_a, else A^T with A stored (k x m).
 /// op(B) is B (k x n) when !trans_b, else B^T with B stored (n x k).
-/// C is m x n. Parallelized over 2-D macro-tiles of C.
+/// C is m x n. Parallelized over the NR-column micro-panels of C.
 void Gemm(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float alpha, const float* a, const float* b, float beta, float* c);
 
-/// Sequential variant for use inside ParallelFor bodies (ParallelFor is not
-/// reentrant, so nested parallel GEMM calls are forbidden).
-void GemmSeq(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-             float alpha, const float* a, const float* b, float beta,
-             float* c);
-
-/// Gemm with a fused epilogue. `parallel` selects Gemm/GemmSeq behavior.
-/// The product is bitwise identical for both settings: every C tile is
-/// produced by one task with a fixed k-accumulation order.
+/// Gemm with a fused epilogue. `parallel` deals the micro-panels of C over
+/// the worker pool; false runs them inline, for callers that parallelize
+/// at an outer level. The product is bitwise identical for both settings:
+/// every C micro-tile is produced by one task with a fixed k-accumulation
+/// order.
 void GemmEx(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             float alpha, const float* a, const float* b, float beta, float* c,
             const GemmEpilogue& epilogue, bool parallel);
@@ -206,12 +202,10 @@ void GemmConvPackedA(const PackedAWeights& a, const ConvImageView& img,
                      bool parallel);
 
 /// Number of independent tasks a parallel Gemm/GemmEx can distribute over
-/// the worker pool for an m x n product: the 2-D macro-tile count when
-/// there are at least as many macro-tiles as workers, otherwise the
-/// NR-column micro-panel count of one column stripe (the sub-tile
-/// parallelism inside a macro tile). Callers choosing between batch-level
-/// and GEMM-level parallelism use this to pick the level that actually
-/// has work to spread (1 means the GEMM runs sequentially regardless).
+/// the worker pool for an m x n product: the NR-column micro-panel count
+/// of one column stripe. Callers choosing between batch-level and
+/// GEMM-level parallelism use this to pick the level that actually has
+/// work to spread (1 means the GEMM runs sequentially regardless).
 int64_t GemmParallelTiles(int64_t m, int64_t n);
 
 /// Naive triple-loop reference implementation (double accumulator). The

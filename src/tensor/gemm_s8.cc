@@ -20,8 +20,8 @@ namespace poe {
 
 namespace {
 
-// Macro-tile grid (same MC/NC as the f32 GEMM, so conv/linear layers can
-// reuse GemmParallelTiles for their parallelism decision). There is no
+// Row and column tiles (same MC/NC as the f32 GEMM, so conv/linear layers
+// can reuse GemmParallelTiles for their parallelism decision). There is no
 // k-blocking: int8 panels are 4x denser than f32, so whole-k panels stay
 // cache-resident for every shape this system runs, and the register tile
 // finishes its exact int32 accumulation in one kernel call.
@@ -764,7 +764,8 @@ void StoreTileS8(const KernelS8& kn, const int32_t* acc, int64_t rows,
   }
 }
 
-// Register-tile loops over one packed macro-tile.
+// Register-tile loops over packed panels: rows [i0, i0+mc) x columns
+// [j0, j0+nc).
 void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
                   const int8_t* b_pack, const int32_t* colsum, int64_t kpad,
                   int64_t i0, int64_t mc, int64_t j0, int64_t nc,
@@ -793,47 +794,6 @@ struct PrepackedS8B {
   const int32_t* colsum;
 };
 
-// Computes the C macro-tile [i0, i0+mc) x [j0, j0+nc) from scratch-packed
-// panels. `prepacked_a` (kernel-layout panels for the full m, from
-// PackedS8Weights) skips the A pack; it requires i0 % mr == 0, which holds
-// because kMC is a multiple of every MR. `prepacked_b` (panels + colsums
-// for the full k x n, from PackedS8BWeights) likewise skips the B pack.
-void ComputeTileS8(bool trans_a, bool trans_b, int64_t m, int64_t n,
-                   int64_t k, const int8_t* a, const int8_t* b, float* c,
-                   const GemmS8Epilogue& ep, const KernelS8& kernel,
-                   const uint8_t* prepacked_a, const PrepackedS8B* prepacked_b,
-                   int64_t i0, int64_t mc, int64_t j0, int64_t nc) {
-  const int64_t mr = kernel.mr;
-  const int64_t nr = kernel.nr;
-  const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
-  const int64_t mc_pad = (mc + mr - 1) / mr * mr;
-  const int64_t nc_pad = (nc + nr - 1) / nr * nr;
-
-  ScratchScope scope;
-  const uint8_t* a_pack;
-  if (prepacked_a != nullptr) {
-    a_pack = prepacked_a + (i0 / mr) * kpad * mr;
-  } else {
-    uint8_t* buf = AllocU8(scope, mc_pad * kpad);
-    PackADispatch(kernel, trans_a, a, m, k, i0, mc, buf);
-    a_pack = buf;
-  }
-  const int8_t* b_pack;
-  const int32_t* colsum;
-  int32_t colsum_buf[kNC];
-  if (prepacked_b != nullptr) {
-    b_pack = prepacked_b->data + kpad * j0;
-    colsum = prepacked_b->colsum + j0;
-  } else {
-    int8_t* buf = AllocS8(scope, nc_pad * kpad);
-    PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
-    b_pack = buf;
-    colsum = colsum_buf;
-  }
-  MicroLoopsS8(kernel, a_pack, b_pack, colsum, kpad, i0, mc, j0, nc, ep, c,
-               n);
-}
-
 void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 const int8_t* a, const int8_t* b, float* c,
                 const GemmS8Epilogue& ep, bool parallel,
@@ -853,32 +813,18 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     return;
   }
 
+  // Each B stripe is packed once per column tile and reused by every row
+  // tile (the f32 driver shares this structure). `prepacked_a` (panels for
+  // the full m, from PackedS8Weights; i0 % mr == 0 because kMC is a
+  // multiple of every MR) and `prepacked_b` (panels + colsums for the full
+  // k x n, from PackedS8BWeights) skip their packs. With workers > 1 the
+  // register-tile loops split over micro-panel column blocks. Every
+  // register tile is computed by exactly one task with the same packed
+  // panels and the same single dequantizing store, so C is bitwise the
+  // same for any worker count.
   const KernelS8& kernel = PickKernelS8();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
-  const int64_t workers = parallel ? NumThreads() : 1;
-  // Macro-tile parallelism only when there are enough tiles to occupy the
-  // pool; under-tiled shapes (the common conv geometry: out_channels <=
-  // kMC, out pixels <= kNC) fall through to the hoisted path, which
-  // distributes NR-column micro-panel blocks of each macro tile across the
-  // workers instead (sub-tile parallelism). Both schedules produce bitwise
-  // identical C: every register tile is computed by exactly one task with
-  // the same packed panels and the same single dequantizing store.
-  if (workers > 1 && row_tiles * col_tiles >= workers) {
-    ParallelFor2D(row_tiles, col_tiles, [&](int64_t rt, int64_t ct) {
-      const int64_t i0 = rt * kMC;
-      const int64_t j0 = ct * kNC;
-      ComputeTileS8(trans_a, trans_b, m, n, k, a, b, c, ep,
-                    kernel, prepacked_a, prepacked_b, i0,
-                    std::min(kMC, m - i0), j0, std::min(kNC, n - j0));
-    });
-    return;
-  }
-  // Hoisted path: op(B) packing is hoisted out of the row-tile loop —
-  // each B stripe is packed once per column tile and reused by every row
-  // macro-tile (the f32 path shares this structure). With workers > 1 the
-  // register-tile loops split over micro-panel column blocks.
-  const bool subtile = workers > 1;
   const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
@@ -921,7 +867,7 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                      std::min(nc - jb0 * nr, (jb1 - jb0) * nr), ep, c, n);
       };
       const int64_t jp_blocks = (nc + nr - 1) / nr;
-      if (subtile && jp_blocks > 1) {
+      if (parallel) {
         ParallelFor(jp_blocks, micro_panels, /*min_chunk=*/1);
       } else {
         micro_panels(0, jp_blocks);
@@ -1069,7 +1015,7 @@ void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
   const int64_t groups = a.k_ / kn.kr;
   const int64_t out_w = img.out_w();
   // The k-group offset table and the column sums, built once per call by
-  // this thread; sub-tile workers only read them behind ParallelFor's
+  // this thread; pool workers only read them behind ParallelFor's
   // barrier (through these pointers, not their own thread_locals).
   thread_local std::vector<int32_t> koff_buf, colsum_buf;
   koff_buf.resize(static_cast<size_t>(groups));
@@ -1109,7 +1055,7 @@ void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
     }
   };
   const int64_t blocks = (n + nr - 1) / nr;
-  if (parallel && NumThreads() > 1 && blocks > 1) {
+  if (parallel) {
     ParallelFor(blocks, panels, /*min_chunk=*/1);
   } else {
     panels(0, blocks);

@@ -1,7 +1,7 @@
 // Blocked, packed, SIMD-dispatched int8 x int8 -> int32 GEMM with a fused
 // dequantizing epilogue: the quantized serving hot path. Shares the f32
-// GEMM's MC/NC macro-tiling (docs/PERF.md) and adds a KR k-group interleave
-// for the 8-bit dot-product instructions.
+// GEMM's MC/NC tiling and its one parallel schedule (docs/PERF.md) and adds
+// a KR k-group interleave for the 8-bit dot-product instructions.
 #ifndef POE_TENSOR_GEMM_S8_H_
 #define POE_TENSOR_GEMM_S8_H_
 

@@ -24,7 +24,8 @@ bool SameShape(const Tensor& a, const Tensor& b) {
 Tensor::Tensor(std::vector<int64_t> shape)
     : shape_(std::move(shape)), numel_(ShapeNumel(shape_)) {
   storage_ = std::make_shared<Storage>(numel_);
-  std::memset(storage_->data(), 0, sizeof(float) * numel_);
+  // An empty tensor's storage may be null, which memset must not see.
+  if (numel_ > 0) std::memset(storage_->data(), 0, sizeof(float) * numel_);
 }
 
 Tensor Tensor::Zeros(std::vector<int64_t> shape) {

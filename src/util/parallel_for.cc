@@ -164,23 +164,4 @@ void ParallelForOnPool(int64_t n,
 
 }  // namespace internal
 
-void ParallelFor2D(int64_t rows, int64_t cols,
-                   const std::function<void(int64_t row, int64_t col)>& body) {
-  if (rows <= 0 || cols <= 0) return;
-  const int64_t n = rows * cols;
-  const std::function<void(int64_t, int64_t)> wrapper =
-      [&](int64_t begin, int64_t end) {
-        for (int64_t idx = begin; idx < end; ++idx) {
-          body(idx / cols, idx % cols);
-        }
-      };
-  if (NumThreads() <= 1 || n <= 1) {
-    wrapper(0, n);
-    return;
-  }
-  // Chunk size 1 (unlike ParallelFor's workers-sized chunks): grid cells
-  // are claimed one at a time so uneven per-cell costs load-balance.
-  if (!GetPool()->TryRun(n, /*chunk=*/1, wrapper)) wrapper(0, n);
-}
-
 }  // namespace poe

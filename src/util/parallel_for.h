@@ -41,14 +41,6 @@ void ParallelFor(int64_t n, const Body& body, int64_t min_chunk = 1024) {
   internal::ParallelForOnPool(n, body, min_chunk);
 }
 
-/// Runs body(row, col) once for every cell of the rows x cols grid,
-/// distributing cells over the same worker pool (same inline fallbacks as
-/// ParallelFor). Each invocation is an independent task (chunk size 1):
-/// intended for coarse 2-D tile spaces (e.g. GEMM macro-tiles) where
-/// per-cell work is large and uneven.
-void ParallelFor2D(int64_t rows, int64_t cols,
-                   const std::function<void(int64_t row, int64_t col)>& body);
-
 }  // namespace poe
 
 #endif  // POE_UTIL_PARALLEL_FOR_H_

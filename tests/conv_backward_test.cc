@@ -1,6 +1,6 @@
 // Conv2d::Backward against references that share none of its code paths.
 //
-// dW (and db) must be bitwise the per-part Im2Col + GemmSeq product over
+// dW (and db) must be bitwise the per-part Im2Col + GemmEx product over
 // the batch-only partition (Conv2d::kGradRowsPerPart rows per part, parts
 // summed in order). dX must land within a stated tolerance of a
 // double-precision naive transposed conv, and satisfy the adjoint
@@ -91,8 +91,9 @@ TEST_P(ConvBackwardTest, WeightGradBitwiseMatchesIm2ColPartSums) {
       const float* dy_b = dy_.data() + b * c.out_c * ohw;
       Im2Col(x_.data() + b * c.in_c * c.h * c.w, c.in_c, c.h, c.w, c.kernel,
              c.kernel, c.pad, c.stride, cols.data());
-      GemmSeq(false, true, c.out_c, ckk, ohw, 1.0f, dy_b, cols.data(),
-              b == begin ? 0.0f : 1.0f, slot.data());
+      GemmEx(false, true, c.out_c, ckk, ohw, 1.0f, dy_b, cols.data(),
+             b == begin ? 0.0f : 1.0f, slot.data(), GemmEpilogue{},
+             /*parallel=*/false);
       for (int64_t oc = 0; oc < c.out_c; ++oc) {
         float acc = 0.0f;
         for (int64_t i = 0; i < ohw; ++i) acc += dy_b[oc * ohw + i];

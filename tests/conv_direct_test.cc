@@ -188,12 +188,13 @@ TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
   }
 }
 
-// Sub-tile parallelism inside a single macro tile must not change output
-// bits: every register tile is computed by exactly one task with the same
-// packed panels and accumulation order (ParallelFor is a barrier).
+// Sub-tile parallelism inside a single row and column tile must not
+// change output bits: every register tile is computed by exactly one task
+// with the same packed panels and accumulation order (ParallelFor is a
+// barrier).
 TEST(ConvDirectGemmTest, SubTileParallelIsDeterministicF32) {
   Rng rng(91);
-  // m=64 rows, ~900 columns: one macro tile, many NR-column micro panels
+  // m=64 rows, ~900 columns: one row and column tile, many micro panels
   // (the shape that exercises the sub-tile ParallelFor schedule).
   const int64_t m = 64, k = 64 * 3 * 3, n = 30 * 30;
   std::vector<float> a(static_cast<size_t>(m * k));
@@ -229,8 +230,8 @@ TEST(ConvDirectGemmTest, SubTileParallelIsDeterministicInt8) {
             std::memcmp(c_seq.data(), c_par.data(), c_seq.size() * sizeof(float)));
 }
 
-// Multi-macro-tile shape: the macro schedule (or sub-tile, depending on
-// worker count) must agree with sequential bit for bit too.
+// Several row and column tiles: micro-panels dealt over the pool must
+// agree with the sequential schedule bit for bit too.
 TEST(ConvDirectGemmTest, MultiTileParallelIsDeterministic) {
   Rng rng(93);
   const int64_t m = 300, k = 60, n = 1100;

@@ -99,7 +99,7 @@ TEST(ConvFastPathTest, PointwiseMatchesReference) {
 
 TEST(ConvFastPathTest, PointwiseStride2TakesGeneralPathCorrectly) {
   Rng rng(22);
-  // 1x1 but stride 2: must NOT use the fast path; verify it still matches.
+  // 1x1 at stride 2 reads a phase-split image copy; verify it still matches.
   Conv2d conv(6, 10, /*kernel=*/1, /*stride=*/2, /*pad=*/0, rng);
   Tensor x = Tensor::Randn({2, 6, 8, 8}, rng);
   Tensor got = conv.Forward(x, /*training=*/false);
@@ -203,7 +203,8 @@ TEST(ConvFastPathTest, SteadyStateForwardMakesNoScratchAllocations) {
                                sizeof(float)));
 }
 
-// Same property for the pointwise fast path.
+// Same property for a 1x1/stride-1/pad-0 conv, whose direct view reads
+// the input in place.
 TEST(ConvFastPathTest, PointwiseSteadyStateMakesNoScratchAllocations) {
   Rng rng(28);
   Conv2d conv(64, 64, /*kernel=*/1, /*stride=*/1, /*pad=*/0, rng);

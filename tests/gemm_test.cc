@@ -101,26 +101,41 @@ TEST(GemmTest, KZeroScalesOnly) {
   EXPECT_FLOAT_EQ(c[1], 2.0f);
 }
 
-// The blocked GEMM assigns each C macro-tile to exactly one task with a
-// fixed k-accumulation order, so the threaded and sequential paths must be
-// bitwise identical — not merely close.
+// Every C micro-tile is written by one task with the k-blocks in
+// ascending order, so the threaded and sequential schedules must be
+// bitwise identical, not merely close, through every entry point that
+// takes `parallel`. 513x1100x700 spans 3 row tiles, 2 column tiles and 3
+// k-blocks; CMake reruns this binary at POE_NUM_THREADS=4.
 TEST(GemmTest, ThreadedMatchesSequentialBitwise) {
   Rng rng(77);
   for (const auto& [m, n, k] :
        {std::tuple<int, int, int>{64, 48, 32},
         std::tuple<int, int, int>{300, 130, 400},
-        std::tuple<int, int, int>{513, 257, 129}}) {
+        std::tuple<int, int, int>{513, 1100, 700}}) {
     std::vector<float> a(static_cast<size_t>(m) * k);
     std::vector<float> b(static_cast<size_t>(k) * n);
-    std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
     FillUniform(&a, rng);
     FillUniform(&b, rng);
-    Gemm(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f, c1.data());
-    GemmSeq(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
-            c2.data());
-    ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
-                             c1.size() * sizeof(float)))
-        << "m=" << m << " n=" << n << " k=" << k;
+    const PackedAWeights pa = PackedAWeights::Pack(false, m, k, a.data());
+    const PackedBWeights pb = PackedBWeights::Pack(false, k, n, b.data());
+    const size_t mn = static_cast<size_t>(m) * n;
+    // GemmEx, GemmPackedA and GemmPackedB, one after another.
+    const auto products = [&](bool parallel) {
+      std::vector<float> c(3 * mn, 0.0f);
+      GemmEx(false, false, m, n, k, 1.0f, a.data(), b.data(), 0.0f,
+             c.data(), GemmEpilogue{}, parallel);
+      GemmPackedA(pa, n, b.data(), 1.0f, 0.0f, c.data() + mn,
+                  GemmEpilogue{}, parallel);
+      GemmPackedB(m, a.data(), false, pb, 1.0f, 0.0f, c.data() + 2 * mn,
+                  GemmEpilogue{}, parallel);
+      return c;
+    };
+    const std::vector<float> par = products(true), seq = products(false);
+    for (size_t entry = 0; entry < 3; ++entry) {
+      ASSERT_EQ(0, std::memcmp(par.data() + entry * mn,
+                               seq.data() + entry * mn, mn * sizeof(float)))
+          << "entry " << entry << " m=" << m << " n=" << n << " k=" << k;
+    }
   }
 }
 
