@@ -429,16 +429,33 @@ void Wrn16TrainingShapes(benchmark::internal::Benchmark* b) {
 BENCHMARK(BM_Conv2dTrainForward)->Apply(Wrn16TrainingShapes);
 BENCHMARK(BM_Conv2dBackward)->Apply(Wrn16TrainingShapes);
 
+// One BN+ReLU training pair as BasicBlock runs it: the fused training
+// forward, then its backward, at b64. Args: channels, spatial side. The
+// shapes are WRN-16's (the three library stages and the ks=0.25 expert's
+// 16-channel 8x8 stage). bytes_processed counts the floats the two passes
+// must move at minimum: forward reads x and writes y and xhat, backward
+// reads dy, xhat and y and writes dx.
 void BM_BatchNormTraining(benchmark::State& state) {
+  const int64_t channels = state.range(0);
+  const int64_t side = state.range(1);
   Rng rng(4);
-  BatchNorm2d bn(32);
-  Tensor x = Tensor::Randn({64, 32, 8, 8}, rng);
+  BatchNorm2d bn(channels);
+  Tensor x = Tensor::Randn({64, channels, side, side}, rng);
+  Tensor dy = Tensor::Randn(x.shape(), rng);
   for (auto _ : state) {
-    Tensor y = bn.Forward(x, true);
-    benchmark::DoNotOptimize(y.data());
+    Tensor y = bn.ForwardTrainingFusedRelu(x);
+    Tensor dx = bn.BackwardFusedRelu(dy);
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
   }
+  state.SetBytesProcessed(state.iterations() * 7 * x.numel() *
+                          static_cast<int64_t>(sizeof(float)));
 }
-BENCHMARK(BM_BatchNormTraining);
+BENCHMARK(BM_BatchNormTraining)
+    ->Args({16, 32})
+    ->Args({32, 16})
+    ->Args({64, 8})
+    ->Args({16, 8});
 
 void BM_Softmax(benchmark::State& state) {
   Rng rng(5);

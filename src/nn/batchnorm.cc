@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
 
 #include "util/parallel_for.h"
 
@@ -21,6 +24,90 @@ void ForEachChannel(int64_t channels, int64_t elems_per_channel,
       std::max<int64_t>(1, kMinChunkElems / std::max<int64_t>(
                                                  1, elems_per_channel));
   ParallelFor(channels, body, min_chunk);
+}
+
+// Channels whose reductions run interleaved. One channel's sum is a single
+// chain of dependent double adds, so a pass over it waits out the add
+// latency on every element; kGroup channels walked side by side keep
+// kGroup independent chains in flight. Each channel still adds its own
+// elements in (batch, pixel) order with the same expression, so every sum
+// has the bits of the one-channel loop.
+constexpr int64_t kGroup = 4;
+
+// ReLU's backward gate: dy where the post-ReLU output is positive, else
+// +0.0f, exactly the values of `act > 0 ? dy : 0`. Written as a mask (the
+// compare's all-ones or all-zeros lanes ANDed with dy's bits) because the
+// ternary compiled to a compare and a branch, and that branch mispredicts
+// on about half of the post-ReLU elements. A NaN or Inf dy under a closed
+// gate still becomes +0.0f.
+inline float ReluGate(float dy, float act) {
+  uint32_t bits;
+  std::memcpy(&bits, &dy, sizeof(bits));
+  bits &= 0u - static_cast<uint32_t>(act > 0.0f);
+  std::memcpy(&dy, &bits, sizeof(bits));
+  return dy;
+}
+
+// sum(x) and sum(x^2) of the G channels from c0, each in its sequential
+// (batch, pixel) order.
+template <int64_t G>
+void ChannelMoments(const float* in, int64_t channels, int64_t batch,
+                    int64_t hw, int64_t c0, double* sum, double* sq) {
+  double s[G] = {}, q[G] = {};
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const float* p = in + (bi * channels + c0) * hw;
+    for (int64_t i = 0; i < hw; ++i) {
+      for (int64_t j = 0; j < G; ++j) {
+        const float v = p[j * hw + i];
+        s[j] += v;
+        q[j] += static_cast<double>(v) * v;
+      }
+    }
+  }
+  for (int64_t j = 0; j < G; ++j) {
+    sum[j] = s[j];
+    sq[j] = q[j];
+  }
+}
+
+// sum(dy) and sum(dy * xhat) of the G channels from c0, each in its
+// sequential (batch, pixel) order; with kRelu, dy is gated by the cached
+// post-ReLU output `act`.
+template <int64_t G, bool kRelu>
+void ChannelGradSums(const float* gout, const float* xh, const float* act,
+                     int64_t channels, int64_t batch, int64_t hw, int64_t c0,
+                     double* sum_dy, double* sum_dy_xhat) {
+  double s[G] = {}, q[G] = {};
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    const int64_t off = (bi * channels + c0) * hw;
+    const float* dyp = gout + off;
+    const float* xhp = xh + off;
+    const float* ap = kRelu ? act + off : nullptr;
+    for (int64_t i = 0; i < hw; ++i) {
+      for (int64_t j = 0; j < G; ++j) {
+        const int64_t e = j * hw + i;
+        const float dy = kRelu ? ReluGate(dyp[e], ap[e]) : dyp[e];
+        s[j] += dy;
+        q[j] += static_cast<double>(dy) * xhp[e];
+      }
+    }
+  }
+  for (int64_t j = 0; j < G; ++j) {
+    sum_dy[j] = s[j];
+    sum_dy_xhat[j] = q[j];
+  }
+}
+
+// Runs body(c0, group) over channels [c_begin, c_end), where group is a
+// std::integral_constant holding how many channels from c0 to take:
+// kGroup at a time, then one at a time for the remainder.
+template <typename Body>
+void ForEachChannelGroup(int64_t c_begin, int64_t c_end, const Body& body) {
+  int64_t c = c_begin;
+  for (; c + kGroup <= c_end; c += kGroup) {
+    body(c, std::integral_constant<int64_t, kGroup>());
+  }
+  for (; c < c_end; ++c) body(c, std::integral_constant<int64_t, 1>());
 }
 
 }  // namespace
@@ -67,39 +154,38 @@ Tensor BatchNorm2d::TrainingForward(const Tensor& input, bool relu) {
   float* xh = cached_xhat_.data();
   float* rm = running_mean_.data();
   float* rv = running_var_.data();
-  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
-    for (int64_t c = c_begin; c < c_end; ++c) {
-      double sum = 0.0, sq = 0.0;
-      for (int64_t bi = 0; bi < batch; ++bi) {
-        const float* p = in + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          sum += p[i];
-          sq += static_cast<double>(p[i]) * p[i];
-        }
-      }
-      const double mean = sum / n;
-      double var = sq / n - mean * mean;
-      if (var < 0.0) var = 0.0;  // numeric guard
-      const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
-      cached_inv_std_[c] = inv_std;
-      // Update running stats with the unbiased variance (PyTorch semantics).
-      const double unbiased = n > 1 ? var * n / (n - 1) : var;
-      rm[c] =
-          (1.0f - momentum_) * rm[c] + momentum_ * static_cast<float>(mean);
-      rv[c] = (1.0f - momentum_) * rv[c] +
-              momentum_ * static_cast<float>(unbiased);
-      for (int64_t bi = 0; bi < batch; ++bi) {
-        const float* p = in + (bi * channels_ + c) * hw;
-        float* xhp = xh + (bi * channels_ + c) * hw;
-        float* op = out + (bi * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          const float xhat = (p[i] - static_cast<float>(mean)) * inv_std;
-          xhp[i] = xhat;
-          const float y = g[c] * xhat + b[c];
-          op[i] = relu && !(y > 0.0f) ? 0.0f : y;
-        }
+  // Statistics, running stats and the normalize pass of channel c, from
+  // its sum(x) and sum(x^2).
+  const auto finish_channel = [&](int64_t c, double sum, double sq) {
+    const double mean = sum / n;
+    double var = sq / n - mean * mean;
+    if (var < 0.0) var = 0.0;  // numeric guard
+    const float inv_std = 1.0f / std::sqrt(static_cast<float>(var) + eps_);
+    cached_inv_std_[c] = inv_std;
+    // Update running stats with the unbiased variance (PyTorch semantics).
+    const double unbiased = n > 1 ? var * n / (n - 1) : var;
+    rm[c] = (1.0f - momentum_) * rm[c] + momentum_ * static_cast<float>(mean);
+    rv[c] = (1.0f - momentum_) * rv[c] +
+            momentum_ * static_cast<float>(unbiased);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const float* p = in + (bi * channels_ + c) * hw;
+      float* xhp = xh + (bi * channels_ + c) * hw;
+      float* op = out + (bi * channels_ + c) * hw;
+      for (int64_t i = 0; i < hw; ++i) {
+        const float xhat = (p[i] - static_cast<float>(mean)) * inv_std;
+        xhp[i] = xhat;
+        const float y = g[c] * xhat + b[c];
+        op[i] = relu && !(y > 0.0f) ? 0.0f : y;
       }
     }
+  };
+  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
+    ForEachChannelGroup(c_begin, c_end, [&](int64_t c0, auto group) {
+      constexpr int64_t kG = decltype(group)::value;
+      double sum[kG], sq[kG];
+      ChannelMoments<kG>(in, channels_, batch, hw, c0, sum, sq);
+      for (int64_t j = 0; j < kG; ++j) finish_channel(c0 + j, sum[j], sq[j]);
+    });
   });
   return output;
 }
@@ -165,7 +251,7 @@ Tensor BatchNorm2d::BackwardImpl(const Tensor& grad_output, bool relu) {
   POE_CHECK_EQ(grad_output.dim(0), batch);
   POE_CHECK_EQ(grad_output.dim(1), channels_);
 
-  Tensor grad_input(grad_output.shape());
+  Tensor grad_input = Tensor::Uninitialized(grad_output.shape());
   const float* gout = grad_output.data();
   const float* xh = cached_xhat_.data();
   const float* act = relu ? cached_relu_out_.data() : nullptr;
@@ -174,54 +260,50 @@ Tensor BatchNorm2d::BackwardImpl(const Tensor& grad_output, bool relu) {
   float* dbeta = beta_.grad.data();
   float* gin = grad_input.data();
 
-  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
-    for (int64_t c = c_begin; c < c_end; ++c) {
-      // Accumulate sum(dy) and sum(dy * xhat) over the batch and space;
-      // under fusion dy is the ReLU-gated gradient, recomputed per pass.
-      double sum_dy = 0.0, sum_dy_xhat = 0.0;
-      for (int64_t bi = 0; bi < batch; ++bi) {
-        const int64_t off = (bi * channels_ + c) * hw;
-        const float* dyp = gout + off;
-        const float* xhp = xh + off;
-        if (relu) {
-          const float* ap = act + off;
-          for (int64_t i = 0; i < hw; ++i) {
-            const float dy = ap[i] > 0.0f ? dyp[i] : 0.0f;
-            sum_dy += dy;
-            sum_dy_xhat += static_cast<double>(dy) * xhp[i];
-          }
-        } else {
-          for (int64_t i = 0; i < hw; ++i) {
-            sum_dy += dyp[i];
-            sum_dy_xhat += static_cast<double>(dyp[i]) * xhp[i];
-          }
+  // dgamma, dbeta and dx of channel c from its sum(dy) and sum(dy * xhat);
+  // under fusion dy is the ReLU-gated gradient, recomputed per pass.
+  const auto finish_channel = [&](int64_t c, double sum_dy,
+                                  double sum_dy_xhat) {
+    dgamma[c] += static_cast<float>(sum_dy_xhat);
+    dbeta[c] += static_cast<float>(sum_dy);
+    // dx = gamma * inv_std / n * (n*dy - sum(dy) - xhat * sum(dy*xhat)).
+    const float k = g[c] * cached_inv_std_[c] / static_cast<float>(n);
+    const float s_dy = static_cast<float>(sum_dy);
+    const float s_dy_xh = static_cast<float>(sum_dy_xhat);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      const int64_t off = (bi * channels_ + c) * hw;
+      const float* dyp = gout + off;
+      const float* xhp = xh + off;
+      float* gp = gin + off;
+      if (relu) {
+        const float* ap = act + off;
+        for (int64_t i = 0; i < hw; ++i) {
+          const float dy = ReluGate(dyp[i], ap[i]);
+          gp[i] = k * (static_cast<float>(n) * dy - s_dy - xhp[i] * s_dy_xh);
         }
-      }
-      dgamma[c] += static_cast<float>(sum_dy_xhat);
-      dbeta[c] += static_cast<float>(sum_dy);
-      // dx = gamma * inv_std / n * (n*dy - sum(dy) - xhat * sum(dy*xhat)).
-      const float k = g[c] * cached_inv_std_[c] / static_cast<float>(n);
-      const float s_dy = static_cast<float>(sum_dy);
-      const float s_dy_xh = static_cast<float>(sum_dy_xhat);
-      for (int64_t bi = 0; bi < batch; ++bi) {
-        const int64_t off = (bi * channels_ + c) * hw;
-        const float* dyp = gout + off;
-        const float* xhp = xh + off;
-        float* gp = gin + off;
-        if (relu) {
-          const float* ap = act + off;
-          for (int64_t i = 0; i < hw; ++i) {
-            const float dy = ap[i] > 0.0f ? dyp[i] : 0.0f;
-            gp[i] = k * (static_cast<float>(n) * dy - s_dy - xhp[i] * s_dy_xh);
-          }
-        } else {
-          for (int64_t i = 0; i < hw; ++i) {
-            gp[i] = k * (static_cast<float>(n) * dyp[i] - s_dy -
-                         xhp[i] * s_dy_xh);
-          }
+      } else {
+        for (int64_t i = 0; i < hw; ++i) {
+          gp[i] = k * (static_cast<float>(n) * dyp[i] - s_dy -
+                       xhp[i] * s_dy_xh);
         }
       }
     }
+  };
+  ForEachChannel(channels_, n, [&](int64_t c_begin, int64_t c_end) {
+    ForEachChannelGroup(c_begin, c_end, [&](int64_t c0, auto group) {
+      constexpr int64_t kG = decltype(group)::value;
+      double sum_dy[kG], sum_dy_xhat[kG];
+      if (relu) {
+        ChannelGradSums<kG, true>(gout, xh, act, channels_, batch, hw, c0,
+                                  sum_dy, sum_dy_xhat);
+      } else {
+        ChannelGradSums<kG, false>(gout, xh, act, channels_, batch, hw, c0,
+                                   sum_dy, sum_dy_xhat);
+      }
+      for (int64_t j = 0; j < kG; ++j) {
+        finish_channel(c0 + j, sum_dy[j], sum_dy_xhat[j]);
+      }
+    });
   });
   return grad_input;
 }

@@ -16,6 +16,19 @@
 #include <immintrin.h>
 #endif
 
+// Marks the functions that round through DequantOne: each of its multiplies and
+// adds rounds on its own, as in the SIMD stores, which use explicit mul and add
+// intrinsics. Without it GCC fuses a multiply and the following add into an FMA
+// in some of the loop versions it emits for the scalar store and not in others,
+// and runtime alias checks between the output and the epilogue arrays pick the
+// version, so heap layout would pick the rounding. Clang contracts only within
+// one expression, and DequantOne takes one statement per operation.
+#if defined(__GNUC__) && !defined(__clang__)
+#define POE_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
+#else
+#define POE_NO_FP_CONTRACT
+#endif
+
 namespace poe {
 
 namespace {
@@ -693,11 +706,13 @@ void PackBDispatch(const KernelS8& kn, bool trans_b, const int8_t* b,
   PackBs8(trans_b, b, k, n, j0, nc, kn.nr, kn.kr, out, colsum);
 }
 
-// Scalar int32 -> f32 conversion, shared by the scalar/avx2 store path,
-// GemmS8Ref, and the k == 0 epilogue-only path. The vectorized VNNI store
-// performs the same arithmetic with a different operation order, so it
-// may differ from this by a few ulps (tests compare kernels to the
-// reference with a tight relative tolerance, not bitwise).
+// Scalar int32 -> f32 conversion, shared by the scalar store path, GemmS8Ref,
+// and the k == 0 epilogue-only path (where acc is 0, so every product is exact
+// and contraction cannot change a bit). DequantStoreS8 and GemmS8Ref are
+// POE_NO_FP_CONTRACT, so they match the AVX2 store bitwise. The vectorized VNNI
+// store performs the same arithmetic with a different operation order, so it
+// may differ from this by a few ulps (tests compare kernels to the reference
+// with a tight relative tolerance, not bitwise).
 inline float DequantOne(int64_t i, int64_t j, int32_t acc,
                         const GemmS8Epilogue& ep) {
   float v = static_cast<float>(acc) * ep.scale;
@@ -711,10 +726,12 @@ inline float DequantOne(int64_t i, int64_t j, int32_t acc,
 
 // Writes one micro-tile: undoes the A shift via colsum (colsum points at
 // this panel's columns) and applies the dequantizing epilogue. noinline:
-// a single compiled instance (one call per register tile) guarantees every
-// execution path — parallel, sequential, prepacked — performs bitwise
-// identical f32 arithmetic regardless of per-callsite fp contraction.
-__attribute__((noinline)) void DequantStoreS8(
+// a single compiled instance (one call per register tile) serves every
+// execution path (parallel, sequential, prepacked), and POE_NO_FP_CONTRACT
+// keeps every loop version of that instance on the same separate
+// multiplies and adds, so the paths agree bitwise with each other and
+// with DequantStoreAvx2_6x16.
+__attribute__((noinline)) POE_NO_FP_CONTRACT void DequantStoreS8(
     const int32_t* acc, int64_t acc_rs, int64_t acc_cs, int64_t rows,
     int64_t cols, const int32_t* colsum, int32_t shift,
     const GemmS8Epilogue& ep, int64_t row0, int64_t col0, float* tile,
@@ -1141,9 +1158,10 @@ void PackedS8BWeights::Unpack(int8_t* out) const {
   }
 }
 
-void GemmS8Ref(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
-               const int8_t* a, const int8_t* b, float* c,
-               const GemmS8Epilogue& epilogue) {
+POE_NO_FP_CONTRACT void GemmS8Ref(bool trans_a, bool trans_b, int64_t m,
+                                  int64_t n, int64_t k, const int8_t* a,
+                                  const int8_t* b, float* c,
+                                  const GemmS8Epilogue& epilogue) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       int32_t acc = 0;

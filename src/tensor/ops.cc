@@ -19,7 +19,7 @@ constexpr int64_t kElementwiseMinChunk = 1 << 15;
 
 Tensor Add(const Tensor& a, const Tensor& b) {
   POE_CHECK(SameShape(a, b)) << a.ShapeString() << " vs " << b.ShapeString();
-  Tensor out(a.shape());
+  Tensor out = Tensor::Uninitialized(a.shape());
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();

@@ -205,7 +205,9 @@ RefBn MatchedBn(BatchNorm2d& bn, Rng& rng) {
 }
 
 // (channels, batch, hw_side): the large cases split over several chunks
-// of a multi-worker pool.
+// of a multi-worker pool. Channel counts 5 and 17 leave a remainder after
+// the interleaved channel groups, and 17 also after a 4-worker chunk
+// split; the b64 cases are WRN-16's training shapes.
 class BatchNormBitwise : public ::testing::TestWithParam<BnCase> {};
 
 TEST_P(BatchNormBitwise, TrainingForwardAndBackwardMatchReference) {
@@ -276,6 +278,71 @@ TEST_P(BatchNormBitwise, FusedReluMatchesBnThenRelu) {
   EXPECT_TRUE(BytesEqual(ref.dbeta, bn.beta().grad.data())) << "dbeta";
 }
 
+// Plants, in every channel of `t`, a pair of +2^30 and -2^30 and a pair
+// of +2^40 and -2^40 at random elements of the channel's (batch, pixel)
+// sequence where open(element) holds. Each pair cancels exactly, so the
+// small terms decide the sum, but a small term added while a large one
+// sits in the partial sum rounds to its ulp: a channel summed in any
+// order other than the sequential one lands on other bits. Sums of Randn
+// data alone are exact in double whatever the order, so they cannot tell.
+template <typename Open>
+void PlantCancellingPairs(Tensor& t, Rng& rng, const Open& open) {
+  const int64_t batch = t.dim(0), channels = t.dim(1);
+  const int64_t hw = t.dim(2) * t.dim(3);
+  for (int64_t c = 0; c < channels; ++c) {
+    std::vector<int64_t> slots;
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      for (int64_t i = 0; i < hw; ++i) {
+        const int64_t e = (bi * channels + c) * hw + i;
+        if (open(e)) slots.push_back(e);
+      }
+    }
+    for (const float big : {0x1p30f, 0x1p40f}) {
+      for (const float v : {big, -big}) {
+        if (slots.empty()) break;
+        const int64_t k = rng.NextInt(static_cast<int64_t>(slots.size()));
+        t.at(slots[k]) = v;
+        slots.erase(slots.begin() + k);
+      }
+    }
+  }
+}
+
+TEST_P(BatchNormBitwise, OrderSensitiveSumsMatchReference) {
+  const auto [channels, batch, side] = GetParam();
+  for (const bool relu : {false, true}) {
+    Rng rng(channels * 13 + batch * 3 + side + relu);
+    BatchNorm2d bn(channels);
+    RefBn ref = MatchedBn(bn, rng);
+    Tensor x = Tensor::Randn({batch, channels, side, side}, rng);
+    PlantCancellingPairs(x, rng, [](int64_t) { return true; });
+
+    Tensor y = relu ? bn.ForwardTrainingFusedRelu(x) : bn.Forward(x, true);
+    std::vector<float> want_y(x.numel());
+    RefBnForward(ref, x, want_y.data());
+    std::vector<bool> open(x.numel(), true);
+    for (size_t i = 0; relu && i < want_y.size(); ++i) {
+      open[i] = want_y[i] > 0.0f;
+      if (!open[i]) want_y[i] = 0.0f;
+    }
+    EXPECT_TRUE(BytesEqual(want_y, y.data())) << "output, relu " << relu;
+    EXPECT_TRUE(BytesEqual(ref.running_mean, bn.running_mean().data()));
+    EXPECT_TRUE(BytesEqual(ref.running_var, bn.running_var().data()));
+
+    Tensor dy = Tensor::Randn(x.shape(), rng);
+    PlantCancellingPairs(dy, rng, [&](int64_t e) { return open[e]; });
+    Tensor gated(dy.shape());
+    for (int64_t i = 0; i < dy.numel(); ++i)
+      gated.at(i) = open[i] ? dy.at(i) : 0.0f;
+    Tensor dx = relu ? bn.BackwardFusedRelu(dy) : bn.Backward(dy);
+    std::vector<float> want_dx(x.numel());
+    RefBnBackward(ref, gated, want_dx.data());
+    EXPECT_TRUE(BytesEqual(want_dx, dx.data())) << "dx, relu " << relu;
+    EXPECT_TRUE(BytesEqual(ref.dgamma, bn.gamma().grad.data())) << "dgamma";
+    EXPECT_TRUE(BytesEqual(ref.dbeta, bn.beta().grad.data())) << "dbeta";
+  }
+}
+
 TEST(BatchNormPropertyTest, BackwardMustMatchForwardFusion) {
   BatchNorm2d bn(2);
   Rng rng(8);
@@ -288,7 +355,61 @@ INSTANTIATE_TEST_SUITE_P(Shapes, BatchNormBitwise,
                          ::testing::Values(BnCase{1, 3, 5}, BnCase{3, 2, 7},
                                            BnCase{8, 16, 32},
                                            BnCase{16, 64, 16},
-                                           BnCase{64, 8, 8}));
+                                           BnCase{64, 8, 8}, BnCase{5, 3, 7},
+                                           BnCase{5, 16, 32},
+                                           BnCase{17, 8, 32},
+                                           BnCase{16, 64, 32},
+                                           BnCase{32, 64, 16},
+                                           BnCase{64, 64, 8}));
+
+// The fused backward gates dy by the cached output's sign. Where the
+// pre-ReLU value is <= 0 (exactly +0.0 and -0.0 included) the gradient is
+// dropped, even when it is NaN, an infinity or -0.0: dx, dgamma and dbeta
+// must be the reference's for a dy zeroed there, and finite.
+TEST(BatchNormPropertyTest, FusedReluGateDropsNonFiniteGradients) {
+  constexpr int kChannels = 6, kBatch = 4, kSide = 5;
+  Rng rng(9);
+  BatchNorm2d bn(kChannels);
+  RefBn ref = MatchedBn(bn, rng);
+  // Channel 0: gamma 0, beta +0 -> every pre-ReLU value is +0.0.
+  // Channel 1: gamma 0, beta -0 -> +0.0 or -0.0 by the sign of xhat.
+  // Channel 2: beta far below zero -> every value negative.
+  // Channels 3-5 keep their random parameters (mixed signs).
+  const float gammas[3] = {0.0f, 0.0f, 0.5f};
+  const float betas[3] = {0.0f, -0.0f, -50.0f};
+  for (int c = 0; c < 3; ++c) {
+    bn.gamma().value.at(c) = ref.gamma[c] = gammas[c];
+    bn.beta().value.at(c) = ref.beta[c] = betas[c];
+  }
+  Tensor x = Tensor::Randn({kBatch, kChannels, kSide, kSide}, rng);
+  std::vector<float> pre(x.numel());
+  RefBnForward(ref, x, pre.data());
+  int pos_zero = 0, neg_zero = 0;
+  for (float v : pre) {
+    if (v == 0.0f) ++(std::signbit(v) ? neg_zero : pos_zero);
+  }
+  ASSERT_GT(pos_zero, 0);
+  ASSERT_GT(neg_zero, 0);
+
+  const float kPoison[] = {std::nanf(""), INFINITY, -INFINITY, -0.0f};
+  Tensor dy = Tensor::Randn(x.shape(), rng);
+  Tensor gated(dy.shape());
+  for (int64_t i = 0; i < dy.numel(); ++i) {
+    if (!(pre[i] > 0.0f)) dy.at(i) = kPoison[i % 4];
+    gated.at(i) = pre[i] > 0.0f ? dy.at(i) : 0.0f;
+  }
+
+  bn.ForwardTrainingFusedRelu(x);
+  Tensor dx = bn.BackwardFusedRelu(dy);
+  std::vector<float> want_dx(x.numel());
+  RefBnBackward(ref, gated, want_dx.data());
+  EXPECT_TRUE(BytesEqual(want_dx, dx.data())) << "dx";
+  EXPECT_TRUE(BytesEqual(ref.dgamma, bn.gamma().grad.data())) << "dgamma";
+  EXPECT_TRUE(BytesEqual(ref.dbeta, bn.beta().grad.data())) << "dbeta";
+  for (int64_t i = 0; i < dx.numel(); ++i) {
+    ASSERT_TRUE(std::isfinite(dx.at(i))) << "dx[" << i << "]";
+  }
+}
 
 }  // namespace
 }  // namespace poe

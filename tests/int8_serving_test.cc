@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/expert_pool.h"
@@ -12,6 +14,7 @@
 #include "eval/metrics.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
+#include "tensor/gemm_s8.h"
 #include "tensor/ops.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -116,6 +119,87 @@ TEST(Int8LayerTest, LinearInt8TracksF32) {
   EXPECT_GT(lin.Int8WeightBytes(), 0);
   Tensor i8 = lin.Forward(x, false);
   EXPECT_LT(MaxAbsDiff(f32, i8), 0.05f * MaxAbsValue(f32) + 1e-4f);
+}
+
+// One IEEE-rounded float product or sum: the volatile round trip keeps
+// the compiler from fusing it into an FMA with the next operation.
+float RoundedMul(float a, float b) {
+  volatile float r = a * b;
+  return r;
+}
+float RoundedAdd(float a, float b) {
+  volatile float r = a + b;
+  return r;
+}
+
+// The scalar and AVX2 int8 stores both round every epilogue step on its
+// own: ((acc * act_scale) * col_scale) + col_bias. This oracle does the
+// same from the layer's exported int8 state, so a tier that matches it
+// matches the other bit for bit. A scalar store whose compiler fused the
+// last multiply and add in some of its loop versions, picked at run time
+// by alias checks, fails here: the head shape (batch 1, column bias) goes
+// through the layer itself and, with the layer's epilogue, through
+// GemmS8PackedB into buffers placed right after the epilogue arrays (the
+// alias checks fail) and far from them. The VNNI store multiplies the two
+// scales first, so the oracle only holds on the scalar and AVX2 tiers
+// (the forced-kernel reruns).
+TEST(Int8LayerTest, DynamicLinearBatch1MatchesSeparateRoundingBitwise) {
+  const std::string kernel = GemmS8KernelName();
+  if (kernel != "scalar" && kernel != "avx2") {
+    GTEST_SKIP() << "the " << kernel << " store orders the scales otherwise";
+  }
+  constexpr int64_t kIn = 64, kOut = 10;
+  Rng rng(21);
+  Linear lin(kIn, kOut, rng);
+  for (int64_t j = 0; j < kOut; ++j) {
+    lin.bias().value.at(j) = rng.Uniform(-2.0f, 2.0f);
+  }
+  lin.PrepareInt8Serving();
+  const Int8WeightState w = lin.ExportInt8State().ValueOrDie();
+  ASSERT_EQ(w.act_scale, 0.0f);  // dynamic activation scale
+
+  for (int trial = 0; trial < 8; ++trial) {
+    Tensor x = Tensor::Randn({1, kIn}, rng);
+    const float act_scale = SymmetricScaleS8(x.data(), kIn);
+    std::vector<int8_t> q(kIn);
+    QuantizeBufferS8(x.data(), kIn, 1.0f / act_scale, q.data());
+    std::vector<float> want(kOut);
+    for (int64_t j = 0; j < kOut; ++j) {
+      int32_t acc = 0;
+      for (int64_t p = 0; p < kIn; ++p) acc += q[p] * w.values[j * kIn + p];
+      const float v = RoundedMul(
+          RoundedMul(static_cast<float>(acc), act_scale), w.scales[j]);
+      want[j] = RoundedAdd(v, lin.bias().value.at(j));
+    }
+    const Tensor got = lin.Forward(x, /*training=*/false);
+    ASSERT_EQ(0, std::memcmp(want.data(), got.data(), sizeof(float) * kOut))
+        << "layer output, trial " << trial;
+
+    // [col_scale | col_bias | output slot ... | far output slot]: every
+    // offset from touching the bias up to two AVX-512 vectors past it,
+    // then one 4 KiB away.
+    const PackedS8BWeights packed =
+        PackedS8BWeights::Pack(/*trans_b=*/true, kIn, kOut, w.values.data());
+    std::vector<float> buf(2 * kOut + 1024 + kOut, -1.0f);
+    std::memcpy(buf.data(), w.scales.data(), sizeof(float) * kOut);
+    std::memcpy(buf.data() + kOut, lin.bias().value.data(),
+                sizeof(float) * kOut);
+    GemmS8Epilogue ep;
+    ep.scale = act_scale;
+    ep.col_scale = buf.data();
+    ep.col_bias = buf.data() + kOut;
+    std::vector<int64_t> offsets;
+    for (int64_t off = 2 * kOut; off <= 2 * kOut + 32; ++off)
+      offsets.push_back(off);
+    offsets.push_back(2 * kOut + 1024);
+    for (int64_t off : offsets) {
+      float* out = buf.data() + off;
+      GemmS8PackedB(/*trans_a=*/false, 1, q.data(), packed, out, ep,
+                    /*parallel=*/false);
+      ASSERT_EQ(0, std::memcmp(want.data(), out, sizeof(float) * kOut))
+          << "output at float offset " << off << ", trial " << trial;
+    }
+  }
 }
 
 // At production widths the packed panels carry no row padding (out
