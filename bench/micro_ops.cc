@@ -8,7 +8,7 @@
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/linear.h"
-#include "tensor/conv_direct.h"
+#include "support/conv_reference.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
 #include "tensor/ops.h"
@@ -63,8 +63,10 @@ void BM_GemmS8(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmS8)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
-// Same product with the weights pre-packed once (the conv serving path:
-// packing cost amortized across every query).
+// Same product with the weights pre-packed once, as a 1x1 conv of n
+// channels (packing cost amortized across every call). This is the GEMM
+// of the im2col conv reference; serving convs run GemmS8ConvPackedA,
+// which reads B in place from the padded image.
 void BM_GemmS8Packed(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(2);
@@ -74,7 +76,9 @@ void BM_GemmS8Packed(benchmark::State& state) {
   for (auto& v : b)
     v = static_cast<int8_t>(static_cast<int64_t>(rng.NextInt(255)) - 127);
   std::vector<float> scales(n, 0.01f), c(n * n);
-  PackedS8Weights packed = PackedS8Weights::Pack(n, n, a.data());
+  PackedS8Weights packed =
+      PackedS8Weights::PackConv(n, n, /*kernel=*/1, a.data());
+  b.resize(static_cast<size_t>(packed.depth() * n), int8_t{0});
   GemmS8Epilogue ep;
   ep.scale = 0.02f;
   ep.row_scale = scales.data();
@@ -168,10 +172,10 @@ BENCHMARK(BM_ConvWrnInt8)
     ->Args({256, 256, 8, 1, 3})   // conv4 group body
     ->Args({256, 256, 8, 1, 1});  // 1x1 projection
 
-// Int8 conv with a static calibrated activation scale: the per-forward
-// max-abs pass over the input disappears. Rates compare
-// row-for-row against BM_ConvWrnInt8. Pinned to the im2col lowering so it
-// stays the baseline BM_ConvWrnDirectInt8 is gated against.
+// Int8 conv with a static calibrated activation scale, on the im2col
+// reference lowering (support/conv_reference.h): weights exported and
+// repacked once, then per image a quantize, an Im2Col in k-group order and
+// GemmS8PackedA. The baseline BM_ConvWrnDirectInt8 is gated against.
 void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -187,13 +191,11 @@ void BM_ConvWrnInt8Calibrated(benchmark::State& state) {
   conv.Forward(x, false);
   conv.FinishActivationCalibration();
   conv.PrepareInt8Serving();
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kIm2Col);
+  const Im2ColConv reference(conv);
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, false);
+    Tensor y = reference.Forward(x, /*relu=*/false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);
@@ -211,10 +213,10 @@ BENCHMARK(BM_ConvWrnInt8Calibrated)
     ->Args({32, 16, 16, 2, 3})    // expert head: first conv
     ->Args({16, 16, 8, 1, 3});    // expert head: 8x8 conv
 
-// F32 conv with prepacked op(A) weight panels (pack-once serving) vs the
-// per-call PackA of BM_ConvWrn — same rows, bitwise identical outputs.
-// Pinned to the im2col lowering so it stays the baseline BM_ConvWrnDirect
-// is gated against.
+// F32 conv with prepacked op(A) weight panels on the im2col reference
+// lowering (support/conv_reference.h): weights packed once, then per image
+// an Im2Col and GemmPackedA. Same rows as BM_ConvWrn, bitwise identical
+// outputs; the baseline BM_ConvWrnDirect is gated against.
 void BM_ConvWrnPrepacked(benchmark::State& state) {
   const int64_t in_c = state.range(0);
   const int64_t out_c = state.range(1);
@@ -225,15 +227,12 @@ void BM_ConvWrnPrepacked(benchmark::State& state) {
   const int64_t batch = 8;
   Rng rng(7);
   Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
-  conv.Prepack(ServingPrecision::kFloat32);
   Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kIm2Col);
+  const Im2ColConv reference(conv, /*prepacked=*/true);
   for (auto _ : state) {
-    Tensor y = conv.Forward(x, false);
+    Tensor y = reference.Forward(x, /*relu=*/false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);
@@ -266,13 +265,10 @@ void BM_ConvWrnDirect(benchmark::State& state) {
   Conv2d conv(in_c, out_c, kernel, stride, pad, rng);
   conv.Prepack(ServingPrecision::kFloat32);
   Tensor x = Tensor::Randn({batch, in_c, hw, hw}, rng);
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kDirect);
   for (auto _ : state) {
     Tensor y = conv.Forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);
@@ -307,13 +303,10 @@ void BM_ConvWrnDirectInt8(benchmark::State& state) {
   conv.Forward(x, false);
   conv.FinishActivationCalibration();
   conv.PrepareInt8Serving();
-  const ConvPath prev = ConvPathChoice();
-  SetConvPath(ConvPath::kDirect);
   for (auto _ : state) {
     Tensor y = conv.Forward(x, false);
     benchmark::DoNotOptimize(y.data());
   }
-  SetConvPath(prev);
   const int64_t out_hw = (hw + 2 * pad - kernel) / stride + 1;
   state.SetItemsProcessed(state.iterations() * batch * out_c * out_hw *
                           out_hw * in_c * kernel * kernel * 2);

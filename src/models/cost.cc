@@ -1,6 +1,6 @@
 #include "models/cost.h"
 
-#include "tensor/im2col.h"
+#include "tensor/conv_direct.h"
 #include "util/logging.h"
 
 namespace poe {

@@ -1,7 +1,7 @@
 #include "nn/basic_block.h"
 
 #include "tensor/arena.h"
-#include "tensor/im2col.h"
+#include "tensor/conv_direct.h"
 #include "tensor/ops.h"
 
 namespace poe {

@@ -15,11 +15,14 @@ namespace {
 // Runs body(c_begin, c_end) over the channels on the worker pool. Every
 // channel's reductions stay inside one chunk, in their sequential order,
 // so the result does not depend on the thread count. Chunks hold at least
-// ~32K elements: a batch-1 serving forward stays inline.
+// 16K elements: a batch-1 forward of a 16-channel 32x32 stage stays
+// inline, while the expert's 16-channel 8x8 stage at b64 (4K elements a
+// channel) still splits four ways. At 32K it split two ways and ran
+// slower on 4 workers than inline.
 template <typename Body>
 void ForEachChannel(int64_t channels, int64_t elems_per_channel,
                     const Body& body) {
-  constexpr int64_t kMinChunkElems = 1 << 15;
+  constexpr int64_t kMinChunkElems = 1 << 14;
   const int64_t min_chunk =
       std::max<int64_t>(1, kMinChunkElems / std::max<int64_t>(
                                                  1, elems_per_channel));

@@ -7,7 +7,6 @@
 
 #include "nn/init.h"
 #include "tensor/arena.h"
-#include "tensor/im2col.h"
 #include "util/parallel_for.h"
 
 namespace poe {
@@ -68,8 +67,7 @@ Tensor Conv2d::ForwardFused(const Tensor& input,
 }
 
 bool Conv2d::TakesInt8Images() const {
-  return int8_serving_ && act_scale_ > 0.0f && stride_ == 1 &&
-         UseDirectConv();
+  return int8_serving_ && act_scale_ > 0.0f && stride_ == 1;
 }
 
 ConvInputImages Conv2d::AllocInputImages(ScratchScope& scope, int64_t batch,
@@ -123,7 +121,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const int64_t out_w = ConvOutSize(w, kernel_, pad_, stride_);
   POE_CHECK_GT(out_h, 0);
   POE_CHECK_GT(out_w, 0);
-  const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t ohw = out_h * out_w;
 
   POE_CHECK(fused == nullptr || fused->next == nullptr)
@@ -136,15 +133,6 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   GemmEpilogue ep;
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
-
-  // Im2col-free direct path (every geometry, inference and training): the
-  // GEMM reads its B operand straight from a zero-padded image copy, split
-  // by column phase when strided, or from the input itself when stride is
-  // 1 and pad is 0, instead of a materialized im2col matrix. Bitwise
-  // identical output (see conv_direct.h), so training is the same either
-  // way; Backward reads only the cached input, never the lowering. im2col
-  // runs only under POE_CONV_PATH=im2col.
-  const bool direct = UseDirectConv();
 
   // Pack-once fast path: the persistent op(A) weight panels are bitwise
   // identical to the per-call PackA output, so the product is too.
@@ -159,7 +147,10 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  // One per-thread image buffer (or im2col buffer) serves a whole range.
+  // Each image's GEMM reads its B operand in place from a zero-padded
+  // copy of the image (split by column phase when strided), or from the
+  // input itself when stride is 1 and pad is 0; one per-thread copy serves
+  // a whole range.
   const int64_t out_size = out_channels_ * ohw;
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
@@ -170,27 +161,14 @@ Tensor Conv2d::ForwardImpl(const Tensor& input, bool training,
     img.kernel = kernel_;
     img.pad = pad_;
     img.stride = stride_;
-    const int64_t elems = direct ? DirectImageElems(img) : 0;
+    const int64_t elems = DirectImageElems(img);
     float* buf = elems > 0 ? scope.Alloc(elems) : nullptr;
-    float* cols = direct ? nullptr : scope.Alloc(ckk * ohw);
     for (int64_t b = begin; b < end; ++b) {
       const float* in_b = in + b * in_channels_ * h * w;
       float* out_b = out + b * out_size;
       ConvImageFusion fusion;
       GemmEpilogue ep_b = ep;
       ep_b.tile_hook = ConvFusionHook(fused, b, out_size, out_w, &fusion);
-      if (!direct) {
-        Im2Col(in_b, in_channels_, h, w, kernel_, kernel_, pad_, stride_,
-               cols);
-        if (packed) {
-          GemmPackedA(packed_w_, ohw, cols, 1.0f, 0.0f, out_b, ep_b,
-                      gemm_parallel);
-        } else {
-          GemmEx(false, false, out_channels_, ohw, ckk, 1.0f, wp, cols, 0.0f,
-                 out_b, ep_b, gemm_parallel);
-        }
-        continue;
-      }
       if (buf != nullptr) {
         FillDirectImage(in_b, img, buf);
         img.padded = buf;
@@ -255,18 +233,15 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
   ep.row_bias = has_bias_ ? bias_.value.data() : nullptr;
   ep.relu = fuse_relu;
 
-  const bool direct = UseDirectConv();
   const bool gemm_parallel = batch < NumThreads() &&
                              GemmParallelTiles(out_channels_, ohw) > batch;
 
-  // Each image is quantized exactly once into a flat CHW buffer. The
-  // direct path then copies the bytes into the channel-interleaved layout
-  // the micro-kernels read in place (stride-phase split when strided); the
-  // im2col pin unfolds them in the weights' k-group order. A fused
-  // quantizing unfold (Im2ColQuantize, removed) would re-quantize every
-  // element k*k times, which measured ~2x slower at WRN 3x3 geometries
-  // (docs/PERF.md). All orders are bitwise identical. Images a producer
-  // filled skip both steps.
+  // Each image is quantized exactly once into a flat CHW buffer, whose
+  // bytes are then copied into the channel-interleaved layout the
+  // micro-kernels read in place (stride-phase split when strided). A fused
+  // quantizing copy would re-quantize every element k*k times, which
+  // measured ~2x slower at WRN 3x3 geometries (docs/PERF.md). Images a
+  // producer filled skip both steps.
   auto run_range = [&](int64_t begin, int64_t end) {
     ScratchScope scope;
     int8_t* q = images != nullptr ? nullptr : AllocS8(scope, chw);
@@ -278,10 +253,8 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
     img.pad = pad_;
     img.stride = stride_;
     img.group = GemmS8KGroup();
-    const int64_t elems =
-        direct && images == nullptr ? DirectImageElems(img) : 0;
-    int8_t* image = elems > 0 ? AllocS8(scope, elems) : q;
-    int8_t* cols = direct ? nullptr : AllocS8(scope, qweight_.depth() * ohw);
+    int8_t* image =
+        images == nullptr ? AllocS8(scope, DirectImageElems(img)) : nullptr;
     for (int64_t b = begin; b < end; ++b) {
       // No C when the hook quantizes into the next conv's images: with a
       // hook set, the int8 GEMMs (k > 0) reach C only through it, and it
@@ -296,15 +269,9 @@ Tensor Conv2d::ForwardInt8(const Tensor* input, const ConvInputImages* images,
         continue;
       }
       QuantizeBufferS8(in + b * chw, chw, inv_scale, q);
-      if (direct) {
-        if (elems > 0) FillDirectImage(q, img, image);
-        img.padded = image;
-        GemmS8ConvPackedA(qweight_, img, out_b, ep_b, gemm_parallel);
-        continue;
-      }
-      Im2Col(q, in_channels_, h, w, kernel_, kernel_, pad_, stride_, cols,
-             img.group);
-      GemmS8PackedA(qweight_, ohw, cols, out_b, ep_b, gemm_parallel);
+      FillDirectImage(q, img, image);
+      img.padded = image;
+      GemmS8ConvPackedA(qweight_, img, out_b, ep_b, gemm_parallel);
     }
   };
   if (gemm_parallel) {

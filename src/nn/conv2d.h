@@ -28,11 +28,10 @@ class ScratchScope;
 /// GEMM layout). Bias is optional and off by default, matching WRN blocks
 /// where batch-norm absorbs the bias.
 ///
-/// Steady-state Forward makes no scratch allocations: the direct path's
-/// padded-image buffer (and the im2col buffer where that lowering runs)
-/// come from the per-thread arena, a stride-1, pad-0 f32 view reads the
-/// input in place, and bias (+ fused ReLU at inference) is applied by the
-/// GEMM epilogue instead of a second pass over the output. Backward
+/// Steady-state Forward makes no scratch allocations: the padded-image
+/// buffer comes from the per-thread arena, a stride-1, pad-0 f32 view
+/// reads the input in place, and bias (+ fused ReLU at inference) is
+/// applied by the GEMM epilogue instead of a second pass over the output. Backward
 /// draws its padded images, flipped weights and gradient slots from the
 /// arena too.
 class Conv2d : public Module {
@@ -57,7 +56,7 @@ class Conv2d : public Module {
 
   /// True when the inference forward can read its input as int8 direct
   /// images that a producer filled (ForwardImages): int8 serving with a
-  /// static calibrated scale, stride 1, on the direct path.
+  /// static calibrated scale, stride 1.
   bool TakesInt8Images() const;
   /// `batch` input images for an h x w input, carved from `scope`, with
   /// the border and padding-channel lanes zeroed; requires

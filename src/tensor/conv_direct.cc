@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "util/env.h"
 #include "util/logging.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -16,23 +14,6 @@
 namespace poe {
 
 namespace {
-
-ConvPath ParseConvPathEnv() {
-  const std::string value = GetEnvOr("POE_CONV_PATH", "auto");
-  if (value == "im2col") return ConvPath::kIm2Col;
-  if (value == "direct") return ConvPath::kDirect;
-  if (value != "auto") {
-    POE_LOG(Warning) << "POE_CONV_PATH=" << value
-                     << " not recognized (auto|im2col|direct); using auto";
-  }
-  return ConvPath::kAuto;
-}
-
-// Mutable process-wide choice, seeded from the environment exactly once.
-ConvPath& ConvPathState() {
-  static ConvPath path = ParseConvPathEnv();
-  return path;
-}
 
 // Writes the direct layout of `v`: zero everywhere, then copy_row(src, n,
 // dst) for each interior row of each phase plane q. Positions [lo, hi) of
@@ -210,9 +191,5 @@ void ZeroDirectImageBorder(const ConvImageViewS8& v, int8_t* buf) {
     std::memset(q, 0, static_cast<size_t>(p + plane - q));
   }
 }
-
-ConvPath ConvPathChoice() { return ConvPathState(); }
-
-void SetConvPath(ConvPath path) { ConvPathState() = path; }
 
 }  // namespace poe

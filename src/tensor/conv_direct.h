@@ -22,9 +22,10 @@
 // the channels that pad C up to a multiple of `group`.
 //
 // Every direct product runs the same FMA (or exact integer) chain per
-// output element as the im2col lowering, so outputs are bitwise identical
-// on every kernel tier. `POE_CONV_PATH=im2col|direct|auto` (or
-// SetConvPath) overrides the automatic choice for A/B benching.
+// output element as GEMM over the materialized im2col matrix, so outputs
+// are bitwise that lowering's on every kernel tier. It is the only conv
+// lowering the library runs; the im2col one lives on in the tests as
+// their reference (tests/support/conv_reference.h).
 #ifndef POE_TENSOR_CONV_DIRECT_H_
 #define POE_TENSOR_CONV_DIRECT_H_
 
@@ -32,26 +33,10 @@
 
 namespace poe {
 
-/// Which lowering Conv2d uses for its forward passes.
-enum class ConvPath {
-  kAuto,    ///< direct (every geometry is covered)
-  kIm2Col,  ///< always materialize the im2col matrix
-  kDirect,  ///< direct
-};
-
-/// Current process-wide path choice. Initialized once from POE_CONV_PATH
-/// ("auto" | "im2col" | "direct", default auto).
-ConvPath ConvPathChoice();
-
-/// Overrides the path choice (tests and A/B benches). Not thread-safe
-/// against concurrent forwards; flip it only around single-threaded
-/// measurement or setup code.
-void SetConvPath(ConvPath path);
-
-/// True when conv forwards take the direct path (every geometry is
-/// covered; only the POE_CONV_PATH=im2col pin opts out).
-inline bool UseDirectConv() {
-  return ConvPathChoice() != ConvPath::kIm2Col;
+/// Output spatial size for a conv dimension.
+inline int64_t ConvOutSize(int64_t in, int64_t kernel, int64_t pad,
+                           int64_t stride) {
+  return (in + 2 * pad - kernel) / stride + 1;
 }
 
 /// A zero-padded image the GEMM reads the virtual im2col matrix from. It
@@ -60,7 +45,7 @@ inline bool UseDirectConv() {
 /// padded column x sits in plane x % stride at position x / stride, and
 /// channel c in group c / group at lane c % group. The interior is the
 /// image; the border and the lanes past `channels` are exact zero (float
-/// 0.0f or quantized 0, matching what Im2Col writes for out-of-range taps).
+/// 0.0f or quantized 0, what an im2col unfold writes for out-of-range taps).
 template <typename T>
 struct ConvImageViewT {
   const T* padded = nullptr;

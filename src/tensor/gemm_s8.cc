@@ -965,23 +965,6 @@ void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
              /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr);
 }
 
-PackedS8Weights PackedS8Weights::Pack(int64_t m, int64_t k,
-                                      const int8_t* a) {
-  POE_CHECK_GT(m, 0);
-  POE_CHECK_GT(k, 0);
-  POE_CHECK_LE(k, kMaxK);
-  const KernelS8& kernel = PickKernelS8();
-  const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
-  const int64_t panels = (m + kernel.mr - 1) / kernel.mr;
-  PackedS8Weights packed;
-  packed.m_ = m;
-  packed.k_ = k;
-  packed.data_.resize(static_cast<size_t>(panels * kpad * kernel.mr));
-  PackADispatch(kernel, /*trans_a=*/false, a, m, k, /*i0=*/0, /*mc=*/m,
-                packed.data_.data());
-  return packed;
-}
-
 void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
                    float* c, const GemmS8Epilogue& epilogue, bool parallel) {
   POE_CHECK(!a.empty()) << "GemmS8PackedA on unpacked weights";
@@ -1082,15 +1065,14 @@ void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
 void PackedS8Weights::Unpack(int8_t* out) const {
   POE_CHECK(!empty()) << "Unpack on empty PackedS8Weights";
   const KernelS8& kernel = PickKernelS8();
-  const int64_t kpad = (k_ + kernel.kr - 1) / kernel.kr * kernel.kr;
   const int64_t kk = conv_kernel_ * conv_kernel_;
-  const int64_t k_out = kk == 0 ? k_ : conv_channels_ * kk;
-  // Conv weights' column p first moves to its k-group order.
+  const int64_t k_out = conv_channels_ * kk;
+  // Column p first moves to its k-group order.
   for (int64_t i = 0; i < m_; ++i) {
     for (int64_t p = 0; p < k_out; ++p) {
-      const int64_t col = kk == 0 ? p : ConvPackedColumn(p, kk, kernel.kr);
+      const int64_t col = ConvPackedColumn(p, kk, kernel.kr);
       out[i * k_out + p] = static_cast<int8_t>(
-          data_[PanelOffset(kernel, kpad, i, col)] - kernel.shift);
+          data_[PanelOffset(kernel, k_, i, col)] - kernel.shift);
     }
   }
 }

@@ -47,15 +47,15 @@ void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
             const int8_t* a, const int8_t* b, float* c,
             const GemmS8Epilogue& epilogue, bool parallel);
 
-/// Weights pre-packed once into the dispatched kernel's op(A) panel layout
-/// (an m x k row-major int8 matrix, no transpose). Serving layers build
-/// this at quantization time so per-query GEMMs skip the A-packing pass
-/// and the f32 weights can be released. Valid only within the process that
-/// packed it (the layout depends on the dispatched kernel geometry).
+/// Conv weights pre-packed once into the dispatched kernel's op(A) panel
+/// layout. Conv2d builds this at quantization time so per-query GEMMs skip
+/// the A-packing pass and the f32 weights can be released. Valid only
+/// within the process that packed it (the layout depends on the dispatched
+/// kernel geometry). A plain m x k matrix packs as a 1x1 conv of k
+/// channels: PackConv(m, k, 1, a), depth k rounded up to the k-group.
 class PackedS8Weights {
  public:
   PackedS8Weights() = default;
-  static PackedS8Weights Pack(int64_t m, int64_t k, const int8_t* a);
 
   /// Packs conv weights (m x channels*kernel^2, row-major in im2col order
   /// (c, kh, kw)) for GemmS8ConvPackedA: k is reordered to
@@ -65,17 +65,17 @@ class PackedS8Weights {
   static PackedS8Weights PackConv(int64_t m, int64_t channels,
                                   int64_t kernel, const int8_t* a);
 
-  /// Reconstructs the row-major int8 matrix Pack or PackConv was given
-  /// into `out` (m x k, or m x channels*kernel^2 in im2col order) — the
-  /// exact inverse for this process's kernel. Serialization exports
+  /// Reconstructs the row-major int8 matrix PackConv was given into `out`
+  /// (m x channels*kernel^2, im2col order) — the exact inverse for this
+  /// process's kernel. Serialization exports
   /// through this, so persisted int8 pools stay kernel-layout independent
   /// without holding a second raw copy of the weights in memory.
   void Unpack(int8_t* out) const;
 
   bool empty() const { return data_.empty(); }
   int64_t rows() const { return m_; }
-  /// Reduction depth of the panels: k, or for PackConv the padded
-  /// channel count times kernel^2 (the rows of a k-group-ordered im2col).
+  /// Reduction depth of the panels: the padded channel count times
+  /// kernel^2 (the rows of a k-group-ordered im2col).
   int64_t depth() const { return k_; }
   /// Bytes held by the packed panels (the serving footprint of the
   /// weight matrix).
@@ -92,8 +92,9 @@ class PackedS8Weights {
   int64_t conv_channels_ = 0, conv_kernel_ = 0;  // PackConv geometry
 };
 
-/// GemmS8 with op(A) pre-packed and op(B) = B (k x n, untransposed):
-/// C (m x n) = epilogue(packed_a * B). The conv im2col serving path.
+/// GemmS8 with op(A) pre-packed and op(B) = B (a.depth() x n,
+/// untransposed): C (m x n) = epilogue(packed_a * B). The product of the
+/// tests' im2col conv reference; serving convs run GemmS8ConvPackedA.
 void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
                    float* c, const GemmS8Epilogue& epilogue, bool parallel);
 

@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "nn/conv2d.h"
+#include "support/im2col.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "util/rng.h"
 
 namespace poe {

@@ -1,9 +1,11 @@
-// Direct (im2col-free) convolution: the guarantee is bitwise identity
-// with the im2col lowering on every kernel tier, plus sub-tile
-// determinism (thread count never changes output bits). The GEMM-level
-// tests compare GemmConvEx/GemmS8ConvPackedA against the same GEMM run
-// over a materialized im2col matrix; the layer-level tests pin POE_CONV_PATH's
-// programmatic equivalent to each lowering and compare Conv2d outputs.
+// Direct (im2col-free) convolution, the library's one conv lowering: the
+// guarantee is bitwise identity with the im2col lowering on every kernel
+// tier, plus sub-tile determinism (thread count never changes output
+// bits). The GEMM-level tests compare GemmConvEx/GemmS8ConvPackedA against
+// the same GEMM run over a materialized im2col matrix; the layer-level
+// tests compare Conv2d's forwards against the im2col reference of
+// support/conv_reference.h, and the model-level test checks that the
+// whole-model reference runs every conv of a pool through it.
 // CMake reruns this binary under POE_GEMM_KERNEL=scalar|avx2 and
 // POE_NUM_THREADS=4 so every dispatch tier and the sub-tile parallel
 // schedule are all covered.
@@ -13,32 +15,26 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "core/expert_pool.h"
+#include "data/hierarchy.h"
+#include "models/wrn.h"
 #include "nn/basic_block.h"
 #include "nn/batchnorm.h"
 #include "nn/conv2d.h"
+#include "support/conv_reference.h"
+#include "support/im2col.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/gemm_s8.h"
-#include "tensor/im2col.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
 
 namespace poe {
 namespace {
-
-// Pins the conv path for one scope and restores the previous choice.
-class ScopedConvPath {
- public:
-  explicit ScopedConvPath(ConvPath path) : prev_(ConvPathChoice()) {
-    SetConvPath(path);
-  }
-  ~ScopedConvPath() { SetConvPath(prev_); }
-
- private:
-  ConvPath prev_;
-};
 
 void FillUniform(std::vector<float>* v, Rng& rng) {
   for (auto& x : *v) x = rng.Uniform(-1.0f, 1.0f);
@@ -249,28 +245,20 @@ TEST(ConvDirectGemmTest, MultiTileParallelIsDeterministic) {
             std::memcmp(c_seq.data(), c_par.data(), c_seq.size() * sizeof(float)));
 }
 
-// Layer-level oracle: identically-seeded Conv2d layers forwarded under
-// the pinned direct and im2col paths must agree bitwise — f32 plain,
-// f32 prepacked, and both int8 serving modes, across paddings, strides
-// (stride 2 runs the f32 phase-split path) and batch sizes.
+// Layer-level oracle: Conv2d's forward and the im2col reference over the
+// same layer must agree bitwise — f32 plain, f32 prepacked, and both int8
+// serving modes, across paddings, strides (stride 2 runs the f32
+// phase-split path) and batch sizes.
 TEST(ConvDirectLayerTest, ForwardF32BitwiseAcrossPaths) {
   for (int64_t kernel : {1, 3, 5}) {
     for (int64_t stride : {1, 2}) {
       for (int64_t pad : {int64_t{0}, kernel / 2}) {
         for (int64_t batch : {1, 3}) {
-          Rng rng1(55), rng2(55), rngx(56);
-          Conv2d direct(3, 10, kernel, stride, pad, rng1, /*bias=*/true);
-          Conv2d im2col(3, 10, kernel, stride, pad, rng2, /*bias=*/true);
+          Rng rng(55), rngx(56);
+          Conv2d conv(3, 10, kernel, stride, pad, rng, /*bias=*/true);
           Tensor x = Tensor::Randn({batch, 3, 9, 9}, rngx);
-          Tensor y1, y2;
-          {
-            ScopedConvPath pin(ConvPath::kDirect);
-            y1 = direct.Forward(x, /*training=*/false);
-          }
-          {
-            ScopedConvPath pin(ConvPath::kIm2Col);
-            y2 = im2col.Forward(x, /*training=*/false);
-          }
+          const Tensor y1 = conv.Forward(x, /*training=*/false);
+          const Tensor y2 = Im2ColForward(conv, x);
           ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(),
                                    y1.numel() * sizeof(float)))
               << "kernel=" << kernel << " stride=" << stride
@@ -282,21 +270,12 @@ TEST(ConvDirectLayerTest, ForwardF32BitwiseAcrossPaths) {
 }
 
 TEST(ConvDirectLayerTest, ForwardF32PrepackedBitwiseAcrossPaths) {
-  Rng rng1(57), rng2(57), rngx(58);
-  Conv2d direct(6, 12, 3, 1, 1, rng1, /*bias=*/true);
-  Conv2d im2col(6, 12, 3, 1, 1, rng2, /*bias=*/true);
-  direct.Prepack(ServingPrecision::kFloat32);
-  im2col.Prepack(ServingPrecision::kFloat32);
+  Rng rng(57), rngx(58);
+  Conv2d conv(6, 12, 3, 1, 1, rng, /*bias=*/true);
+  conv.Prepack(ServingPrecision::kFloat32);
   Tensor x = Tensor::Randn({2, 6, 11, 11}, rngx);
-  Tensor y1, y2;
-  {
-    ScopedConvPath pin(ConvPath::kDirect);
-    y1 = direct.ForwardFusedRelu(x);
-  }
-  {
-    ScopedConvPath pin(ConvPath::kIm2Col);
-    y2 = im2col.ForwardFusedRelu(x);
-  }
+  const Tensor y1 = conv.ForwardFusedRelu(x);
+  const Tensor y2 = Im2ColConv(conv, /*prepacked=*/true).Forward(x, true);
   ASSERT_EQ(0,
             std::memcmp(y1.data(), y2.data(), y1.numel() * sizeof(float)));
 }
@@ -305,29 +284,24 @@ TEST(ConvDirectLayerTest, ForwardInt8BitwiseAcrossPaths) {
   for (int64_t pad : {0, 1}) {
     for (int64_t batch : {1, 2}) {
       Rng rng1(59), rng2(59), rngx(60);
-      Conv2d direct(5, 8, 3, 1, pad, rng1);
-      Conv2d im2col(5, 8, 3, 1, pad, rng2);
+      Conv2d calibrated(5, 8, 3, 1, pad, rng1);
+      Conv2d dynamic(5, 8, 3, 1, pad, rng2);
       Tensor x = Tensor::Randn({batch, 5, 8, 8}, rngx);
-      // Calibrate one pair member on the probe batch so both the static
-      // and dynamic activation-scale paths cross the lowering boundary.
-      direct.BeginActivationCalibration();
-      direct.Forward(x, /*training=*/false);
-      direct.FinishActivationCalibration();
-      im2col.set_static_act_scale(direct.static_act_scale());
-      direct.PrepareInt8Serving();
-      im2col.PrepareInt8Serving();
-      Tensor y1, y2;
-      {
-        ScopedConvPath pin(ConvPath::kDirect);
-        y1 = direct.ForwardFusedRelu(x);
+      // One layer calibrated on the probe batch, its twin left dynamic,
+      // so both activation-scale paths cross the lowering boundary.
+      calibrated.BeginActivationCalibration();
+      calibrated.Forward(x, /*training=*/false);
+      calibrated.FinishActivationCalibration();
+      calibrated.PrepareInt8Serving();
+      dynamic.PrepareInt8Serving();
+      for (Conv2d* conv : {&calibrated, &dynamic}) {
+        const Tensor y1 = conv->ForwardFusedRelu(x);
+        const Tensor y2 = Im2ColForward(*conv, x, /*relu=*/true);
+        ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(),
+                                 y1.numel() * sizeof(float)))
+            << (conv == &calibrated ? "calibrated" : "dynamic")
+            << " pad=" << pad << " batch=" << batch;
       }
-      {
-        ScopedConvPath pin(ConvPath::kIm2Col);
-        y2 = im2col.ForwardFusedRelu(x);
-      }
-      ASSERT_EQ(0, std::memcmp(y1.data(), y2.data(),
-                               y1.numel() * sizeof(float)))
-          << "pad=" << pad << " batch=" << batch;
     }
   }
 }
@@ -340,7 +314,6 @@ TEST(ConvDirectLayerTest, BatchSizeDoesNotChangeBits) {
   Conv2d conv_a(4, 16, 3, 1, 1, rng1, /*bias=*/true);
   Conv2d conv_b(4, 16, 3, 1, 1, rng2, /*bias=*/true);
   Tensor big = Tensor::Randn({8, 4, 10, 10}, rngx);
-  ScopedConvPath pin(ConvPath::kDirect);
   Tensor y_all = conv_a.Forward(big, /*training=*/false);
   const int64_t item = 16 * 10 * 10;
   for (int64_t b = 0; b < 8; ++b) {
@@ -392,12 +365,9 @@ TEST(ConvDirectLayerTest, PackFreeBitwiseMatchesIm2ColGrid) {
                     << " out_c=" << out_c << " in_c=" << in_c
                     << " batch=" << batch;
               };
-              Tensor want_train, want_infer;
-              {
-                ScopedConvPath pin(ConvPath::kIm2Col);
-                want_train = conv.Forward(x, /*training=*/true);
-                want_infer = conv.ForwardFusedRelu(x);
-              }
+              const Im2ColConv reference(conv);
+              const Tensor want_train = reference.Forward(x, false);
+              const Tensor want_infer = reference.Forward(x, true);
               check(conv.Forward(x, /*training=*/true), want_train,
                     "training");
               check(conv.ForwardFusedRelu(x), want_infer, "inference");
@@ -441,7 +411,7 @@ void ExpectDirectLayoutS8(const std::vector<int8_t>& img,
 // The int8 twin of PackFreeBitwiseMatchesIm2ColGrid: the pack-free int8
 // path (channel-interleaved image, k-group-ordered weights, in-place
 // direct forms, gathered panels, box-summed column sums) against the
-// im2col pin over stride 1 and 2, kernel 1 and 3, pad 0 and 1, output rows
+// im2col reference over stride 1 and 2, kernel 1 and 3, pad 0 and 1, output rows
 // 32, 16 and 8 wide (direct forms) and 7 and 5 wide (gathered panels),
 // input channels that do (16, 32) and do not (3, 13) fill the kernel's
 // channel groups, output channels that do and do not fill a register tile,
@@ -471,12 +441,9 @@ TEST(ConvDirectLayerTest, PackFreeInt8BitwiseMatchesIm2ColGrid) {
               calibrated.PrepareInt8Serving();
               dynamic.PrepareInt8Serving();
               for (Conv2d* conv : {&calibrated, &dynamic}) {
-                Tensor want, want_relu;
-                {
-                  ScopedConvPath pin(ConvPath::kIm2Col);
-                  want = conv->Forward(x, /*training=*/false);
-                  want_relu = conv->ForwardFusedRelu(x);
-                }
+                const Im2ColConv reference(*conv);
+                const Tensor want = reference.Forward(x, false);
+                const Tensor want_relu = reference.Forward(x, true);
                 const Tensor got = conv->Forward(x, /*training=*/false);
                 const Tensor got_relu = conv->ForwardFusedRelu(x);
                 ASSERT_EQ(got.shape(), want.shape());
@@ -572,17 +539,9 @@ void RandomizeBatchNorm(BatchNorm2d* bn, Rng& rng) {
   }
 }
 
-// bn1 -> conv1 -> bn2 -> conv2 (+ shortcut), each a public forward.
-Tensor UnfusedBlock(const std::vector<Module*>& parts, const Tensor& x) {
-  auto* bn1 = static_cast<BatchNorm2d*>(parts[0]);
-  auto* conv1 = static_cast<Conv2d*>(parts[1]);
-  auto* bn2 = static_cast<BatchNorm2d*>(parts[2]);
-  auto* conv2 = static_cast<Conv2d*>(parts[3]);
-  const Tensor a = bn1->ForwardFusedRelu(x);
-  const Tensor h = bn2->ForwardFusedRelu(conv1->Forward(a, false));
-  const Tensor out = conv2->Forward(h, false);
-  if (parts.size() == 5) return Add(out, parts[4]->Forward(a, false));
-  return Add(out, x);
+// Each conv of the unfused chain runs its own (direct) forward.
+Tensor ConvOwnForward(Conv2d& conv, const Tensor& x) {
+  return conv.Forward(x, /*training=*/false);
 }
 
 TEST(BasicBlockFusionTest, FusedMatchesUnfusedChainGrid) {
@@ -619,7 +578,7 @@ TEST(BasicBlockFusionTest, FusedMatchesUnfusedChainGrid) {
         }
         for (int64_t rows : {1, 2, 3}) {
           const Tensor x = Tensor::Randn({rows, sh.in, hw, hw}, rng);
-          const Tensor want = UnfusedBlock(parts, x);
+          const Tensor want = UnfusedBlock(block, x, ConvOwnForward);
           const Tensor got = block.Forward(x, /*training=*/false);
           ASSERT_EQ(want.shape(), got.shape());
           EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
@@ -741,6 +700,76 @@ TEST(BasicBlockFusionTest, F32ConvRefusesNextImages) {
   epilogue.next = &images;
   const Tensor x = Tensor::Randn({1, 4, 6, 6}, rng);
   EXPECT_DEATH(producer.ForwardFused(x, epilogue), "only an int8 conv");
+}
+
+// A WRN-16 pool at library widening `kc` over 8x8x3 inputs: 3 tasks of 2
+// classes, experts at ks 0.25.
+ExpertPool SmallWrnPool(double kc, uint64_t seed) {
+  Rng rng(seed);
+  WrnConfig lib;
+  lib.depth = 16;
+  lib.base_channels = 16;
+  lib.kc = kc;
+  lib.num_classes = 6;
+  auto library = BuildLibraryPart(lib, rng);
+  std::vector<std::shared_ptr<Sequential>> experts;
+  for (int t = 0; t < 3; ++t) {
+    WrnConfig e = lib;
+    e.ks = 0.25;
+    e.num_classes = 2;
+    experts.push_back(BuildExpertPart(e, lib.conv3_channels(), rng));
+  }
+  return ExpertPool(lib, 0.25, ClassHierarchy::Uniform(3, 2),
+                    std::move(library), std::move(experts));
+}
+
+// Conv2d layers in `m`'s whole module tree.
+int64_t CountConvs(Module& m) {
+  std::vector<Module*> children;
+  m.CollectChildren(&children);
+  int64_t n = dynamic_cast<Conv2d*>(&m) != nullptr ? 1 : 0;
+  for (Module* child : children) n += CountConvs(*child);
+  return n;
+}
+
+// The whole-model reference must run every conv of the trunk and of each
+// head through the im2col lowering: a walk that let a conv-holding module
+// fall back to its own (direct) forward would hold that part of the model
+// to itself. Checked on a kc=1 pool (identity shortcuts in the first
+// group) and a kc=2 one (a stride-1 1x1 projection there), at f32,
+// calibrated int8 and dynamic int8, where the reference's logits must
+// also be the served ones bit for bit.
+TEST(Im2ColLogitsTest, ReachesEveryConvOfTrunkAndHeads) {
+  enum Mode { kF32, kInt8Calibrated, kInt8Dynamic };
+  for (double kc : {1.0, 2.0}) {
+    for (Mode mode : {kF32, kInt8Calibrated, kInt8Dynamic}) {
+      ExpertPool pool = SmallWrnPool(kc, /*seed=*/11);
+      Rng rng(12);
+      if (mode == kInt8Calibrated) {
+        ASSERT_TRUE(
+            pool.CalibrateActivations(Tensor::Randn({8, 3, 8, 8}, rng)).ok());
+      }
+      if (mode != kF32) {
+        ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
+      }
+      auto queried = pool.Query({0, 2});
+      ASSERT_TRUE(queried.ok()) << queried.status().ToString();
+      TaskModel model = std::move(queried).ValueOrDie();
+      int64_t want_convs = CountConvs(*model.trunk());
+      for (int i = 0; i < model.num_branches(); ++i) {
+        want_convs += CountConvs(*model.branch(i).head);
+      }
+      const Tensor x = Tensor::Randn({3, 3, 8, 8}, rng);
+      int64_t convs = 0;
+      const Tensor want = Im2ColLogits(model, x, &convs);
+      EXPECT_EQ(convs, want_convs) << "kc=" << kc << " mode " << mode;
+      const Tensor got = model.Logits(x);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                               sizeof(float) * got.numel()))
+          << "kc=" << kc << " mode " << mode;
+    }
+  }
 }
 
 }  // namespace

@@ -11,9 +11,9 @@
 #include "nn/conv2d.h"
 #include "nn/linear.h"
 #include "nn/sequential.h"
+#include "support/im2col.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
-#include "tensor/im2col.h"
 #include "util/rng.h"
 
 // Global allocation counters for the zero-alloc steady-state checks. This

@@ -1,5 +1,6 @@
-// Property test: Conv2d (im2col + GEMM) against a direct naive convolution
-// across a parameter sweep of shapes, strides, and paddings.
+// Property test: Conv2d (the direct lowering: GEMM over a zero-padded image
+// view) against a naive convolution loop across a parameter sweep of
+// shapes, strides, and paddings.
 #include <gtest/gtest.h>
 
 #include <tuple>

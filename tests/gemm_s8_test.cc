@@ -32,6 +32,16 @@ void FillUniform(std::vector<float>* v, Rng& rng, float lo = -1.0f,
   for (auto& x : *v) x = rng.Uniform(lo, hi);
 }
 
+// B (k x n, row-major) with zero rows appended up to `depth`: the operand
+// of an m x k matrix packed as a 1x1 conv of k channels, whose depth
+// rounds k up to the kernel's k-group.
+std::vector<int8_t> ZeroRowsTo(const std::vector<int8_t>& b, int64_t n,
+                               int64_t depth) {
+  std::vector<int8_t> deep(b);
+  deep.resize(static_cast<size_t>(depth * n), int8_t{0});
+  return deep;
+}
+
 // (trans_a, trans_b, m, n, k)
 using GemmS8Case = std::tuple<bool, bool, int, int, int>;
 
@@ -163,7 +173,9 @@ TEST(GemmS8Test, ThreadedMatchesSequentialBitwise) {
     ep.scale = 0.013f;
     ep.row_bias = bias.data();
     ep.relu = true;
-    const PackedS8Weights pa = PackedS8Weights::Pack(m, k, a.data());
+    const PackedS8Weights pa =
+        PackedS8Weights::PackConv(m, k, /*kernel=*/1, a.data());
+    const std::vector<int8_t> b_deep = ZeroRowsTo(b, n, pa.depth());
     const PackedS8BWeights pb =
         PackedS8BWeights::Pack(/*trans_b=*/false, k, n, b.data());
     const size_t mn = static_cast<size_t>(m) * n;
@@ -172,7 +184,7 @@ TEST(GemmS8Test, ThreadedMatchesSequentialBitwise) {
       std::vector<float> c(3 * mn, 0.0f);
       GemmS8(false, false, m, n, k, a.data(), b.data(), c.data(), ep,
              parallel);
-      GemmS8PackedA(pa, n, b.data(), c.data() + mn, ep, parallel);
+      GemmS8PackedA(pa, n, b_deep.data(), c.data() + mn, ep, parallel);
       GemmS8PackedB(false, m, a.data(), pb, c.data() + 2 * mn, ep, parallel);
       return c;
     };
@@ -200,12 +212,16 @@ TEST(GemmS8Test, PackedWeightsMatchUnpacked) {
     GemmS8Epilogue ep;
     ep.scale = 0.07f;
     ep.row_scale = scales.data();
-    PackedS8Weights packed = PackedS8Weights::Pack(m, k, a.data());
+    PackedS8Weights packed =
+        PackedS8Weights::PackConv(m, k, /*kernel=*/1, a.data());
+    const int64_t kr = GemmS8KGroup();
     EXPECT_EQ(packed.rows(), m);
-    EXPECT_EQ(packed.depth(), k);
+    EXPECT_EQ(packed.depth(), (k + kr - 1) / kr * kr);
     EXPECT_GE(packed.nbytes(), m * k);
+    const std::vector<int8_t> b_deep = ZeroRowsTo(b, n, packed.depth());
     std::vector<float> c1(static_cast<size_t>(m) * n, 0.0f), c2 = c1;
-    GemmS8PackedA(packed, n, b.data(), c1.data(), ep, /*parallel=*/true);
+    GemmS8PackedA(packed, n, b_deep.data(), c1.data(), ep,
+                  /*parallel=*/true);
     GemmS8(false, false, m, n, k, a.data(), b.data(), c2.data(), ep, true);
     ASSERT_EQ(0, std::memcmp(c1.data(), c2.data(),
                              c1.size() * sizeof(float)));

@@ -1,4 +1,4 @@
-#include "tensor/im2col.h"
+#include "support/im2col.h"
 
 #include <gtest/gtest.h>
 

@@ -2,15 +2,15 @@
 // WRN-16 base-16 pool of 20 tasks x 5 classes (expert ks 0.25, 32x32x3
 // inputs) is saved to disk, loaded and served by NetServer on 127.0.0.1
 // with 3 inference workers, and driven by 2 client threads in closed
-// loops. Every OK response must equal, bitwise, TaskModel::Logits from a
-// separately loaded copy of the pool that is never prepacked, and the
-// server must complete every request it admits. Fused batches, trunk
-// sharing across models, prepacked weights and the direct conv path all
+// loops. Every OK response must equal, bitwise, Im2ColLogits (the whole
+// model on the im2col conv reference) from a separately loaded copy of
+// the pool that is never prepacked, and the server must complete every
+// request it admits. Fused batches, trunk sharing across models,
+// prepacked weights, the block epilogues and the direct conv lowering all
 // sit between the two answers. Two geometries: the interactive f32
 // serving benchmark (16 one-image requests outstanding over 24
 // composites), and the bulk int8 one (a calibrated int8 pool, 32-image
-// requests for size-2 composites, 4 outstanding), whose oracle runs the
-// im2col lowering.
+// requests for size-2 composites, 4 outstanding).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -34,7 +34,7 @@
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "serve/inference_server.h"
-#include "tensor/conv_direct.h"
+#include "support/conv_reference.h"
 #include "util/rng.h"
 
 namespace poe {
@@ -102,12 +102,11 @@ struct ClientResult {
 // client over random composites of `sizes` and `num_inputs` random
 // batches of `rows` images, `window` outstanding per client. The oracle
 // answers every (composite, input) pair first, from its own load of the
-// file, queried and never prepacked, under `oracle_path`.
+// file, queried and never prepacked, with Im2ColLogits.
 void ServeAndCheckAgainstOracle(const ExpertPool& pool,
                                 const std::vector<int>& sizes,
                                 int num_inputs, int64_t rows, int window,
-                                int requests_per_client,
-                                ConvPath oracle_path) {
+                                int requests_per_client) {
   const std::string path = ::testing::TempDir() + "/wire_oracle_" +
                            std::to_string(::getpid()) + ".poe";
   ASSERT_TRUE(pool.Save(path).ok());
@@ -137,15 +136,13 @@ void ServeAndCheckAgainstOracle(const ExpertPool& pool,
       models.push_back(std::move(m).ValueOrDie());
       classes.push_back(models.back().global_classes());
     }
-    const ConvPath served_path = ConvPathChoice();
-    SetConvPath(oracle_path);
     for (const Job& job : jobs) {
       const auto key = std::make_pair(job.composite, job.input);
       if (reference.count(key) == 0) {
-        reference[key] = models[job.composite].Logits(inputs[job.input]);
+        reference[key] =
+            Im2ColLogits(models[job.composite], inputs[job.input]);
       }
     }
-    SetConvPath(served_path);
   }
 
   auto served = ExpertPool::Load(path);
@@ -251,12 +248,11 @@ TEST(NetWireOracleTest, EveryOkResponseEqualsTheOracleBitwise) {
   for (int i = 0; i < 24; ++i) sizes.push_back(1 + i % 4);
   ServeAndCheckAgainstOracle(RandomWrn16Pool(/*seed=*/7), sizes,
                              /*num_inputs=*/8, /*rows=*/1, /*window=*/8,
-                             /*requests_per_client=*/160, ConvPathChoice());
+                             /*requests_per_client=*/160);
 }
 
 // bulk_int8: a calibrated int8 pool, 2 clients x 2 outstanding 32-image
-// requests over 4 composites of 2 tasks; the oracle runs the im2col
-// lowering, the server the pack-free direct one.
+// requests over 4 composites of 2 tasks.
 TEST(NetWireOracleTest, EveryOkInt8ResponseEqualsTheIm2ColOracleBitwise) {
   ExpertPool pool = RandomWrn16Pool(/*seed=*/9);
   Rng rng(10);
@@ -266,7 +262,7 @@ TEST(NetWireOracleTest, EveryOkInt8ResponseEqualsTheIm2ColOracleBitwise) {
   ASSERT_TRUE(pool.SetServingPrecision(ServingPrecision::kInt8).ok());
   ServeAndCheckAgainstOracle(pool, std::vector<int>(4, 2), /*num_inputs=*/4,
                              /*rows=*/32, /*window=*/2,
-                             /*requests_per_client=*/12, ConvPath::kIm2Col);
+                             /*requests_per_client=*/12);
 }
 
 }  // namespace

@@ -134,7 +134,8 @@ TEST(PackedS8WeightsTest, UnpackIsTheExactInverseOfPack) {
     Rng rng(m * 100 + k);
     std::vector<int8_t> a(m * k);
     FillInt8(&a, rng);
-    PackedS8Weights packed = PackedS8Weights::Pack(m, k, a.data());
+    PackedS8Weights packed =
+        PackedS8Weights::PackConv(m, k, /*kernel=*/1, a.data());
     std::vector<int8_t> back(m * k, 99);
     packed.Unpack(back.data());
     ASSERT_EQ(0, std::memcmp(a.data(), back.data(), a.size()))

@@ -1,4 +1,4 @@
-#include "tensor/im2col.h"
+#include "support/im2col.h"
 
 #include <algorithm>
 #include <cstring>
@@ -26,8 +26,8 @@ ValidSpan ValidOutputColumns(int64_t width, int64_t out_w, int64_t kw,
   return {lo, hi};
 }
 
-// Shared unfold over the element type: f32 for training/inference, int8
-// for the quantized serving path (zero padding is exact in both domains).
+// Shared unfold over the element type: f32, and int8 for the quantized
+// reference (zero padding is exact in both domains).
 // Row (c, kh, kw) goes to ((c / group * kernel_h + kh) * kernel_w + kw) *
 // group + c % group, which is the plain running order for group 1.
 template <typename T>

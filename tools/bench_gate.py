@@ -53,8 +53,10 @@ CROSS_RATIOS = {
     "int8_vs_f32/Gemm/256": ("BM_Gemm/256", "BM_GemmS8/256"),
     # Direct-conv gates. int8_vs_f32 catches an int8-only collapse on the
     # direct path; the direct_vs_im2col pairs (im2col time over direct
-    # time, > 1 when direct wins) catch the direct lowering itself
-    # regressing to — or below — the im2col path it replaced.
+    # time, > 1 when direct wins) catch the library's direct lowering
+    # regressing to — or below — the im2col lowering it replaced, which
+    # micro_ops times through the tests' reference
+    # (tests/support/conv_reference.h).
     "int8_vs_f32/ConvWrnDirect/64": ("BM_ConvWrnDirect/64/64/32/1/3",
                                      "BM_ConvWrnDirectInt8/64/64/32/1/3"),
     "direct_vs_im2col/ConvWrn/64": ("BM_ConvWrnPrepacked/64/64/32/1/3",
