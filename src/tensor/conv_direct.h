@@ -5,9 +5,9 @@
 //
 // A per-call table maps each k step to its tap's offset at output pixel
 // (0, 0), and the pixels of one output row are contiguous in the image, so
-// no B panel is written (gemm.h ImageMatrix, gemm_s8.cc
-// GemmS8ConvPackedA). Conv backward reads the same tables: the dW GEMM
-// takes the image as its A operand (GemmConvAEx).
+// no B panel is written. The drivers GemmExImpl and GemmS8Impl take such a
+// view as an operand source beside packed panels, on their one schedule;
+// the dW GEMM of conv backward takes the image as its A (GemmConvAEx).
 // For stride s > 1 the image is stored column-phase split: padded column x
 // lives in phase plane x % s at position x / s, so the taps of one output
 // row are again contiguous and the offset table absorbs the phase. Panels

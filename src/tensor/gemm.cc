@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tensor/arena.h"
+#include "tensor/fp_contract.h"
 #include "tensor/pack.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -45,8 +46,10 @@ constexpr int64_t kMaxNR = 64;
 //   - image A: a(r, p) = arow[r][poff[p]], the broadcast scalars read
 //     straight from the image rows of an ImageMatrix, B packed. No A
 //     panel is written.
-// All forms run the identical FMA chain per accumulator, so a product is
-// bitwise the same whichever form computed a tile.
+// All forms of a tier run the identical multiply-add chain per accumulator
+// (explicit FMA intrinsics in the SIMD forms, a multiply and an add each
+// rounded in the POE_NO_FP_CONTRACT scalar forms), so a product is bitwise
+// the same whichever form computed a tile.
 using MicroKernelFn = void (*)(int64_t kc, const float* a, const float* b,
                                float* acc);
 using DirectKernelFn = void (*)(int64_t kc, const float* a,
@@ -76,10 +79,10 @@ struct Kernel {
 // lanes through its own segment pointer, so the direct form covers any
 // output width. kImageA reads A from its image rows.
 template <int kSeg, bool kImageA>
-void MicroKernel6x16Scalar(int64_t kc, const float* a,
-                           const float* const* arow, const int32_t* poff,
-                           const float* b, const float* const* seg,
-                           const int32_t* koff, float* acc) {
+POE_NO_FP_CONTRACT void MicroKernel6x16Scalar(
+    int64_t kc, const float* a, const float* const* arow, const int32_t* poff,
+    const float* b, const float* const* seg, const int32_t* koff,
+    float* acc) {
   float c[6 * 16];
   std::memset(c, 0, sizeof(c));
   for (int64_t p = 0; p < kc; ++p) {
@@ -424,15 +427,27 @@ struct TileStore {
   int64_t ldc;
 };
 
+// A read in place from an image (GemmConvAEx): a(i, p) = v->image[
+// v->koff[i] + poff[p]], the rows of ImageMatrix v as A's rows and its
+// pixels (poff[p] = v->ColOffset(p)) as A's columns. No A panel is packed.
+struct ImageA {
+  const ImageMatrix* v;
+  const int32_t* poff;
+};
+
 // Runs the register tiles of one NR-column micro-panel (columns j ..
-// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). B
-// comes from the packed panel `bp`, or, when `direct` is set, straight
-// from the conv image; `gather` (kc x nr floats) backs the panels no
-// direct form covers.
+// j+cols-1) over the row tile [i0, i0+mc) and k-block [pc, pc+kc). A
+// comes from the packed panels at `a_pack`, or in the kImageA form from
+// `image_a` (picked once per micro-panel: a per-tile branch between the
+// two cost the forward's large direct convs 3-10%). B comes from the
+// packed panel `bp`, or, when `direct` is set, straight from the conv
+// image; `gather` (kc x nr floats) backs the panels no direct form covers.
+template <bool kImageA>
 void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
-                   const float* a_pack, int64_t i0, int64_t mc,
-                   const float* bp, const ImageMatrix* direct, float* gather,
-                   int64_t j, int64_t cols, const TileStore& st) {
+                   const float* a_pack, const ImageA* image_a, int64_t i0,
+                   int64_t mc, const float* bp, const ImageMatrix* direct,
+                   float* gather, int64_t j, int64_t cols,
+                   const TileStore& st) {
   const float* seg[kMaxNR];
   DirectKernelFn direct_fn = nullptr;
   if (direct != nullptr) {
@@ -444,11 +459,21 @@ void RunMicroPanel(const Kernel& kn, int64_t pc, int64_t kc,
   }
   float acc[kMaxMR * kMaxNR];
   for (int64_t ip = 0; ip < mc; ip += kn.mr) {
-    const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
-    if (direct_fn != nullptr) {
-      direct_fn(kc, ap, seg, direct->koff + pc, acc);
+    if constexpr (kImageA) {
+      const float* arow[kMaxMR];
+      for (int64_t r = 0; r < kn.mr; ++r) {
+        // Rows past the tile repeat its last row; StoreTile drops them.
+        arow[r] = image_a->v->image +
+                  image_a->v->koff[i0 + std::min(ip + r, mc - 1)];
+      }
+      kn.image_a(kc, arow, image_a->poff + pc, bp, acc);
     } else {
-      kn.fn(kc, ap, bp, acc);
+      const float* ap = a_pack + (ip / kn.mr) * kc * kn.mr;
+      if (direct_fn != nullptr) {
+        direct_fn(kc, ap, seg, direct->koff + pc, acc);
+      } else {
+        kn.fn(kc, ap, bp, acc);
+      }
     }
     StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip), cols, st.alpha,
               st.blk_beta, st.epilogue, *st.ep, i0 + ip, j, st.c, st.ldc);
@@ -482,7 +507,7 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 float alpha, const float* a, const float* b, float beta,
                 float* c, const GemmEpilogue& ep, bool parallel,
                 const float* prepacked_a, const float* prepacked_b,
-                const ImageMatrix* direct) {
+                const ImageMatrix* direct, const ImageA* image_a = nullptr) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
@@ -494,13 +519,14 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
 
   // B packing is hoisted out of the row-tile loop: each B k-block is
   // packed once per column stripe and reused by every row tile (a direct
-  // conv B needs no packing at all). With workers > 1 the NR-column
-  // micro-panels of each (k-block, row-tile) region are dealt over the
-  // pool. Each C micro-tile is written by exactly one task and k-blocks
-  // accumulate in ascending order behind the ParallelFor barrier, so the
-  // result is bitwise the same for any worker count, and, because
-  // prepacked panels are byte-identical to per-call packs and direct forms
-  // load the values a pack would hold, for every entry point.
+  // conv B needs no packing at all, and an image A no A packing). With
+  // workers > 1 the NR-column micro-panels of each (k-block, row-tile)
+  // region are dealt over the pool. Each C micro-tile is written by
+  // exactly one task and k-blocks accumulate in ascending order behind the
+  // ParallelFor barrier, so the result is bitwise the same for any worker
+  // count, and, because prepacked panels are byte-identical to per-call
+  // packs and direct and image forms load the values a pack would hold,
+  // for every entry point.
   const Kernel& kernel = PickKernel();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
@@ -509,12 +535,14 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   const int64_t kc_max = std::min(k, kKC);
   const int64_t a_pad_max =
       std::min(kMC, (std::min(kMC, m) + mr - 1) / mr * mr);
+  const auto run_panel = image_a ? RunMicroPanel<true> : RunMicroPanel<false>;
   for (int64_t ct = 0; ct < col_tiles; ++ct) {
     const int64_t j0 = ct * kNC;
     const int64_t nc = std::min(kNC, n - j0);
     const int64_t nc_pad = (nc + nr - 1) / nr * nr;
     ScratchScope scope;
-    float* a_buf = prepacked_a ? nullptr : scope.Alloc(a_pad_max * kc_max);
+    float* a_buf = prepacked_a || image_a ? nullptr
+                                          : scope.Alloc(a_pad_max * kc_max);
     float* b_buf =
         prepacked_b || direct ? nullptr : scope.Alloc(kc_max * nc_pad);
     for (int64_t pc = 0; pc < k; pc += kKC) {
@@ -531,10 +559,10 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
       for (int64_t rt = 0; rt < row_tiles; ++rt) {
         const int64_t i0 = rt * kMC;
         const int64_t mc = std::min(kMC, m - i0);
-        const float* a_pack;
+        const float* a_pack = nullptr;
         if (prepacked_a != nullptr) {
           a_pack = PrepackedABlock(prepacked_a, m, mr, i0, pc, kc);
-        } else {
+        } else if (image_a == nullptr) {
           PackA(trans_a, a, m, k, i0, mc, pc, kc, mr, a_buf);
           a_pack = a_buf;
         }
@@ -543,9 +571,9 @@ void GemmExImpl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
           float* gather = direct ? panel_scope.Alloc(kc * nr) : nullptr;
           for (int64_t jb = jb0; jb < jb1; ++jb) {
             const int64_t jp = jb * nr;
-            RunMicroPanel(kernel, pc, kc, a_pack, i0, mc,
-                          b_pack ? b_pack + jb * kc * nr : nullptr, direct,
-                          gather, j0 + jp, std::min(nr, nc - jp), st);
+            run_panel(kernel, pc, kc, a_pack, image_a, i0, mc,
+                      b_pack ? b_pack + jb * kc * nr : nullptr, direct,
+                      gather, j0 + jp, std::min(nr, nc - jp), st);
           }
         };
         const int64_t jp_blocks = (nc + nr - 1) / nr;
@@ -604,56 +632,20 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
 
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
                  float alpha, float beta, float* c) {
-  // GemmExImpl's sequential schedule for C = alpha * V * B^T + beta *
-  // C (V = vcol(img), m = v.k, k = v.n), with the image-A micro-kernel
-  // reading row i of V at image + koff[i], column p at poff[p], in place
-  // of PackA: the same k-blocks in the same order, so each element runs
-  // the FMA chain GemmExImpl would over the materialized V.
+  // GemmExImpl's sequential schedule for C = alpha * V * B^T + beta * C
+  // (V = vcol(img), m = v.k, k = v.n) with V as an image A: row i at
+  // image + koff[i], column p at poff[p] past it.
   const ImageMatrix v = ConvImageMatrix(img);
-  const int64_t m = v.k;
-  const int64_t k = v.n;
-  const GemmEpilogue ep;
-  if (m == 0 || n == 0) return;
-  if (k == 0 || alpha == 0.0f) {
-    ScaleOnly(m, n, beta, c, ep);
-    return;
-  }
   thread_local std::vector<int32_t> poff;
-  poff.resize(static_cast<size_t>(k));
-  for (int64_t p = 0; p < k; ++p) {
+  poff.resize(static_cast<size_t>(v.n));
+  for (int64_t p = 0; p < v.n; ++p) {
     poff[p] = static_cast<int32_t>(v.ColOffset(p));
   }
-  const Kernel& kn = PickKernel();
-  const int64_t kc_max = std::min(k, kKC);
-  float acc[kMaxMR * kMaxNR];
-  for (int64_t j0 = 0; j0 < n; j0 += kNC) {
-    const int64_t nc = std::min(kNC, n - j0);
-    ScratchScope scope;
-    float* b_buf = scope.Alloc(kc_max * ((nc + kn.nr - 1) / kn.nr * kn.nr));
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      PackB(/*trans_b=*/true, b, k, n, pc, kc, j0, nc, kn.nr, b_buf);
-      const float blk_beta = pc == 0 ? beta : 1.0f;
-      for (int64_t i0 = 0; i0 < m; i0 += kMC) {
-        const int64_t mc = std::min(kMC, m - i0);
-        for (int64_t jp = 0; jp < nc; jp += kn.nr) {
-          const float* bp = b_buf + (jp / kn.nr) * kc * kn.nr;
-          for (int64_t ip = 0; ip < mc; ip += kn.mr) {
-            const float* arow[kMaxMR];
-            for (int64_t r = 0; r < kn.mr; ++r) {
-              // Rows past the tile repeat its last row; StoreTile drops
-              // them.
-              arow[r] = v.image + v.koff[i0 + std::min(ip + r, mc - 1)];
-            }
-            kn.image_a(kc, arow, poff.data() + pc, bp, acc);
-            StoreTile(acc, kn.nr, std::min(kn.mr, mc - ip),
-                      std::min(kn.nr, nc - jp), alpha, blk_beta,
-                      /*apply_epilogue=*/false, ep, i0 + ip, j0 + jp, c, n);
-          }
-        }
-      }
-    }
-  }
+  const ImageA image_a{&v, poff.data()};
+  GemmExImpl(/*trans_a=*/false, /*trans_b=*/true, v.k, n, v.n, alpha,
+             /*a=*/nullptr, b, beta, c, GemmEpilogue{}, /*parallel=*/false,
+             /*prepacked_a=*/nullptr, /*prepacked_b=*/nullptr,
+             /*direct=*/nullptr, &image_a);
 }
 
 PackedAWeights PackedAWeights::Pack(bool trans_a, int64_t m, int64_t k,

@@ -185,13 +185,13 @@ void GemmConvEx(int64_t m, const float* a, const ConvImageView& img,
                 bool parallel);
 
 /// C (img.depth() x n) = alpha * vcol(img) * B^T + beta * C, B the
-/// n x img.cols() row-major matrix, computed sequentially. With B = dY it
-/// is dW^T, the transposed weight gradient of a conv whose padded input
-/// is `img`. vcol is the GEMM's A operand, its rows read in place from
-/// the image as the micro-kernel's broadcast scalars (no A panel is
-/// packed; B^T is). FMA being commutative, each C element runs the FMA
-/// chain over k of GemmEx(false, true, n, img.depth(), img.cols(), B,
-/// vcol), so C^T is bitwise that product on every kernel tier.
+/// n x img.cols() row-major matrix, on GemmEx's sequential schedule. With
+/// B = dY it is dW^T, the transposed weight gradient of a conv whose
+/// padded input is `img`. vcol is an image A: the micro-kernel reads its
+/// broadcast scalars in place from the image (no A panel is packed; B^T
+/// is). Multiplication being commutative, each C element runs the chain
+/// over k of GemmEx(false, true, n, img.depth(), img.cols(), B, vcol), so
+/// C^T is bitwise that product on every kernel tier.
 void GemmConvAEx(const ConvImageView& img, int64_t n, const float* b,
                  float alpha, float beta, float* c);
 

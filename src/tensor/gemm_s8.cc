@@ -6,6 +6,7 @@
 #include <string>
 
 #include "tensor/arena.h"
+#include "tensor/fp_contract.h"
 #include "tensor/pack_s8.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -14,19 +15,6 @@
     (defined(__GNUC__) || defined(__clang__))
 #define POE_GEMM_S8_X86 1
 #include <immintrin.h>
-#endif
-
-// Marks the functions that round through DequantOne: each of its multiplies and
-// adds rounds on its own, as in the SIMD stores, which use explicit mul and add
-// intrinsics. Without it GCC fuses a multiply and the following add into an FMA
-// in some of the loop versions it emits for the scalar store and not in others,
-// and runtime alias checks between the output and the epilogue arrays pick the
-// version, so heap layout would pick the rounding. Clang contracts only within
-// one expression, and DequantOne takes one statement per operation.
-#if defined(__GNUC__) && !defined(__clang__)
-#define POE_NO_FP_CONTRACT __attribute__((optimize("fp-contract=off")))
-#else
-#define POE_NO_FP_CONTRACT
 #endif
 
 namespace poe {
@@ -781,21 +769,74 @@ void StoreTileS8(const KernelS8& kn, const int32_t* acc, int64_t rows,
   }
 }
 
-// Register-tile loops over packed panels: rows [i0, i0+mc) x columns
-// [j0, j0+nc).
+// Gathers the B panel of columns [j, j + cols) that no direct form covers
+// (rows narrower than half a panel, N tails) into the packed layout, zero
+// past cols: the bytes a direct form would have read.
+void GatherConvPanel(const ConvImageViewS8& img, const int32_t* koff,
+                     int64_t groups, int64_t j, int64_t cols, int64_t nr,
+                     int8_t* out) {
+  const int64_t kr = img.group;
+  int64_t col_off[kMaxNR];
+  for (int64_t c = 0; c < cols; ++c) col_off[c] = img.col_offset(j + c);
+  for (int64_t g = 0; g < groups; ++g, out += nr * kr) {
+    const int8_t* src = img.padded + koff[g];
+    for (int64_t c = 0; c < cols; ++c)
+      for (int64_t r = 0; r < kr; ++r) out[c * kr + r] = src[col_off[c] + r];
+    std::fill(out + cols * kr, out + nr * kr, int8_t{0});
+  }
+}
+
+// A direct conv B read in place (GemmS8ConvPackedA): the image view, its
+// k-group offset table and the nr-padded column sums of all img->cols()
+// columns.
+struct DirectS8B {
+  const ConvImageViewS8* img;
+  const int32_t* koff;
+  const int32_t* colsum;
+};
+
+// Register-tile loops over rows [i0, i0+mc) x columns [jp0, jp1) of the
+// column tile at j0, whose packed panels and column sums start at b_pack
+// and colsum. The kDirect form (picked once per block) reads B from
+// `direct` instead: a panel whose halves each lie in one output row in
+// place, any other gathered into `gather` (kpad x nr bytes).
+template <bool kDirect>
 void MicroLoopsS8(const KernelS8& kernel, const uint8_t* a_pack,
-                  const int8_t* b_pack, const int32_t* colsum, int64_t kpad,
-                  int64_t i0, int64_t mc, int64_t j0, int64_t nc,
-                  const GemmS8Epilogue& ep, float* c, int64_t ldc) {
+                  const int8_t* b_pack, const DirectS8B* direct,
+                  int8_t* gather, const int32_t* colsum, int64_t kpad,
+                  int64_t i0, int64_t mc, int64_t j0, int64_t jp0,
+                  int64_t jp1, const GemmS8Epilogue& ep, float* c,
+                  int64_t ldc) {
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
   const int64_t groups = kpad / kernel.kr;
   int32_t acc[kMaxMR * kMaxNR];
-  for (int64_t jp = 0; jp < nc; jp += nr) {
-    const int8_t* bp = b_pack + (jp / nr) * kpad * nr;
-    const int64_t cols = std::min(nr, nc - jp);
+  for (int64_t jp = jp0; jp < jp1; jp += nr) {
+    const int64_t cols = std::min(nr, jp1 - jp);
+    const int8_t* bp = gather;
+    const int8_t* b0 = nullptr;
+    const int8_t* b1 = nullptr;
+    if constexpr (kDirect) {
+      const ConvImageViewS8& img = *direct->img;
+      const int64_t j = j0 + jp;
+      const int64_t half = nr / 2;
+      const int64_t w = img.out_w();
+      if (cols == nr && j % w + half <= w && (j + half) % w + half <= w) {
+        b0 = img.padded + img.col_offset(j);
+        b1 = img.padded + img.col_offset(j + half);
+      } else {
+        GatherConvPanel(img, direct->koff, groups, j, cols, nr, gather);
+      }
+    } else {
+      bp = b_pack + (jp / nr) * kpad * nr;
+    }
     for (int64_t ip = 0; ip < mc; ip += mr) {
-      kernel.fn(groups, a_pack + (ip / mr) * kpad * mr, bp, acc);
+      const uint8_t* ap = a_pack + (ip / mr) * kpad * mr;
+      if (kDirect && b0 != nullptr) {
+        kernel.direct(groups, ap, b0, b1, direct->koff, acc);
+      } else {
+        kernel.fn(groups, ap, bp, acc);
+      }
       StoreTileS8(kernel, acc, std::min(mr, mc - ip), cols, colsum + jp, ep,
                   i0 + ip, j0 + jp, c, ldc);
     }
@@ -815,7 +856,8 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
                 const int8_t* a, const int8_t* b, float* c,
                 const GemmS8Epilogue& ep, bool parallel,
                 const uint8_t* prepacked_a,
-                const PrepackedS8B* prepacked_b) {
+                const PrepackedS8B* prepacked_b,
+                const DirectS8B* direct = nullptr) {
   POE_CHECK_GE(m, 0);
   POE_CHECK_GE(n, 0);
   POE_CHECK_GE(k, 0);
@@ -834,17 +876,18 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
   // tile (the f32 driver shares this structure). `prepacked_a` (panels for
   // the full m, from PackedS8Weights; i0 % mr == 0 because kMC is a
   // multiple of every MR) and `prepacked_b` (panels + colsums for the full
-  // k x n, from PackedS8BWeights) skip their packs. With workers > 1 the
-  // register-tile loops split over micro-panel column blocks. Every
-  // register tile is computed by exactly one task with the same packed
-  // panels and the same single dequantizing store, so C is bitwise the
-  // same for any worker count.
+  // k x n, from PackedS8BWeights) skip their packs, and a `direct` B is
+  // read in place from its conv image. With workers > 1 the register-tile
+  // loops split over micro-panel column blocks. Every register tile is
+  // computed by exactly one task with the same panels and the same single
+  // dequantizing store, so C is bitwise the same for any worker count.
   const KernelS8& kernel = PickKernelS8();
   const int64_t row_tiles = (m + kMC - 1) / kMC;
   const int64_t col_tiles = (n + kNC - 1) / kNC;
   const int64_t kpad = (k + kernel.kr - 1) / kernel.kr * kernel.kr;
   const int64_t mr = kernel.mr;
   const int64_t nr = kernel.nr;
+  const auto loops = direct ? MicroLoopsS8<true> : MicroLoopsS8<false>;
   for (int64_t ct = 0; ct < col_tiles; ++ct) {
     const int64_t j0 = ct * kNC;
     const int64_t nc = std::min(kNC, n - j0);
@@ -856,6 +899,9 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
     if (prepacked_b != nullptr) {
       b_pack = prepacked_b->data + kpad * j0;
       colsum = prepacked_b->colsum + j0;
+    } else if (direct != nullptr) {
+      b_pack = nullptr;
+      colsum = direct->colsum + j0;
     } else {
       int8_t* buf = AllocS8(scope, nc_pad * kpad);
       PackBDispatch(kernel, trans_b, b, k, n, j0, nc, buf, colsum_buf);
@@ -875,13 +921,14 @@ void GemmS8Impl(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
         PackADispatch(kernel, trans_a, a, m, k, i0, mc, buf);
         a_pack = buf;
       }
-      // One block = [jb0, jb1) micro panels; pointers advance whole
-      // panels, so each block runs MicroLoopsS8 on a disjoint C column
-      // range with its own accumulator (no shared mutable state).
+      // One block = [jb0, jb1) micro panels, so each block runs
+      // MicroLoopsS8 on a disjoint C column range with its own accumulator
+      // and gather panel (no shared mutable state).
       const auto micro_panels = [&](int64_t jb0, int64_t jb1) {
-        MicroLoopsS8(kernel, a_pack, b_pack + jb0 * kpad * nr,
-                     colsum + jb0 * nr, kpad, i0, mc, j0 + jb0 * nr,
-                     std::min(nc - jb0 * nr, (jb1 - jb0) * nr), ep, c, n);
+        ScratchScope panel_scope;
+        int8_t* gather = direct ? AllocS8(panel_scope, kpad * nr) : nullptr;
+        loops(kernel, a_pack, b_pack, direct, gather, colsum, kpad, i0, mc,
+              j0, jb0 * nr, std::min(nc, jb1 * nr), ep, c, n);
       };
       const int64_t jp_blocks = (nc + nr - 1) / nr;
       if (parallel) {
@@ -939,23 +986,6 @@ void ConvColumnSums(const KernelS8& kn, const ConvImageViewS8& img,
   }
 }
 
-// Gathers the B panel of columns [j, j + cols) that no direct form covers
-// (rows narrower than half a panel, N tails) into the packed layout, zero
-// past cols: the bytes a direct form would have read.
-void GatherConvPanel(const ConvImageViewS8& img, const int32_t* koff,
-                     int64_t groups, int64_t j, int64_t cols, int64_t nr,
-                     int8_t* out) {
-  const int64_t kr = img.group;
-  int64_t col_off[kMaxNR];
-  for (int64_t c = 0; c < cols; ++c) col_off[c] = img.col_offset(j + c);
-  for (int64_t g = 0; g < groups; ++g, out += nr * kr) {
-    const int8_t* src = img.padded + koff[g];
-    for (int64_t c = 0; c < cols; ++c)
-      for (int64_t r = 0; r < kr; ++r) out[c * kr + r] = src[col_off[c] + r];
-    std::fill(out + cols * kr, out + nr * kr, int8_t{0});
-  }
-}
-
 }  // namespace
 
 void GemmS8(bool trans_a, bool trans_b, int64_t m, int64_t n, int64_t k,
@@ -1007,59 +1037,18 @@ void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
   const KernelS8& kn = PickKernelS8();
   POE_CHECK_EQ(img.group, kn.kr);
   POE_CHECK_LE(DirectImageElems(img), int64_t{INT32_MAX});
-  const int64_t m = a.m_;
-  const int64_t n = img.cols();
-  const int64_t mr = kn.mr;
-  const int64_t nr = kn.nr;
-  const int64_t half = nr / 2;
-  const int64_t groups = a.k_ / kn.kr;
-  const int64_t out_w = img.out_w();
-  // The k-group offset table and the column sums, built once per call by
-  // this thread; pool workers only read them behind ParallelFor's
-  // barrier (through these pointers, not their own thread_locals).
-  thread_local std::vector<int32_t> koff_buf, colsum_buf;
-  koff_buf.resize(static_cast<size_t>(groups));
-  const int32_t* koff = koff_buf.data();
-  TapOffsets(img, koff_buf.data());
-  colsum_buf.assign(static_cast<size_t>((n + nr - 1) / nr * nr), 0);
-  const int32_t* colsum = colsum_buf.data();
-  if (kn.pixel_sums != nullptr) ConvColumnSums(kn, img, colsum_buf.data());
-
-  // A half panel can be read in place when its columns lie in one output
-  // row; a panel is direct when both halves can.
-  const auto in_row = [&](int64_t j) { return j % out_w + half <= out_w; };
-  const auto panels = [&](int64_t jb0, int64_t jb1) {
-    ScratchScope scope;
-    int8_t* gather = nullptr;
-    int32_t acc[kMaxMR * kMaxNR];
-    for (int64_t jb = jb0; jb < jb1; ++jb) {
-      const int64_t j = jb * nr;
-      const int64_t cols = std::min(nr, n - j);
-      const bool direct = cols == nr && in_row(j) && in_row(j + half);
-      const int8_t* b0 = img.padded + img.col_offset(j);
-      const int8_t* b1 = direct ? img.padded + img.col_offset(j + half) : b0;
-      if (!direct) {
-        if (gather == nullptr) gather = AllocS8(scope, groups * nr * kn.kr);
-        GatherConvPanel(img, koff, groups, j, cols, nr, gather);
-      }
-      for (int64_t ip = 0; ip < m; ip += mr) {
-        const uint8_t* ap = a.data_.data() + ip * a.k_;
-        if (direct) {
-          kn.direct(groups, ap, b0, b1, koff, acc);
-        } else {
-          kn.fn(groups, ap, gather, acc);
-        }
-        StoreTileS8(kn, acc, std::min(mr, m - ip), cols, colsum + j, epilogue,
-                    ip, j, c, n);
-      }
-    }
-  };
-  const int64_t blocks = (n + nr - 1) / nr;
-  if (parallel) {
-    ParallelFor(blocks, panels, /*min_chunk=*/1);
-  } else {
-    panels(0, blocks);
-  }
+  // Built once per call by this thread; pool workers read them through
+  // these pointers behind ParallelFor's barrier.
+  thread_local std::vector<int32_t> koff, colsum;
+  koff.resize(static_cast<size_t>(a.k_ / kn.kr));
+  TapOffsets(img, koff.data());
+  colsum.assign(static_cast<size_t>((img.cols() + kn.nr - 1) / kn.nr * kn.nr),
+                0);
+  if (kn.pixel_sums != nullptr) ConvColumnSums(kn, img, colsum.data());
+  const DirectS8B direct{&img, koff.data(), colsum.data()};
+  GemmS8Impl(/*trans_a=*/false, /*trans_b=*/false, a.m_, img.cols(), a.k_,
+             /*a=*/nullptr, /*b=*/nullptr, c, epilogue, parallel,
+             a.data_.data(), /*prepacked_b=*/nullptr, &direct);
 }
 
 void PackedS8Weights::Unpack(int8_t* out) const {

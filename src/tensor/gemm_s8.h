@@ -102,9 +102,9 @@ void GemmS8PackedA(const PackedS8Weights& a, int64_t n, const int8_t* b,
 /// epilogue(a * B) where B is the virtual im2col matrix of `img`, a
 /// channel-interleaved image with img.group == GemmS8KGroup() (see
 /// conv_direct.h), and `a` came from PackConv with img's channels and
-/// kernel. The micro-kernels read B in place; the int32 accumulation is
-/// exact, so outputs are bitwise identical to GemmS8PackedA over the
-/// im2col matrix on every kernel tier.
+/// kernel. It runs GemmS8's tiles and parallel split with B read in place
+/// (no B panel is packed); the int32 accumulation is exact, so outputs are
+/// bitwise identical to GemmS8PackedA over the im2col matrix on every tier.
 void GemmS8ConvPackedA(const PackedS8Weights& a, const ConvImageViewS8& img,
                        float* c, const GemmS8Epilogue& epilogue,
                        bool parallel);

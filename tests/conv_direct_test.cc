@@ -59,21 +59,26 @@ std::vector<T> PadImage(const std::vector<T>& img, int64_t c, int64_t h,
   return padded;
 }
 
-// Direct-conv geometry sweep shared by the f32 and int8 GEMM oracles.
+// Direct-conv geometry sweep shared by the f32 and int8 GEMM oracles: m
+// output channels (rows) over a c x h x w image. The last geometry spans
+// two row tiles (m > kMC = 240) and two column tiles (36 * 36 output
+// pixels > kNC = 1024) of both drivers, the column split falling inside
+// an output row.
 struct Geometry {
-  int64_t c, h, w, kernel, pad;
+  int64_t m, c, h, w, kernel, pad;
 };
 
 const Geometry kGeometries[] = {
-    {1, 5, 5, 1, 0},  {1, 5, 5, 1, 1},  {3, 7, 7, 2, 0}, {3, 7, 7, 2, 1},
-    {3, 8, 8, 3, 0},  {3, 8, 8, 3, 1},  {1, 5, 7, 3, 2}, {16, 8, 8, 3, 1},
-    {3, 16, 16, 5, 2}, {4, 32, 32, 3, 1},
+    {7, 1, 5, 5, 1, 0},    {9, 1, 5, 5, 1, 1},   {7, 3, 7, 7, 2, 0},
+    {9, 3, 7, 7, 2, 1},    {7, 3, 8, 8, 3, 0},   {9, 3, 8, 8, 3, 1},
+    {7, 1, 5, 7, 3, 2},    {9, 16, 8, 8, 3, 1},  {7, 3, 16, 16, 5, 2},
+    {9, 4, 32, 32, 3, 1},  {250, 3, 36, 36, 3, 1},
 };
 
 TEST(ConvDirectGemmTest, F32BitwiseMatchesIm2Col) {
   for (const auto& g : kGeometries) {
     Rng rng(g.c * 131 + g.h * 17 + g.kernel * 5 + g.pad);
-    const int64_t m = 7;
+    const int64_t m = g.m;
     const int64_t depth = g.c * g.kernel * g.kernel;
     const int64_t out_h = g.h + 2 * g.pad - g.kernel + 1;
     const int64_t out_w = g.w + 2 * g.pad - g.kernel + 1;
@@ -113,8 +118,8 @@ TEST(ConvDirectGemmTest, F32BitwiseMatchesIm2Col) {
                  parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_direct.data(),
                                c_ref.size() * sizeof(float)))
-          << "c=" << g.c << " h=" << g.h << " k=" << g.kernel
-          << " pad=" << g.pad << " parallel=" << parallel;
+          << "m=" << g.m << " c=" << g.c << " h=" << g.h
+          << " k=" << g.kernel << " pad=" << g.pad << " parallel=" << parallel;
     }
 
     // Prepacked weight operand: same bitwise guarantee.
@@ -131,7 +136,7 @@ TEST(ConvDirectGemmTest, F32BitwiseMatchesIm2Col) {
 TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
   for (const auto& g : kGeometries) {
     Rng rng(g.c * 37 + g.h * 11 + g.kernel * 3 + g.pad + 1);
-    const int64_t m = 9;
+    const int64_t m = g.m;
     const int64_t depth = g.c * g.kernel * g.kernel;
     const int64_t out_h = g.h + 2 * g.pad - g.kernel + 1;
     const int64_t out_w = g.w + 2 * g.pad - g.kernel + 1;
@@ -178,8 +183,8 @@ TEST(ConvDirectGemmTest, Int8BitwiseMatchesIm2Col) {
       GemmS8ConvPackedA(packed, view, c_direct.data(), ep, parallel);
       ASSERT_EQ(0, std::memcmp(c_ref.data(), c_direct.data(),
                                c_ref.size() * sizeof(float)))
-          << "c=" << g.c << " h=" << g.h << " k=" << g.kernel
-          << " pad=" << g.pad << " parallel=" << parallel;
+          << "m=" << g.m << " c=" << g.c << " h=" << g.h
+          << " k=" << g.kernel << " pad=" << g.pad << " parallel=" << parallel;
     }
   }
 }

@@ -17,9 +17,10 @@
 #
 # Requires a build configured with -DPOE_BUILD_BENCH=ON. Compare runs only
 # on the same machine; the JSON includes the host context for provenance.
-# Conv rows record both lowerings: BM_ConvWrnPrepacked/Int8Calibrated pin
-# im2col, BM_ConvWrnDirect{,Int8} pin the direct path, so the committed
-# JSON carries the direct-vs-im2col margin alongside the absolute times.
+# Conv rows record both lowerings: BM_ConvWrnPrepacked/Int8Calibrated time
+# the tests' im2col reference, BM_ConvWrnDirect{,Int8} the library's direct
+# lowering, so the committed JSON carries the direct-vs-im2col margin
+# alongside the absolute times.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
